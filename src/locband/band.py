@@ -16,7 +16,7 @@ import numpy as np
 from .calibration import CalibrationPlan, band_halfwidth_quantile, optimal_bandwidth
 from .densities import AnalyticDensity
 from .errors import CrossSampleContaminationError, OutOfDomainError
-from .estimator import SplitSample, kde_at
+from .estimator import SplitSample, rank_query_kde
 from .kernels import Kernel
 from .selector import BandwidthProfile
 
@@ -48,15 +48,7 @@ class ConfidenceBand:
 
 def _centers_for(split: SplitSample, plan: CalibrationPlan, kernel: Kernel, h_loc: np.ndarray) -> np.ndarray:
     points = np.arange(1, plan.mesh_count + 1, dtype=float) * plan.delta_n
-    chi1 = split.chi1
-    if kernel.flat_pieces is not None:
-        out = np.zeros_like(points)
-        for lo, hi, val in kernel.flat_pieces:
-            left = np.searchsorted(chi1, points + h_loc * lo, side="left")
-            right = np.searchsorted(chi1, points + h_loc * hi, side="right")
-            out += val * (right - left)
-        return out / (split.n_tilde * h_loc)
-    return np.array([kde_at(chi1, t, h, kernel) for t, h in zip(points, h_loc)])
+    return rank_query_kde(split.chi1, points, h_loc, kernel)
 
 
 def build_band(

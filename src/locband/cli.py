@@ -20,9 +20,9 @@ from . import harness
 from .band import band_to_csv, build_band, reference_global_band
 from .calibration import DEFAULT_C2, PlanParams, derive_plan
 from .errors import EmptyBandwidthGridError, InvalidConstantsError, LocbandError
-from .estimator import build_kde_table, parse_data_file, split_sample
+from .estimator import parse_data_file
 from .kernels import make_rectangular
-from .selector import select_profile
+from .selector import fit_profile
 
 SEED_ENV = "LOCBAND_SEED"
 
@@ -83,8 +83,18 @@ def _plan_from_cfg(cfg: dict, kernel):
         return derive_plan(params, kernel)
 
 
-def _cfg_meta(cfg: dict) -> str:
-    lines = [f"{k}={v}" for k, v in sorted(cfg.items()) if v is not None]
+# The settings each command reads; its .meta sidecar records only these, so
+# that the sidecar depends on neither the output path nor unused defaults.
+_META_KEYS = {
+    "band": ("alpha", "c2", "lstar", "mode", "n"),
+    "simulate": ("alpha", "c2", "density", "lstar", "mode", "n", "reps", "seed"),
+    "verify": ("suite",),
+    "curves": ("alpha", "c2", "density", "lstar", "mode", "n", "seed"),
+}
+
+
+def _cfg_meta(cfg: dict, command: str) -> str:
+    lines = [f"{k}={cfg[k]}" for k in _META_KEYS[command] if cfg[k] is not None]
     return "\n".join(lines) + "\n"
 
 
@@ -119,11 +129,9 @@ def cmd_band(args: argparse.Namespace, kernel=None) -> int:
     except (EmptyBandwidthGridError, InvalidConstantsError) as exc:
         print(f"band: degenerate theory-mode plan: {exc}", file=sys.stderr)
         return 3
-    split = split_sample(data)
-    table = build_kde_table(split, plan, kernel, half_id=2)
-    profile = select_profile(table, plan)
+    split, profile = fit_profile(data, plan, kernel)
     band = build_band(split, profile, plan, kernel, cfg["alpha"])
-    _emit(band_to_csv(band), _cfg_meta(cfg), cfg["out"])
+    _emit(band_to_csv(band), _cfg_meta(cfg, "band"), cfg["out"])
     return 0
 
 
@@ -154,7 +162,7 @@ def cmd_simulate(args: argparse.Namespace, kernel=None) -> int:
     else:
         print(f"simulate: unknown kind {kind!r} (coverage|adaptivity|window|gumbel)", file=sys.stderr)
         return 2
-    meta = _cfg_meta(cfg) + report.meta_text()
+    meta = _cfg_meta(cfg, "simulate") + report.meta_text()
     _emit(report.to_csv_text(), meta, cfg["out"])
     return 0
 
@@ -168,7 +176,7 @@ def cmd_verify(args: argparse.Namespace, kernel=None) -> int:
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
-    meta = _cfg_meta(cfg) + report.meta_text()
+    meta = _cfg_meta(cfg, "verify") + report.meta_text()
     _emit(report.to_csv_text(), meta, cfg["out"])
     failed = [r for r in report.records if not r["passed"]]
     if failed:
@@ -191,10 +199,7 @@ def cmd_curves(args: argparse.Namespace, kernel=None) -> int:
     except (EmptyBandwidthGridError, InvalidConstantsError) as exc:
         print(f"curves: degenerate theory-mode plan: {exc}", file=sys.stderr)
         return 3
-    data = zoo.sample(density, plan.n, cfg["seed"])
-    split = split_sample(data)
-    table = build_kde_table(split, plan, kernel, half_id=2)
-    profile = select_profile(table, plan)
+    split, profile = fit_profile(zoo.sample(density, plan.n, cfg["seed"]), plan, kernel)
     local = build_band(split, profile, plan, kernel, cfg["alpha"])
     ref = reference_global_band(split, plan, kernel, cfg["alpha"])
     d = plan.delta_n
@@ -207,7 +212,7 @@ def cmd_curves(args: argparse.Namespace, kernel=None) -> int:
             f"{k},{k * d:.12g},{truth[k - 1]:.12g},{c:.12g},{c - hw:.12g},{c + hw:.12g},"
             f"{gc - ghw:.12g},{gc + ghw:.12g}"
         )
-    _emit("\n".join(lines) + "\n", _cfg_meta(cfg), cfg["out"])
+    _emit("\n".join(lines) + "\n", _cfg_meta(cfg, "curves"), cfg["out"])
     return 0
 
 

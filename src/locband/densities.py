@@ -312,10 +312,6 @@ class AnalyticDensity:
                 hi[c] = max(hi[c], val)
         return lo, hi
 
-    def interval_extrema(self, a: float, b: float, scan: int = 2048) -> tuple[float, float]:
-        lo, hi = self.cells_extrema(np.array([a, b]), scan=scan)
-        return float(lo[0]), float(hi[0])
-
 
 # ---------------------------------------------------------------------------
 # zoo constructors

@@ -69,6 +69,10 @@ class InvalidBandwidthError(LocbandError, ValueError):
     pass
 
 
+class UnsupportedKernelError(LocbandError, ValueError):
+    """The estimator, the band and convolution need a piecewise-constant kernel."""
+
+
 class OffMeshError(LocbandError, ValueError):
     pass
 

@@ -1,15 +1,14 @@
 """Sample splitting and kernel density estimation.
 
 The selector consumes a table of estimates over an extended mesh (the mesh
-points of [0,1] plus the margin its spatial maximum reaches into); for
-piecewise-constant kernels the table is filled by sorted rank queries, any
-other kernel falls back to direct summation.
+points of [0,1] plus the margin its spatial maximum reaches into), filled by
+sorted rank queries against the kernel's constant pieces.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import secrets
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,15 +16,17 @@ import numpy as np
 
 from .calibration import CalibrationPlan
 from .errors import InsufficientDataError, InvalidBandwidthError
-from .kernels import Kernel
-
-_token_counter = itertools.count(1)
+from .kernels import Kernel, require_flat_pieces
 
 
 @dataclass(frozen=True)
 class SplitSample:
     """The two halves, sorted for rank queries; estimates never depend on
-    the order, so sorting is purely an internal representation."""
+    the order, so sorting is purely an internal representation.
+
+    ``token`` is a random 64-bit identifier of this split, so that estimates
+    from different splits cannot be mixed even when they come from
+    different processes."""
 
     chi1: np.ndarray
     chi2: np.ndarray
@@ -48,7 +49,7 @@ def split_sample(data) -> SplitSample:
         chi1=np.sort(arr[:nt]),
         chi2=np.sort(arr[nt:2 * nt]),
         n_tilde=nt,
-        token=next(_token_counter),
+        token=secrets.randbits(64),
     )
 
 
@@ -62,10 +63,12 @@ def kde_at(half: np.ndarray, t: float, h: float, kernel: Kernel) -> float:
     return float(kernel.evaluate((half - t) / h).sum() / (half.size * h))
 
 
-def _rank_query_row(sorted_half: np.ndarray, points: np.ndarray, h: float, kernel: Kernel) -> np.ndarray:
+def rank_query_kde(sorted_half: np.ndarray, points: np.ndarray, h: float | np.ndarray, kernel: Kernel) -> np.ndarray:
+    """Estimates at `points` with bandwidth h (a scalar, or one per point)
+    by sorted rank queries against the kernel's constant pieces."""
     m = sorted_half.size
     out = np.zeros_like(points)
-    for lo, hi, val in kernel.flat_pieces:
+    for lo, hi, val in require_flat_pieces(kernel):
         # K((X - t)/h) = val for t + h*lo <= X <= t + h*hi (closed pieces)
         left = np.searchsorted(sorted_half, points + h * lo, side="left")
         right = np.searchsorted(sorted_half, points + h * hi, side="right")
@@ -91,14 +94,11 @@ class KdeTable:
     def value(self, idx: int, j: int) -> float:
         return float(self.values[j - self.plan.j_min, idx - self.idx_lo])
 
-    def mesh_point(self, idx: int) -> float:
-        return idx * self.plan.delta_n
 
-
-def selector_margin(plan: CalibrationPlan) -> int:
-    """Largest mesh-index offset the selector's spatial maximum can reach:
-    the open ball of radius (7/8) 2^-j_min in mesh units."""
-    rho = (7.0 / 8.0) * 2.0 ** -plan.j_min * plan.mesh_count
+def ball_offset(plan: CalibrationPlan, j: int) -> int:
+    """Largest mesh-index offset inside the selector's open ball of radius
+    (7/8) 2^-j; at j_min it is the margin a table needs around its queries."""
+    rho = (7.0 / 8.0) * 2.0 ** -j * plan.mesh_count
     return max(0, math.ceil(rho - 1e-9) - 1)
 
 
@@ -113,25 +113,18 @@ def build_kde_table(
     """Precompute the estimate table the selector consumes.
 
     The default index range covers the mesh of [0,1] plus the selector
-    margin.  Piecewise-constant kernels use O(log n~) rank queries per
-    entry; other kernels are summed directly.
+    margin.  Each entry costs O(log n~) rank queries.
     """
     if plan.j_max < plan.j_min:
         raise InvalidBandwidthError("empty bandwidth grid")
-    margin = selector_margin(plan)
+    margin = ball_offset(plan, plan.j_min)
     if idx_lo is None:
         idx_lo = -margin
     if idx_hi is None:
         idx_hi = plan.mesh_count + margin
     half = split.half(half_id)
     points = np.arange(idx_lo, idx_hi + 1, dtype=float) * plan.delta_n
-    rows = []
-    for j in plan.bandwidth_exponents:
-        h = 2.0 ** -j
-        if kernel.flat_pieces is not None:
-            rows.append(_rank_query_row(half, points, h, kernel))
-        else:
-            rows.append(kernel.evaluate((half[None, :] - points[:, None]) / h).sum(axis=1) / (half.size * h))
+    rows = [rank_query_kde(half, points, 2.0 ** -j, kernel) for j in plan.bandwidth_exponents]
     return KdeTable(
         plan=plan,
         half_id=half_id,

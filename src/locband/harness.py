@@ -26,9 +26,9 @@ from .calibration import (
 )
 from .densities import AnalyticDensity, local_exponent_oracle, sample
 from .errors import InvalidConfigurationError
-from .estimator import build_kde_table, selector_margin, split_sample
+from .estimator import ball_offset, build_kde_table, split_sample
 from .kernels import Kernel, make_rectangular, sup_abs_bias
-from .selector import select_at, select_profile, theoretical_window
+from .selector import _ball_maxima, fit_profile, select_at, theoretical_window
 
 
 # ---------------------------------------------------------------------------
@@ -111,15 +111,6 @@ def plan_meta(plan: CalibrationPlan) -> dict:
 # coverage
 # ---------------------------------------------------------------------------
 
-def fit_band_once(density: AnalyticDensity, plan: CalibrationPlan, kernel: Kernel,
-                  alpha: float, seed: int):
-    data = sample(density, plan.n, seed)
-    split = split_sample(data)
-    table = build_kde_table(split, plan, kernel, half_id=2)
-    profile = select_profile(table, plan)
-    return split, profile, build_band(split, profile, plan, kernel, alpha)
-
-
 def run_coverage(
     density: AnalyticDensity,
     plan: CalibrationPlan,
@@ -138,7 +129,8 @@ def run_coverage(
     )
     for r in range(reps):
         rseed = replication_seed(seed, r)
-        _, profile, band = fit_band_once(density, plan, kernel, alpha, rseed)
+        split, profile = fit_profile(sample(density, plan.n, rseed), plan, kernel)
+        band = build_band(split, profile, plan, kernel, alpha)
         covered = covers_truth(band, density)
         widths = 2.0 * band.halfwidths
         report.records.append({
@@ -169,7 +161,7 @@ def _probe_cell_exponents(density, plan, kernel, rng, probes):
     consulted for a width query, so it is not estimated)."""
     data = sample(density, plan.n, int(rng.integers(0, 2 ** 63 - 1)))
     split = split_sample(data)
-    margin = selector_margin(plan)
+    margin = ball_offset(plan, plan.j_min)
     out = []
     for t in probes:
         k = min(int(math.floor(t / plan.delta_n)) + 1, plan.mesh_count)
@@ -177,9 +169,8 @@ def _probe_cell_exponents(density, plan, kernel, rng, probes):
             split, plan, kernel, half_id=2,
             idx_lo=k - 1 - margin, idx_hi=k + margin,
         )
-        j_left = select_at((k - 1) * plan.delta_n, table, plan)
-        j_right = select_at(k * plan.delta_n, table, plan)
-        out.append(max(j_left, j_right))
+        flanks = np.array([k - 1, k]) * plan.delta_n
+        out.append(int(select_at(flanks, table, plan).max()))
     return out
 
 
@@ -283,10 +274,7 @@ def run_window_check(
     )
     for r in range(reps):
         rseed = replication_seed(seed, r)
-        data = sample(density, plan.n, rseed)
-        split = split_sample(data)
-        table = build_kde_table(split, plan, kernel, half_id=2)
-        profile = select_profile(table, plan)
+        _, profile = fit_profile(sample(density, plan.n, rseed), plan, kernel)
         inside = (profile.j_hat >= lo) & (profile.j_hat <= hi)
         report.records.append({
             "rep": r,
@@ -630,8 +618,6 @@ def calibrate_c2(
     """Smallest threshold on a 0.05 grid keeping the selected exponent at
     j_min + 2 or below for at least `target` of mesh points under the
     uniform density (tables are reused across candidate thresholds)."""
-    from .selector import selection_criticals
-
     uniform = zoo.make_uniform()
     candidates = [round(grid_step * i, 10) for i in range(1, int(max_c2 / grid_step) + 1)]
     plan = derive_plan(PlanParams(n=n), kernel)
@@ -641,12 +627,14 @@ def calibrate_c2(
         data = sample(uniform, n, rseed)
         split = split_sample(data)
         table = build_kde_table(split, plan, kernel, half_id=2)
-        # j_hat <= j_min + 2 iff one of those exponents is admissible, i.e.
-        # the smallest per-point critical threshold is at most c2
-        crit = None
-        for j in range(plan.j_min, min(plan.j_min + 2, plan.j_max) + 1):
-            cj = selection_criticals(table, plan, j)
-            crit = cj if crit is None else np.minimum(crit, cj)
+        # j_hat <= j_min + 2 iff j_min + 2 is admissible (admissible sets are
+        # upward closed), i.e. iff its ball maximum is at most c2; exponents
+        # with no pairs, which are never yielded, are admissible at any c2
+        crit = np.zeros(plan.mesh_count + 1)
+        for j, ball_max in _ball_maxima(table, plan, 0, plan.mesh_count):
+            if j == plan.j_min + 2:
+                crit = ball_max
+                break
         per_rep.append(crit)
     means = {
         c2: float(np.mean([(crit <= c2).mean() for crit in per_rep])) for c2 in candidates

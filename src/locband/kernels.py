@@ -17,15 +17,13 @@ from .errors import (
     InvalidIntervalError,
     InvalidToleranceError,
     QuadratureError,
+    UnsupportedKernelError,
     UnsupportedMomentError,
 )
 
 MAX_MOMENT = 12
 MOMENT_TOL = 1e-10
 DEFAULT_CONV_TOL = 1e-9
-
-# Simpson panel count per smooth segment used for the frozen metadata.
-_METADATA_PANELS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -37,9 +35,9 @@ class Kernel:
     downstream constants such as sqrt(2)/tv rely on them being stable.
 
     ``flat_pieces`` lists (lo, hi, value) triples on which the kernel is
-    constant (closed intervals, in kernel coordinates).  It is set only for
-    piecewise-constant kernels and enables exact convolution and the sorted
-    rank-query fast path in the estimator.
+    constant (closed intervals, in kernel coordinates).  The estimator, the
+    band centers and convolution are computed from these pieces, so they
+    accept only kernels that set it.
     """
 
     name: str
@@ -185,24 +183,23 @@ def kernel_moment(kernel: Kernel, j: int) -> float:
     )
 
 
-def _convolve_flat_exact(kernel, density, h, s, tol):
-    """Exact convolution for a piecewise-constant kernel against a density
-    exposing exact interval masses (polynomial and cosine-series pieces)."""
-    s = np.asarray(s, dtype=float)
-    out = np.zeros_like(s)
-    for lo, hi, val in kernel.flat_pieces:
-        out += (val / h) * density.mass_between(s + h * lo, s + h * hi, tol=tol)
-    return out
+def require_flat_pieces(kernel: Kernel) -> tuple[tuple[float, float, float], ...]:
+    """The kernel's constant pieces; raises UnsupportedKernelError for a
+    kernel that is not piecewise constant."""
+    if kernel.flat_pieces is None:
+        raise UnsupportedKernelError(
+            f"kernel {kernel.name!r} is not piecewise constant (flat_pieces is None); "
+            "only piecewise-constant kernels are supported"
+        )
+    return kernel.flat_pieces
 
 
 def convolve_at(kernel: Kernel, density, h: float, s: float, tol: float = DEFAULT_CONV_TOL) -> float:
     """Value of (K_h * p)(s) = int K(x) p(s + h x) dx with error <= tol.
 
-    Piecewise-constant kernels are convolved exactly through the density's
-    closed-form interval masses (only the cosine-series tail, bounded by
-    tol, is truncated).  Other kernels fall back to composite Simpson on a
-    mesh split at the kernel's discontinuities and the density's kinks;
-    that route requires the density to be piecewise smooth.
+    The piecewise-constant kernel is convolved exactly through the
+    density's closed-form interval masses (only the cosine-series tail,
+    bounded by tol, is truncated).
     """
     if tol <= 0:
         raise InvalidToleranceError(f"tolerance must be positive, got {tol!r}")
@@ -216,16 +213,9 @@ def convolve_grid(kernel: Kernel, density, h: float, points: np.ndarray, tol: fl
     if tol <= 0:
         raise InvalidToleranceError(f"tolerance must be positive, got {tol!r}")
     points = np.asarray(points, dtype=float)
-    if kernel.flat_pieces is not None and hasattr(density, "mass_between"):
-        return _convolve_flat_exact(kernel, density, h, points, tol)
-    r = kernel.support_radius
-    kinks = getattr(density, "kinks", ())
-    out = np.empty_like(points)
-    for i, s in enumerate(points):
-        cuts = list(kernel.jumps) + [(c - s) / h for c in kinks if abs(c - s) <= h * r]
-        out[i] = segmented_simpson(
-            lambda x: kernel.evaluate(x) * density.pdf(s + h * x), -r, r, cuts, tol
-        )
+    out = np.zeros_like(points)
+    for lo, hi, val in require_flat_pieces(kernel):
+        out += (val / h) * density.mass_between(points + h * lo, points + h * hi, tol=tol)
     return out
 
 

@@ -1,11 +1,16 @@
 """Localized bandwidth selection.
 
 A bandwidth exponent j is admissible at a mesh point t when, for every pair
-of finer exponents m > m' > j + 2, the estimates at the two scales stay
-uniformly close over the mesh points of the open ball B(t, (7/8) 2^-j).
-The selected exponent is the smallest admissible one; admissible sets are
-upward closed, which both the binary search and the vectorized sweep
-exploit.
+of finer exponents m > m' >= j + 3, the pair ratio
+|p_hat_m - p_hat_m'| / sqrt(log n~ / (n~ 2^-m)) stays at most c2 over the
+mesh points of the open ball B(t, (7/8) 2^-j).  The selected exponent is the
+smallest admissible one.
+
+One routine evaluates this rule: it walks m' from fine to coarse, folds each
+pair ratio once into a running maximum, and yields for each j the ball
+maximum of that running maximum at every point of a run of mesh indices.
+The ball maxima grow as j decreases, so admissible sets are upward closed
+and a run is decided at the first j where none of its points is admissible.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from scipy.ndimage import maximum_filter1d
 from .calibration import CalibrationPlan, optimal_bandwidth
 from .densities import AnalyticDensity, local_exponent_oracle
 from .errors import OffMeshError
-from .estimator import KdeTable, selector_margin
+from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table, split_sample
+from .kernels import Kernel
 
 
 @dataclass(frozen=True)
@@ -38,108 +44,71 @@ class BandwidthProfile:
     split_token: int
 
 
-def deviation_threshold(plan: CalibrationPlan, m: int) -> float:
-    """Noise level c2 sqrt(log n~ / (n~ 2^-m)) at scale exponent m."""
-    return plan.c2 * math.sqrt(plan.log_n_tilde / (plan.n_tilde * 2.0 ** -m))
+def pair_ratio(table: KdeTable, plan: CalibrationPlan, m: int, mp: int) -> np.ndarray:
+    """|p_hat_m - p_hat_m'| / sqrt(log n~ / (n~ 2^-m)) at every index of the
+    table; the pair passes at a point iff this is at most c2."""
+    d = table.row(m) - table.row(mp)
+    np.abs(d, out=d)
+    d /= math.sqrt(plan.log_n_tilde / (plan.n_tilde * 2.0 ** -m))
+    return d
 
 
-def _ball_offset(plan: CalibrationPlan, j: int) -> int:
-    """Mesh-index offsets inside the open ball of radius (7/8) 2^-j."""
-    rho = (7.0 / 8.0) * 2.0 ** -j * plan.mesh_count
-    return max(0, math.ceil(rho - 1e-9) - 1)
-
-
-def _pairs(plan: CalibrationPlan, j: int):
-    """Scale pairs (m, m') with m > m' > j + 2, both on the grid."""
-    return [
-        (m, mp)
-        for mp in range(j + 3, plan.j_max + 1)
-        for m in range(mp + 1, plan.j_max + 1)
-    ]
-
-
-def _mesh_index(t: float, plan: CalibrationPlan) -> int:
-    k = t / plan.delta_n
-    if abs(k - round(k)) > 1e-8 * max(1.0, plan.mesh_count):
+def _mesh_index(t, plan: CalibrationPlan) -> np.ndarray:
+    k = np.asarray(t, dtype=float) / plan.delta_n
+    nearest = np.round(k)
+    if np.any(np.abs(k - nearest) > 1e-8 * max(1.0, plan.mesh_count)):
         raise OffMeshError(f"point {t!r} is not on the mesh of width {plan.delta_n!r}")
-    return int(round(k))
+    return nearest.astype(np.int64)
 
 
-def _admissible_at_index(k: int, j: int, table: KdeTable, plan: CalibrationPlan) -> bool:
-    a = _ball_offset(plan, j)
-    lo = k - a - table.idx_lo
-    hi = k + a - table.idx_lo
-    if lo < 0 or hi >= table.values.shape[1]:
+def _ball_maxima(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int):
+    """Yield (j, G) for j = j_max - 4 down to j_min, where G[i] is the
+    largest pair ratio over m > m' >= j + 3 on the open ball around mesh
+    index k_lo + i; j is admissible there iff G[i] <= c2.
+
+    Exponents j >= j_max - 3 have no pairs and are never yielded.  The table
+    must cover the run plus the ball at j_min.
+    """
+    margin = ball_offset(plan, plan.j_min)
+    if k_lo - margin < table.idx_lo or k_hi + margin > table.idx_hi:
         raise OffMeshError(
-            f"table does not cover the ball around mesh index {k} at exponent {j}"
+            f"table does not cover mesh indices {k_lo}..{k_hi} plus the selector margin {margin}"
         )
-    for m, mp in _pairs(plan, j):
-        window = np.abs(table.row(m)[lo:hi + 1] - table.row(mp)[lo:hi + 1])
-        if window.max() > deviation_threshold(plan, m):
-            return False
-    return True
+    running = None
+    for mp in range(plan.j_max - 1, plan.j_min + 2, -1):
+        for m in range(mp + 1, plan.j_max + 1):
+            r = pair_ratio(table, plan, m, mp)
+            running = r if running is None else np.maximum(running, r, out=running)
+        j = mp - 3
+        a = ball_offset(plan, j)
+        window = running[k_lo - a - table.idx_lo:k_hi + a + 1 - table.idx_lo]
+        yield j, maximum_filter1d(window, size=2 * a + 1, mode="nearest")[a:a + k_hi - k_lo + 1]
 
 
-def admissible_set(t: float, table: KdeTable, plan: CalibrationPlan) -> set[int]:
-    """All admissible exponents at mesh point t (upward closed, always
-    containing j_max since its condition set is empty)."""
+def _select_run(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) -> np.ndarray:
+    """Smallest admissible exponent at each mesh index k_lo..k_hi."""
+    j_hat = np.full(k_hi - k_lo + 1, max(plan.j_min, plan.j_max - 3), dtype=np.int64)
+    for j, ball_max in _ball_maxima(table, plan, k_lo, k_hi):
+        ok = ball_max <= plan.c2
+        if not ok.any():
+            break
+        j_hat[ok] = j
+    return j_hat
+
+
+def select_at(t, table: KdeTable, plan: CalibrationPlan):
+    """Selected exponent at mesh point t (an int), or at each mesh point of
+    the array t (an array); the table must cover the points plus the
+    selector margin."""
     k = _mesh_index(t, plan)
-    return {j for j in plan.bandwidth_exponents if _admissible_at_index(k, j, table, plan)}
-
-
-def select_at(t: float, table: KdeTable, plan: CalibrationPlan) -> int:
-    """Smallest admissible exponent at t, by binary search over the upward
-    closed admissible set."""
-    k = _mesh_index(t, plan)
-    lo, hi = plan.j_min, plan.j_max
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _admissible_at_index(k, mid, table, plan):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _admissible_mask(table: KdeTable, plan: CalibrationPlan, j: int, out_slice: slice) -> np.ndarray:
-    """Vectorized admissibility of exponent j at every mesh index of
-    out_slice (expressed relative to the table's index range)."""
-    a = _ball_offset(plan, j)
-    n_out = out_slice.stop - out_slice.start
-    ok = np.ones(n_out, dtype=bool)
-    for m, mp in _pairs(plan, j):
-        d = np.abs(table.row(m) - table.row(mp))
-        sliding = maximum_filter1d(d, size=2 * a + 1, mode="nearest") if a > 0 else d
-        ok &= sliding[out_slice] <= deviation_threshold(plan, m)
-    return ok
+    k_lo = int(k.min())
+    j_hat = _select_run(table, plan, k_lo, int(k.max()))[k - k_lo]
+    return int(j_hat) if j_hat.ndim == 0 else j_hat
 
 
 def select_profile(table: KdeTable, plan: CalibrationPlan) -> BandwidthProfile:
-    """Selected exponent at every mesh point of [0,1] plus the cell widths.
-
-    Exploits upward closure: exponents are swept from coarse to fine and a
-    mesh point keeps the first admissible one; points never decided by
-    j_max - 3 are vacuously admissible at coarser-than-checkable scales and
-    receive j_max.
-    """
-    N = plan.mesh_count
-    need = selector_margin(plan)
-    if table.idx_lo > -need or table.idx_hi < N + need:
-        raise OffMeshError("table does not cover the mesh of [0,1] plus the selector margin")
-    out = slice(-table.idx_lo, N + 1 - table.idx_lo)
-    j_hat = np.full(N + 1, plan.j_max, dtype=np.int64)
-    undecided = np.ones(N + 1, dtype=bool)
-    for j in plan.bandwidth_exponents:
-        if not undecided.any():
-            break
-        if not _pairs(plan, j):
-            j_hat[undecided] = j
-            undecided[:] = False
-            break
-        ok = _admissible_mask(table, plan, j, out)
-        newly = undecided & ok
-        j_hat[newly] = j
-        undecided &= ~ok
+    """Selected exponent at every mesh point of [0,1] plus the cell widths."""
+    j_hat = _select_run(table, plan, 0, plan.mesh_count)
     h_loc = 2.0 ** -plan.u_n * np.exp2(-np.maximum(j_hat[:-1], j_hat[1:]).astype(float))
     return BandwidthProfile(
         plan=plan,
@@ -150,26 +119,11 @@ def select_profile(table: KdeTable, plan: CalibrationPlan) -> BandwidthProfile:
     )
 
 
-def selection_criticals(table: KdeTable, plan: CalibrationPlan, j: int) -> np.ndarray:
-    """Smallest threshold constant that would make exponent j admissible at
-    each mesh point of [0,1] (so j is admissible at c2 iff critical <= c2).
-
-    Lets calibration sweep candidate thresholds without re-running the
-    selector: the pair deviations and spatial maxima are computed once.
-    """
-    N = plan.mesh_count
-    need = selector_margin(plan)
-    if table.idx_lo > -need or table.idx_hi < N + need:
-        raise OffMeshError("table does not cover the mesh of [0,1] plus the selector margin")
-    out = slice(-table.idx_lo, N + 1 - table.idx_lo)
-    a = _ball_offset(plan, j)
-    crit = np.zeros(N + 1)
-    for m, mp in _pairs(plan, j):
-        d = np.abs(table.row(m) - table.row(mp))
-        sliding = maximum_filter1d(d, size=2 * a + 1, mode="nearest") if a > 0 else d
-        scale = deviation_threshold(plan, m) / plan.c2
-        crit = np.maximum(crit, sliding[out] / scale)
-    return crit
+def fit_profile(data, plan: CalibrationPlan, kernel: Kernel) -> tuple[SplitSample, BandwidthProfile]:
+    """Split the data and select the bandwidth profile on the second half;
+    the first half is left for the band centers."""
+    split = split_sample(data)
+    return split, select_profile(build_kde_table(split, plan, kernel, half_id=2), plan)
 
 
 def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float) -> tuple[float, int]:

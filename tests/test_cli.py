@@ -35,9 +35,14 @@ class TestBandCommand:
 
     def test_deterministic_bytes(self, data_file, tmp_path):
         out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
-        assert run_cli("band", "--input", data_file, "--out", str(out1)) == 0
-        assert run_cli("band", "--input", data_file, "--out", str(out2)) == 0
+        assert run_cli("band", "--input", data_file, "--seed", "7", "--out", str(out1)) == 0
+        assert run_cli("band", "--input", data_file, "--seed", "7", "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
+        # the sidecar names neither path, nor the seed that band never reads
+        meta = (tmp_path / "b1.csv.meta").read_bytes()
+        assert meta == (tmp_path / "b2.csv.meta").read_bytes()
+        keys = [line.split("=", 1)[0] for line in meta.decode().splitlines()]
+        assert keys == ["alpha", "c2", "lstar", "mode", "n"]
 
     def test_alpha_monotone(self, data_file, tmp_path):
         outs = {}

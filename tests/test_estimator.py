@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from locband.densities import make_peak_triangular, sample
 from locband.errors import InsufficientDataError, InvalidBandwidthError
 from locband.estimator import (
+    ball_offset,
     build_kde_table,
     kde_at,
     parse_data_file,
-    selector_margin,
     split_sample,
 )
 
@@ -40,6 +40,24 @@ class TestSplitSample:
         a = split_sample(np.arange(8.0))
         b = split_sample(np.arange(8.0))
         assert a.token != b.token
+
+    def test_tokens_distinct_across_processes(self):
+        # the first split of each fresh process must still get its own token
+        import os
+        import subprocess
+        import sys
+
+        import locband
+
+        src = os.path.dirname(os.path.dirname(locband.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "from locband.estimator import split_sample; print(split_sample([0.0, 1.0, 2.0, 3.0]).token)"
+        tokens = [
+            subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True, timeout=120).stdout.strip()
+            for _ in range(2)
+        ]
+        assert tokens[0] != tokens[1]
 
 
 class TestKdeAt:
@@ -114,7 +132,7 @@ class TestKdeTable:
     def test_covers_margin(self, rect, plan_16k):
         data = sample(make_peak_triangular(), plan_16k.n, seed=7)
         table = build_kde_table(split_sample(data), plan_16k, rect, half_id=2)
-        need = selector_margin(plan_16k)
+        need = ball_offset(plan_16k, plan_16k.j_min)
         assert table.idx_lo <= -need
         assert table.idx_hi >= plan_16k.mesh_count + need
 

@@ -227,3 +227,10 @@ class TestCalibrateC2:
         keys = sorted(means)
         vals = [means[k] for k in keys]
         assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals[:-1], vals[1:]))
+
+    def test_reproduces_default_c2(self, rect):
+        # the script defaults: n = 2^14, 50 replications, seed 20240601
+        from locband.calibration import DEFAULT_C2
+
+        c2, _ = H.calibrate_c2(rect)
+        assert c2 == DEFAULT_C2 == 0.65

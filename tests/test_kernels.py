@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locband.densities import AnalyticDensity, Piece, make_peak_triangular, make_weierstrass_composite
-from locband.errors import InvalidIntervalError, InvalidToleranceError, UnsupportedMomentError
+from locband.band import build_band, reference_global_band
+from locband.densities import AnalyticDensity, Piece, make_peak_triangular, make_weierstrass_composite, sample
+from locband.errors import InvalidIntervalError, InvalidToleranceError, LocbandError, UnsupportedMomentError
+from locband.estimator import build_kde_table, split_sample
 from locband.kernels import Kernel, convolve_at, kernel_moment, make_rectangular, sup_abs_bias
+from locband.selector import select_profile
 
 
 def affine_density(a=0.2, b=0.3, lo=-2.0, hi=2.0):
@@ -32,7 +35,7 @@ def quadratic_density(lo=0.5, hi=1.5):
 
 
 def triangle_kernel():
-    # order-1 kernel that is not piecewise constant: exercises the Simpson path
+    # order-1 kernel that is not piecewise constant: no entry point accepts it
     def evaluate(x):
         x = np.asarray(x, dtype=float)
         return np.maximum(1.0 - np.abs(x), 0.0)
@@ -124,13 +127,21 @@ class TestConvolveAt:
         with pytest.raises(InvalidToleranceError):
             convolve_at(rect, affine_density(), 0.1, 0.0, tol=0.0)
 
-    def test_simpson_path_matches_exact_kernel_path(self, rect):
-        # triangle kernel via Simpson against a polynomial density:
-        # int (1-|x|) (s+hx)^2 dx = s^2 + h^2/6
+    def test_non_flat_kernel_rejected(self, rect, plan_1k):
+        # convolution, the table and both bands need the kernel's constant pieces
         tri = triangle_kernel()
-        p = quadratic_density()
-        got = convolve_at(tri, p, 0.1, 1.0, tol=1e-10)
-        assert got == pytest.approx(1.0 + 0.01 / 6.0, abs=1e-9)
+        split = split_sample(sample(make_peak_triangular(), plan_1k.n, seed=3))
+        profile = select_profile(build_kde_table(split, plan_1k, rect, half_id=2), plan_1k)
+        calls = [
+            lambda: convolve_at(tri, quadratic_density(), 0.1, 1.0),
+            lambda: sup_abs_bias(tri, quadratic_density(), 0.1, (0.8, 1.2)),
+            lambda: build_kde_table(split, plan_1k, tri, half_id=2),
+            lambda: build_band(split, profile, plan_1k, tri, alpha=0.1),
+            lambda: reference_global_band(split, plan_1k, tri, alpha=0.1),
+        ]
+        for call in calls:
+            with pytest.raises(LocbandError, match="'triangle' is not piecewise constant"):
+                call()
 
 
 class TestSupAbsBias:

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locband.calibration import PlanParams, derive_plan, optimal_bandwidth
 from locband.densities import (
@@ -12,14 +14,32 @@ from locband.densities import (
     sample,
 )
 from locband.errors import OffMeshError
-from locband.estimator import build_kde_table, split_sample
+from locband.estimator import KdeTable, build_kde_table, split_sample
 from locband.selector import (
-    admissible_set,
-    deviation_threshold,
+    pair_ratio,
     select_at,
     select_profile,
     theoretical_window,
 )
+
+
+def admissible_set(t: float, table: KdeTable, plan) -> set[int]:
+    """Brute-force oracle: every exponent j whose pairs m > m' >= j + 3 all
+    pass on every mesh index of the open ball B(t, (7/8) 2^-j).  It shares
+    the selector's ratio expression, so both resolve a tie ratio == c2 alike."""
+    k = round(t / plan.delta_n)
+    out = set()
+    for j in plan.bandwidth_exponents:
+        a = max(0, math.ceil((7.0 / 8.0) * 2.0 ** -j * plan.mesh_count - 1e-9) - 1)
+        lo, hi = k - a - table.idx_lo, k + a - table.idx_lo
+        assert 0 <= lo and hi < table.values.shape[1], "oracle ball leaves the table"
+        if all(
+            np.all(pair_ratio(table, plan, m, mp)[lo:hi + 1] <= plan.c2)
+            for mp in range(j + 3, plan.j_max + 1)
+            for m in range(mp + 1, plan.j_max + 1)
+        ):
+            out.add(j)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +81,7 @@ class TestAdmissibleSet:
         small_table = replace(table, plan=small, values=table.values[:3])
         s = admissible_set(0.5, small_table, small)
         assert s == set(range(small.j_min, small.j_max + 1))
+        assert select_at(0.5, small_table, small) == small.j_min
 
     def test_huge_threshold_admits_everything(self, peak_table, plan_module):
         _, table = peak_table
@@ -71,7 +92,7 @@ class TestAdmissibleSet:
     def test_off_mesh_rejected(self, peak_table, plan_module):
         _, table = peak_table
         with pytest.raises(OffMeshError):
-            admissible_set(0.5 + 0.3 * plan_module.delta_n, table, plan_module)
+            select_at(0.5 + 0.3 * plan_module.delta_n, table, plan_module)
 
     def test_clustered_data_excludes_coarse(self, rect_module):
         import warnings
@@ -90,7 +111,9 @@ class TestAdmissibleSet:
         table = build_kde_table(split, plan, rect_module, half_id=2)
         s = admissible_set(0.5, table, plan)
         assert plan.j_min not in s
-        # brute-force enumeration over all pair conditions agrees
+        assert select_at(0.5, table, plan) == min(s)
+        # the unscaled comparison |p_m - p_m'| <= c2 sqrt(log n~ / (n~ 2^-m))
+        # agrees away from float ties
         for j in range(plan.j_min, plan.j_max + 1):
             ok = True
             a = (7.0 / 8.0) * 2.0 ** -j * plan.mesh_count
@@ -101,8 +124,66 @@ class TestAdmissibleSet:
                     lo = k - amax - table.idx_lo
                     hi = k + amax - table.idx_lo
                     dev = np.abs(table.row(m)[lo:hi + 1] - table.row(mp)[lo:hi + 1]).max()
-                    ok &= dev <= deviation_threshold(plan, m)
+                    thr = plan.c2 * math.sqrt(plan.log_n_tilde / (plan.n_tilde * 2.0 ** -m))
+                    ok &= dev <= thr
             assert (j in s) == ok
+
+
+def _random_table(plan, seed, j_min, n_exp, mesh_count, tie):
+    """Table over the mesh of [0,1] plus the selector margin, with values
+    on a coarse lattice (so equal deviations recur) and, when `tie` is set,
+    c2 equal to one of the pair ratios."""
+    rng = np.random.default_rng(seed)
+    plan = replace(plan, j_min=j_min, j_max=j_min + n_exp - 1, mesh_count=mesh_count,
+                   delta_n=1.0 / mesh_count)
+    margin = max(0, math.ceil((7.0 / 8.0) * 2.0 ** -j_min * mesh_count - 1e-9) - 1)
+    values = 0.1 * rng.integers(0, 5, size=(n_exp, mesh_count + 1 + 2 * margin))
+    table = KdeTable(plan=plan, half_id=2, split_token=0, idx_lo=-margin,
+                     idx_hi=mesh_count + margin, values=values)
+    if tie and n_exp >= 5:
+        mp = int(rng.integers(j_min + 3, plan.j_max))
+        m = int(rng.integers(mp + 1, plan.j_max + 1))
+        c2 = float(pair_ratio(table, plan, m, mp)[rng.integers(0, values.shape[1])])
+    else:
+        c2 = float(rng.uniform(0.0, 2.0))
+    plan = replace(plan, c2=c2)
+    return replace(table, plan=plan), plan
+
+
+class TestSelectionRoutine:
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        j_min=st.integers(2, 4),
+        n_exp=st.integers(1, 8),
+        mesh_count=st.integers(4, 40),
+        tie=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle(self, plan_module, seed, j_min, n_exp, mesh_count, tie):
+        table, plan = _random_table(plan_module, seed, j_min, n_exp, mesh_count, tie)
+        N = plan.mesh_count
+        oracle = []
+        for k in range(N + 1):
+            s = admissible_set(k * plan.delta_n, table, plan)
+            assert s == set(range(min(s), plan.j_max + 1))  # upward closed
+            oracle.append(min(s))
+        assert select_profile(table, plan).j_hat.tolist() == oracle
+
+        # windowed tables: a random run, with the table cut to the run plus
+        # the selector margin and a random extra reach on each side
+        rng = np.random.default_rng(seed + 1)
+        k_lo, k_hi = sorted(int(x) for x in rng.integers(0, N + 1, size=2))
+        margin = -table.idx_lo
+        lo = k_lo - margin - int(rng.integers(0, k_lo + 1))
+        hi = k_hi + margin + int(rng.integers(0, N - k_hi + 1))
+        window = replace(table, idx_lo=lo, idx_hi=hi,
+                         values=table.values[:, lo - table.idx_lo:hi - table.idx_lo + 1])
+        got = select_at(np.arange(k_lo, k_hi + 1) * plan.delta_n, window, plan)
+        assert got.tolist() == oracle[k_lo:k_hi + 1]
+        assert select_at(k_hi * plan.delta_n, window, plan) == oracle[k_hi]
+        if lo == k_lo - margin:
+            with pytest.raises(OffMeshError):
+                select_at((k_lo - 1) * plan.delta_n, window, plan)
 
 
 class TestSelectProfile:
