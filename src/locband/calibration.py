@@ -9,7 +9,6 @@ departure as a warning on the plan instead of failing.
 from __future__ import annotations
 
 import math
-import warnings as _warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -175,8 +174,6 @@ def derive_plan(params: PlanParams, kernel) -> CalibrationPlan:
     u_n = params.c1 * math.log(ln)
     a_n, b_n = normalizers(delta_n, kernel.tv)
 
-    for w in plan_warnings:
-        _warnings.warn(w, stacklevel=2)
     return CalibrationPlan(
         n=params.n,
         epsilon=params.epsilon,
@@ -269,9 +266,7 @@ def plan_from_text(text: str, kernel) -> CalibrationPlan:
         c2=float(kv.get("c2", DEFAULT_C2)),
         mode=kv.get("mode", "practical"),
     )
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        plan = derive_plan(params, kernel)
+    plan = derive_plan(params, kernel)
     for name in ("n_tilde", "j_min", "j_max", "mesh_count"):
         if name in kv and int(kv[name]) != getattr(plan, name):
             raise ValueError(

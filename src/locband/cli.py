@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -78,23 +77,26 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 def _plan_from_cfg(cfg: dict, kernel):
     params = PlanParams(n=cfg["n"], L_star=cfg["lstar"], c2=cfg["c2"], mode=cfg["mode"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return derive_plan(params, kernel)
+    return derive_plan(params, kernel)
 
 
-# The settings each command reads; its .meta sidecar records only these, so
-# that the sidecar depends on neither the output path nor unused defaults.
+# The settings each command, or each simulate kind, reads; its .meta sidecar
+# records only these, so that the sidecar depends on neither the output path
+# nor unused defaults.
 _META_KEYS = {
     "band": ("alpha", "c2", "lstar", "mode", "n"),
-    "simulate": ("alpha", "c2", "density", "lstar", "mode", "n", "reps", "seed"),
     "verify": ("suite",),
     "curves": ("alpha", "c2", "density", "lstar", "mode", "n", "seed"),
+    "coverage": ("alpha", "c2", "density", "lstar", "mode", "n", "reps", "seed"),
+    "adaptivity": ("alpha", "c2", "density", "lstar", "mode", "n", "reps", "seed"),
+    "window": ("c2", "density", "lstar", "mode", "n", "reps", "seed"),
+    "gumbel": ("n", "reps", "seed"),
 }
+_SIMULATE_KINDS = ("coverage", "adaptivity", "window", "gumbel")
 
 
-def _cfg_meta(cfg: dict, command: str) -> str:
-    lines = [f"{k}={cfg[k]}" for k in _META_KEYS[command] if cfg[k] is not None]
+def _cfg_meta(cfg: dict, key: str) -> str:
+    lines = [f"{k}={cfg[k]}" for k in _META_KEYS[key] if cfg[k] is not None]
     return "\n".join(lines) + "\n"
 
 
@@ -138,31 +140,33 @@ def cmd_band(args: argparse.Namespace, kernel=None) -> int:
 def cmd_simulate(args: argparse.Namespace, kernel=None) -> int:
     kernel = kernel or make_rectangular()
     cfg = _resolve(args)
-    try:
-        density = zoo.density_from_name(cfg["density"])
-    except KeyError as exc:
-        print(f"simulate: {exc.args[0]}", file=sys.stderr)
-        return 2
-    try:
-        plan = _plan_from_cfg(cfg, kernel)
-    except (EmptyBandwidthGridError, InvalidConstantsError) as exc:
-        print(f"simulate: degenerate theory-mode plan: {exc}", file=sys.stderr)
-        return 3
     kind = args.kind
-    if kind == "coverage":
-        report = harness.run_coverage(density, plan, kernel, cfg["alpha"], cfg["reps"], cfg["seed"])
-    elif kind == "window":
-        report = harness.run_window_check(density, plan, kernel, cfg["reps"], cfg["seed"])
-    elif kind == "gumbel":
-        report = harness.run_gumbel_calibration(plan, kernel, m=cfg["n"], reps=cfg["reps"], seed=cfg["seed"])
-    elif kind == "adaptivity":
-        report = harness.run_adaptivity(
-            density, [plan], kernel, cfg["alpha"], cfg["reps"], cfg["seed"], probes=(0.5, 0.9)
-        )
-    else:
-        print(f"simulate: unknown kind {kind!r} (coverage|adaptivity|window|gumbel)", file=sys.stderr)
+    if kind not in _SIMULATE_KINDS:
+        print(f"simulate: unknown kind {kind!r} ({'|'.join(_SIMULATE_KINDS)})", file=sys.stderr)
         return 2
-    meta = _cfg_meta(cfg, "simulate") + report.meta_text()
+    if kind == "gumbel":
+        # the comparison process needs only the cell count and the kernel
+        report = harness.run_gumbel_calibration(kernel, m=cfg["n"], reps=cfg["reps"], seed=cfg["seed"])
+    else:
+        try:
+            density = zoo.density_from_name(cfg["density"])
+        except KeyError as exc:
+            print(f"simulate: {exc.args[0]}", file=sys.stderr)
+            return 2
+        try:
+            plan = _plan_from_cfg(cfg, kernel)
+        except (EmptyBandwidthGridError, InvalidConstantsError) as exc:
+            print(f"simulate: degenerate theory-mode plan: {exc}", file=sys.stderr)
+            return 3
+        if kind == "coverage":
+            report = harness.run_coverage(density, plan, kernel, cfg["alpha"], cfg["reps"], cfg["seed"])
+        elif kind == "window":
+            report = harness.run_window_check(density, plan, kernel, cfg["reps"], cfg["seed"])
+        else:
+            report = harness.run_adaptivity(
+                density, [plan], kernel, cfg["alpha"], cfg["reps"], cfg["seed"], probes=(0.5, 0.9)
+            )
+    meta = _cfg_meta(cfg, kind) + report.meta_text()
     _emit(report.to_csv_text(), meta, cfg["out"])
     return 0
 

@@ -130,29 +130,13 @@ class Piece:
     """One maximal smooth-or-uniformly-rough segment of a density.
 
     value(x) = sum_i coeffs[i] x^i + sum_j scale_j W_beta(x - center_j)
-    on [lo, hi].  kind is 'constant', 'affine', 'polynomial' or
-    'weierstrass' (the latter whenever wterms is nonempty).
+    on [lo, hi].
     """
 
     lo: float
     hi: float
     coeffs: tuple[float, ...] = (0.0,)
     wterms: tuple[tuple[float, float], ...] = ()
-
-    @property
-    def kind(self) -> str:
-        if self.wterms:
-            return "weierstrass"
-        deg = self.degree
-        return "constant" if deg == 0 else ("affine" if deg == 1 else f"polynomial({deg})")
-
-    @property
-    def degree(self) -> int:
-        d = 0
-        for i, c in enumerate(self.coeffs):
-            if c != 0.0:
-                d = i
-        return d
 
     def value(self, x: np.ndarray, spec: Optional[WeierstrassSpec]) -> np.ndarray:
         out = np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
@@ -251,31 +235,13 @@ class AnalyticDensity:
                 out[m] = self._cum_mass[i] + partial
         return float(out[0]) if np.isscalar(x) or np.asarray(x).shape == () else out
 
-    def mass_between(self, a, b, tol: Optional[float] = None) -> np.ndarray | float:
+    def mass_between(self, a, b) -> np.ndarray | float:
         return self.mass_below(b) - self.mass_below(a)
 
     def total_mass(self) -> float:
         return float(self._cum_mass[-1])
 
     # -- per-cell extrema ---------------------------------------------------
-
-    def _poly_candidates(self) -> np.ndarray:
-        """Interior stationary points of polynomial pieces (degree <= 3)."""
-        cands = []
-        for p in self.pieces:
-            d = p.deriv_coeffs(1)
-            if d is None:
-                continue
-            if len(d) == 2 and d[1] != 0.0:  # quadratic piece
-                r = -d[0] / d[1]
-                if p.lo < r < p.hi:
-                    cands.append(r)
-            elif len(d) >= 3:
-                roots = np.roots(list(reversed(d)))
-                for r in roots:
-                    if abs(r.imag) < 1e-12 and p.lo < r.real < p.hi:
-                        cands.append(float(r.real))
-        return np.asarray(cands)
 
     def cells_extrema(self, edges: np.ndarray, scan: int = 2048) -> tuple[np.ndarray, np.ndarray]:
         """(inf, sup) of the density over each cell [edges[k], edges[k+1]].
@@ -302,7 +268,8 @@ class AnalyticDensity:
         vals = self.pdf(edges)
         lo = np.minimum(vals[:-1], vals[1:])
         hi = np.maximum(vals[:-1], vals[1:])
-        special = np.concatenate([np.asarray(self.kinks, dtype=float), self._poly_candidates()])
+        stationary = [x for p in self.pieces for x in _stationary_points(p.coeffs, p.lo, p.hi)]
+        special = np.asarray(list(self.kinks) + stationary, dtype=float)
         special = special[(special > edges[0]) & (special < edges[-1])]
         if special.size:
             cell = np.clip(np.searchsorted(edges, special, side="right") - 1, 0, len(edges) - 2)
@@ -587,17 +554,20 @@ def _strict_floor(b: float) -> int:
     return f - 1 if f == b else f
 
 
-def _poly_sup_on(coeffs: Sequence[float], lo: float, hi: float) -> float:
-    cands = [lo, hi]
+def _stationary_points(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
+    """Real zeros of the polynomial's derivative strictly inside (lo, hi)."""
     d = [i * coeffs[i] for i in range(1, len(coeffs))]
     if len(d) == 2 and d[1] != 0.0:
-        r = -d[0] / d[1]
-        if lo < r < hi:
-            cands.append(r)
+        roots = [-d[0] / d[1]]
     elif len(d) > 2:
-        for r in np.roots(list(reversed(d))):
-            if abs(r.imag) < 1e-12 and lo < r.real < hi:
-                cands.append(float(r.real))
+        roots = [float(r.real) for r in np.roots(list(reversed(d))) if abs(r.imag) < 1e-12]
+    else:
+        roots = []
+    return [r for r in roots if lo < r < hi]
+
+
+def _poly_sup_on(coeffs: Sequence[float], lo: float, hi: float) -> float:
+    cands = [lo, hi] + _stationary_points(coeffs, lo, hi)
     vals = [abs(np.polynomial.polynomial.polyval(x, np.asarray(coeffs))) for x in cands]
     return float(max(vals))
 

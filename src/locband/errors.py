@@ -69,10 +69,6 @@ class InvalidBandwidthError(LocbandError, ValueError):
     pass
 
 
-class UnsupportedKernelError(LocbandError, ValueError):
-    """The estimator, the band and convolution need a piecewise-constant kernel."""
-
-
 class OffMeshError(LocbandError, ValueError):
     pass
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .calibration import CalibrationPlan
 from .errors import InsufficientDataError, InvalidBandwidthError
-from .kernels import Kernel, require_flat_pieces
+from .kernels import Kernel
 
 
 @dataclass(frozen=True)
@@ -60,7 +60,7 @@ def kde_at(half: np.ndarray, t: float, h: float, kernel: Kernel) -> float:
     half = np.asarray(half, dtype=float)
     if half.size == 0:
         raise InsufficientDataError("empty subsample")
-    return float(kernel.evaluate((half - t) / h).sum() / (half.size * h))
+    return float(kernel((half - t) / h).sum() / (half.size * h))
 
 
 def rank_query_kde(sorted_half: np.ndarray, points: np.ndarray, h: float | np.ndarray, kernel: Kernel) -> np.ndarray:
@@ -68,7 +68,7 @@ def rank_query_kde(sorted_half: np.ndarray, points: np.ndarray, h: float | np.nd
     by sorted rank queries against the kernel's constant pieces."""
     m = sorted_half.size
     out = np.zeros_like(points)
-    for lo, hi, val in require_flat_pieces(kernel):
+    for lo, hi, val in kernel.pieces:
         # K((X - t)/h) = val for t + h*lo <= X <= t + h*hi (closed pieces)
         left = np.searchsorted(sorted_half, points + h * lo, side="left")
         right = np.searchsorted(sorted_half, points + h * hi, side="right")

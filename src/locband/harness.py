@@ -309,7 +309,6 @@ def gumbel_cdf(x) -> np.ndarray:
 
 
 def run_gumbel_calibration(
-    plan: CalibrationPlan,
     kernel: Kernel,
     m: int,
     reps: int,
@@ -570,11 +569,7 @@ def verify_inequalities(
     not exceptions."""
     kernel = kernel if kernel is not None else make_rectangular()
     if plan is None:
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plan = derive_plan(PlanParams(n=4096), kernel)
+        plan = derive_plan(PlanParams(n=4096), kernel)
     wanted = set(suites) if suites is not None else None
     rows: list[dict] = []
     registry = {

@@ -1,221 +1,115 @@
-"""Kernel constructors with certified metadata, plus convolution and bias oracles.
+"""Piecewise-constant kernels, plus convolution and bias oracles.
 
 Everything downstream (bandwidth selection thresholds, band normalizers,
-admissibility checks) consumes the frozen kernel metadata computed here once
-at construction time.
+admissibility checks) consumes the kernel's order, total variation and
+norms, which are exact finite sums over its constant pieces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    InvalidIntervalError,
-    InvalidToleranceError,
-    QuadratureError,
-    UnsupportedKernelError,
-    UnsupportedMomentError,
-)
+from .errors import InvalidIntervalError, UnsupportedMomentError
 
 MAX_MOMENT = 12
-MOMENT_TOL = 1e-10
-DEFAULT_CONV_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """A symmetric kernel supported on [-support_radius, support_radius].
+    """A kernel that takes the value v on each closed piece [lo, hi] of
+    ``pieces`` (kernel coordinates, ordered and non-degenerate) and 0
+    elsewhere; values add where two pieces share an endpoint.
 
-    The metadata fields (order, tv, norms) are computed once by quadrature
-    and jump enumeration when the kernel is constructed and then frozen;
-    downstream constants such as sqrt(2)/tv rely on them being stable.
-
-    ``flat_pieces`` lists (lo, hi, value) triples on which the kernel is
-    constant (closed intervals, in kernel coordinates).  The estimator, the
-    band centers and convolution are computed from these pieces, so they
-    accept only kernels that set it.
+    The estimator, the band centers and convolution all count observations
+    against these closed pieces.
     """
 
     name: str
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    support_radius: float
-    order: int
-    tv: float
-    norm_l1: float
-    norm_l2_sq: float
-    norm_sup: float
-    symmetric: bool
-    jumps: tuple[float, ...] = ()
-    flat_pieces: Optional[tuple[tuple[float, float, float], ...]] = None
+    pieces: tuple[tuple[float, float, float], ...]
+
+    def __post_init__(self):
+        ordered = all(lo < hi for lo, hi, _ in self.pieces) and all(
+            a[1] <= b[0] for a, b in zip(self.pieces, self.pieces[1:])
+        )
+        if not (self.pieces and ordered):
+            raise InvalidIntervalError(f"kernel {self.name!r}: pieces must be ordered and non-degenerate")
+        mass = self.moment(0)
+        if abs(mass - 1.0) > 1e-12:
+            raise InvalidIntervalError(f"kernel {self.name!r}: mass {mass!r} is not one")
 
     def __call__(self, x):
-        return self.evaluate(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        return sum(v * ((lo <= x) & (x <= hi)) for lo, hi, v in self.pieces)
 
+    def moment(self, j: int) -> float:
+        """int x^j K(x) dx, summed exactly over the pieces (so the odd
+        moments of a symmetric kernel are exactly 0)."""
+        return math.fsum(v * (hi ** (j + 1) - lo ** (j + 1)) / (j + 1) for lo, hi, v in self.pieces)
 
-def _simpson(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, panels: int) -> float:
-    x = np.linspace(a, b, 2 * panels + 1)
-    y = f(x)
-    h = (b - a) / (2 * panels)
-    return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+    @property
+    def order(self) -> int:
+        """One less than the first nonzero moment j >= 1."""
+        for j in range(1, MAX_MOMENT + 1):
+            if self.moment(j) != 0.0:
+                return j - 1
+        raise UnsupportedMomentError(f"kernel {self.name!r}: moments 1..{MAX_MOMENT} all vanish")
 
+    @property
+    def tv(self) -> float:
+        """Total variation: the jumps between pieces, and from and back to 0
+        at the support edges and across gaps."""
+        levels, edge = [0.0], self.pieces[0][0]
+        for lo, hi, v in self.pieces:
+            levels += [0.0, v] if lo > edge else [v]
+            edge = hi
+        levels.append(0.0)
+        return math.fsum(abs(b - a) for a, b in zip(levels, levels[1:]))
 
-def _split_points(a: float, b: float, cuts: Sequence[float]) -> list[float]:
-    pts = [a, b] + [c for c in cuts if a < c < b]
-    return sorted(set(pts))
+    @property
+    def norm_l1(self) -> float:
+        return math.fsum(abs(v) * (hi - lo) for lo, hi, v in self.pieces)
 
-
-def segmented_simpson(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    cuts: Sequence[float],
-    tol: float,
-    max_panels: int = 1 << 20,
-) -> float:
-    """Composite Simpson on a mesh subordinate to the given discontinuities.
-
-    Each smooth segment is refined by doubling until two successive
-    estimates agree within its share of ``tol``.  Raises QuadratureError if
-    a segment fails to converge (e.g. an integrand rough at all scales).
-    """
-    pts = _split_points(a, b, cuts)
-    nseg = len(pts) - 1
-    total = 0.0
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        seg_tol = tol * max((hi - lo) / (b - a), 1e-3) / 2.0
-        panels = 8
-        prev = _simpson(f, lo, hi, panels)
-        while True:
-            panels *= 2
-            cur = _simpson(f, lo, hi, panels)
-            if abs(cur - prev) <= seg_tol:
-                total += cur
-                break
-            if panels >= max_panels:
-                raise QuadratureError(
-                    f"quadrature did not reach tol={tol:g} on [{lo:g},{hi:g}] "
-                    f"(last refinement moved by {abs(cur - prev):.3g})"
-                )
-            prev = cur
-    return total
-
-
-def _metadata_from_quadrature(evaluate, radius, jumps):
-    """Order, variation and norms for a candidate kernel, by quadrature plus
-    jump enumeration on a mesh split at the discontinuities."""
-    cuts = list(jumps)
-    mass = segmented_simpson(lambda x: evaluate(x), -radius, radius, cuts, 1e-12)
-    norm_l1 = segmented_simpson(lambda x: np.abs(evaluate(x)), -radius, radius, cuts, 1e-12)
-    norm_l2_sq = segmented_simpson(lambda x: evaluate(x) ** 2, -radius, radius, cuts, 1e-12)
-
-    probe = np.linspace(-radius, radius, 4097)
-    norm_sup = float(np.abs(evaluate(probe)).max())
-
-    order = 0
-    for j in range(1, MAX_MOMENT + 1):
-        m = segmented_simpson(lambda x, jj=j: (x ** jj) * evaluate(x), -radius, radius, cuts, 1e-12)
-        if abs(m) > 1e-6:
-            order = j - 1
-            break
-    else:
-        raise QuadratureError("no nonzero moment up to MAX_MOMENT: cannot certify kernel order")
-
-    # Total variation: smooth variation on segments between jumps, plus the
-    # jump magnitudes (boundary jumps against the zero extension included).
-    eps = 1e-9 * max(radius, 1.0)
-    tv = 0.0
-    pts = _split_points(-radius, radius, cuts)
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        grid = np.linspace(lo + eps, hi - eps, 2049)
-        tv += float(np.abs(np.diff(evaluate(grid))).sum())
-    interior = [p for p in pts if -radius < p < radius]
-    for p in interior:
-        left = float(evaluate(np.array([p - eps]))[0])
-        right = float(evaluate(np.array([p + eps]))[0])
-        at = float(evaluate(np.array([p]))[0])
-        tv += abs(at - left) + abs(right - at)
-    # support edges: the kernel is 0 outside
-    tv += abs(float(evaluate(np.array([-radius]))[0]))
-    tv += abs(float(evaluate(np.array([radius]))[0]))
-
-    sym_probe = np.linspace(0.0, radius, 513)
-    symmetric = bool(np.allclose(evaluate(sym_probe), evaluate(-sym_probe), atol=1e-12))
-
-    if abs(mass - 1.0) > 1e-10:
-        raise QuadratureError(f"kernel mass {mass!r} deviates from one beyond 1e-10")
-    return order, tv, norm_l1, norm_l2_sq, norm_sup, symmetric
+    @property
+    def norm_l2_sq(self) -> float:
+        return math.fsum(v * v * (hi - lo) for lo, hi, v in self.pieces)
 
 
 def make_rectangular() -> Kernel:
     """The rectangular kernel: 1/2 on the closed interval [-1, 1], 0 outside."""
-
-    def evaluate(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
-
-    order, tv, l1, l2sq, sup, symmetric = _metadata_from_quadrature(evaluate, 1.0, ())
-    return Kernel(
-        name="rectangular",
-        evaluate=evaluate,
-        support_radius=1.0,
-        order=order,
-        tv=tv,
-        norm_l1=l1,
-        norm_l2_sq=l2sq,
-        norm_sup=sup,
-        symmetric=symmetric,
-        jumps=(-1.0, 1.0),
-        flat_pieces=((-1.0, 1.0, 0.5),),
-    )
+    return Kernel("rectangular", ((-1.0, 1.0, 0.5),))
 
 
 def kernel_moment(kernel: Kernel, j: int) -> float:
-    """j-th moment of the kernel by composite quadrature (abs error <= 1e-10)."""
+    """j-th moment of the kernel, for 0 <= j <= MAX_MOMENT."""
     if j < 0 or j > MAX_MOMENT:
         raise UnsupportedMomentError(f"moment order {j} outside supported range 0..{MAX_MOMENT}")
-    r = kernel.support_radius
-    return segmented_simpson(
-        lambda x: (x ** j) * kernel.evaluate(x), -r, r, kernel.jumps, MOMENT_TOL
-    )
+    return kernel.moment(j)
 
 
-def require_flat_pieces(kernel: Kernel) -> tuple[tuple[float, float, float], ...]:
-    """The kernel's constant pieces; raises UnsupportedKernelError for a
-    kernel that is not piecewise constant."""
-    if kernel.flat_pieces is None:
-        raise UnsupportedKernelError(
-            f"kernel {kernel.name!r} is not piecewise constant (flat_pieces is None); "
-            "only piecewise-constant kernels are supported"
-        )
-    return kernel.flat_pieces
+def convolve_at(kernel: Kernel, density, h: float, s: float) -> float:
+    """Value of (K_h * p)(s) = int K(x) p(s + h x) dx.
 
-
-def convolve_at(kernel: Kernel, density, h: float, s: float, tol: float = DEFAULT_CONV_TOL) -> float:
-    """Value of (K_h * p)(s) = int K(x) p(s + h x) dx with error <= tol.
-
-    The piecewise-constant kernel is convolved exactly through the
-    density's closed-form interval masses (only the cosine-series tail,
-    bounded by tol, is truncated).
+    Each constant piece of the kernel weighs the density's closed-form mass
+    over an interval, so the value is exact up to rounding for polynomial
+    densities.  For a cosine-series member the masses are those of the
+    series truncated at its WeierstrassSpec, which differs from the full
+    series by at most spec.tol per unit of term scale at every point; the
+    error is therefore at most norm_l1 * sum(|scale|) * spec.tol.
     """
-    if tol <= 0:
-        raise InvalidToleranceError(f"tolerance must be positive, got {tol!r}")
     if h <= 0:
         raise InvalidIntervalError(f"bandwidth must be positive, got {h!r}")
-    return float(convolve_grid(kernel, density, h, np.array([float(s)]), tol)[0])
+    return float(convolve_grid(kernel, density, h, np.array([float(s)]))[0])
 
 
-def convolve_grid(kernel: Kernel, density, h: float, points: np.ndarray, tol: float = DEFAULT_CONV_TOL) -> np.ndarray:
+def convolve_grid(kernel: Kernel, density, h: float, points: np.ndarray) -> np.ndarray:
     """Vectorized convolve_at over an array of evaluation points."""
-    if tol <= 0:
-        raise InvalidToleranceError(f"tolerance must be positive, got {tol!r}")
     points = np.asarray(points, dtype=float)
     out = np.zeros_like(points)
-    for lo, hi, val in require_flat_pieces(kernel):
-        out += (val / h) * density.mass_between(points + h * lo, points + h * hi, tol=tol)
+    for lo, hi, val in kernel.pieces:
+        out += (val / h) * density.mass_between(points + h * lo, points + h * hi)
     return out
 
 
@@ -224,8 +118,7 @@ def sup_abs_bias(
     density,
     g: float,
     interval: tuple[float, float],
-    grid_step: Optional[float] = None,
-    tol: float = DEFAULT_CONV_TOL,
+    grid_step: float | None = None,
 ) -> float:
     """Grid maximum of |(K_g * p)(s) - p(s)| over {lo, lo+step, ..., hi}.
 
@@ -248,5 +141,5 @@ def sup_abs_bias(
     grid = lo + grid_step * np.arange(npts)
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         grid = np.append(grid, hi)
-    conv = convolve_grid(kernel, density, g, grid, tol)
+    conv = convolve_grid(kernel, density, g, grid)
     return float(np.abs(conv - density.pdf(grid)).max())

@@ -1,5 +1,3 @@
-import warnings
-
 import pytest
 
 from locband.calibration import PlanParams, derive_plan
@@ -14,13 +12,9 @@ def rect():
 @pytest.fixture(scope="session")
 def plan_1k(rect):
     # n = 2048 so n~ = 1024, matching the worked constants in the tests
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return derive_plan(PlanParams(n=2048), rect)
+    return derive_plan(PlanParams(n=2048), rect)
 
 
 @pytest.fixture(scope="session")
 def plan_16k(rect):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return derive_plan(PlanParams(n=2 ** 14), rect)
+    return derive_plan(PlanParams(n=2 ** 14), rect)

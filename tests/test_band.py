@@ -37,11 +37,7 @@ def rect_mod():
 
 @pytest.fixture(scope="module")
 def plan_mod(rect_mod):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return derive_plan(PlanParams(n=2 ** 12), rect_mod)
+    return derive_plan(PlanParams(n=2 ** 12), rect_mod)
 
 
 class TestBuildBand:
@@ -203,11 +199,7 @@ class TestReferenceGlobalBand:
         assert ref.q_n == band.q_n
 
     def test_local_narrower_in_smooth_region_at_scale(self, rect_mod):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plan = derive_plan(PlanParams(n=2 ** 14), rect_mod)
+        plan = derive_plan(PlanParams(n=2 ** 14), rect_mod)
         density = make_peak_triangular()
         wins = 0
         for rep in range(10):

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -35,11 +34,9 @@ class TestDerivePlan:
     def test_mesh_width_formula(self, rect):
         # n~=1024, beta_*=1-side values evaluated with beta_*=1 by hand:
         # ceil(8 * (log 1024/1024)^(-1/2) * (log 1024)^2) = ceil(4671.7345...)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plan = derive_plan(
-                PlanParams(n=2048, beta_star_low=0.9999999999, kappa1=0.5), rect
-            )
+        plan = derive_plan(
+            PlanParams(n=2048, beta_star_low=0.9999999999, kappa1=0.5), rect
+        )
         assert plan.mesh_count == 4672
         assert plan.delta_n == 1.0 / 4672
         nt, ln = 1024, math.log(1024)
@@ -62,12 +59,9 @@ class TestDerivePlan:
             derive_plan(PlanParams(n=2048, mode="theory", c1=1.0, kappa2=10.0), rect)
 
     def test_practical_mode_warns_and_clamps(self, rect):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            plan = derive_plan(PlanParams(n=64, kappa2=3.0), rect)
+        plan = derive_plan(PlanParams(n=64, kappa2=3.0), rect)
         assert plan.j_max >= plan.j_min
-        assert any("clamped" in str(w.message) for w in caught)
-        assert plan.warnings
+        assert any("clamped" in w for w in plan.warnings)
 
     def test_u_n_and_m_n(self, plan_16k):
         nt = 2 ** 13

@@ -74,6 +74,24 @@ class TestSimulateCommand:
         meta = (tmp_path / "gum.csv.meta").read_text()
         assert "summary.ks=" in meta
 
+    def test_gumbel_reads_no_plan(self, tmp_path):
+        # theory mode has no plan at this n, but the gumbel experiment needs none
+        out = tmp_path / "gum.csv"
+        rc = run_cli("simulate", "gumbel", "--n", "4096", "--reps", "20", "--mode", "theory",
+                     "--out", str(out))
+        assert rc == 0
+
+    @pytest.mark.parametrize("kind, keys", [
+        ("gumbel", ["n", "reps", "seed"]),
+        ("window", ["c2", "density", "lstar", "mode", "n", "reps", "seed"]),
+    ])
+    def test_meta_records_only_settings_read(self, tmp_path, kind, keys):
+        out = tmp_path / "sim.csv"
+        assert run_cli("simulate", kind, "--n", "512", "--reps", "1", "--out", str(out)) == 0
+        meta = (tmp_path / "sim.csv.meta").read_text().splitlines()
+        settings = meta[: meta.index(f"experiment={kind}")]
+        assert [line.split("=", 1)[0] for line in settings] == keys
+
     def test_coverage_single_rep(self, tmp_path):
         out = tmp_path / "cov.csv"
         rc = run_cli("simulate", "coverage", "--n", "512", "--reps", "1", "--seed", "3",

@@ -10,8 +10,11 @@ from locband.estimator import (
     build_kde_table,
     kde_at,
     parse_data_file,
+    rank_query_kde,
     split_sample,
 )
+from locband.kernels import make_rectangular
+from test_harness import broken_order_kernel
 
 
 class TestSplitSample:
@@ -104,6 +107,26 @@ class TestKdeAt:
         a = np.array([0.1, 0.4, 0.6, 0.9])
         doubled = np.concatenate([a, a])
         assert kde_at(doubled, 0.5, 0.3, rect) == pytest.approx(kde_at(a, 0.5, 0.3, rect), abs=1e-14)
+
+
+class TestRankQuery:
+    @given(
+        st.sampled_from([make_rectangular(), broken_order_kernel()]),
+        st.integers(0, 4),
+        st.lists(st.integers(-64, 64), min_size=1, max_size=6),
+        st.lists(st.integers(-160, 160), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_direct_sum_on_piece_edges(self, kernel, j, ts, extra):
+        # on a dyadic lattice t + h*lo and t + h*hi are exact, so observations
+        # placed there hit the closed piece edges in both the rank queries and
+        # the direct sum, and the two agree bit for bit
+        unit, h = 2.0 ** -6, 2.0 ** -j
+        points = np.array(ts, dtype=float) * unit
+        edges = [t + s * h for t in points for s in (-1.0, 0.0, 1.0)]
+        half = np.sort(np.concatenate([edges, np.array(extra, dtype=float) * unit]))
+        got = rank_query_kde(half, points, h, kernel)
+        assert got.tolist() == [kde_at(half, t, h, kernel) for t in points]
 
 
 class TestKdeTable:

@@ -15,25 +15,9 @@ from locband.selector import theoretical_window
 
 
 def broken_order_kernel():
-    """Claims order 1 but is asymmetric (true order 0): the affine
-    zero-bias check must catch the falsified metadata."""
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= -1.0) & (x < 0.0), 0.75, np.where((x >= 0.0) & (x <= 1.0), 0.25, 0.0))
-
-    return Kernel(
-        name="broken",
-        evaluate=evaluate,
-        support_radius=1.0,
-        order=1,
-        tv=1.5,
-        norm_l1=1.0,
-        norm_l2_sq=0.625,
-        norm_sup=0.75,
-        symmetric=True,
-        jumps=(-1.0, 0.0, 1.0),
-        flat_pieces=((-1.0, 0.0, 0.75), (0.0, 1.0, 0.25)),
-    )
+    """Asymmetric, so its first moment is nonzero (order 0): it does not
+    reproduce affine functions, and verify must catch that."""
+    return Kernel("broken", ((-1.0, 0.0, 0.75), (0.0, 1.0, 0.25)))
 
 
 class TestReports:
@@ -97,10 +81,10 @@ class TestGumbelCalibration:
         c15 = rect.tv / math.sqrt(rect.norm_l2_sq)
         assert c15 ** 2 * rect.norm_l2_sq / 2.0 == pytest.approx(rect.tv ** 2 / 2.0, abs=1e-12)
 
-    def test_location_identity(self, rect, plan_1k):
+    def test_location_identity(self, rect):
         # shifting the centering by c shifts every statistic by a_n * c
         m, reps, seed = 64, 20, 11
-        rep = H.run_gumbel_calibration(plan_1k, rect, m=m, reps=reps, seed=seed)
+        rep = H.run_gumbel_calibration(rect, m=m, reps=reps, seed=seed)
         a_n, b_n = normalizers(1.0 / m, rect.tv)
         c = 0.37
         sigma = math.sqrt(rect.tv ** 2 / 2.0)
@@ -110,9 +94,9 @@ class TestGumbelCalibration:
             shifted = a_n * (mx - (b_n / 3.0 + c))
             assert shifted == pytest.approx(rep.records[r]["statistic"] - a_n * c, abs=1e-12)
 
-    def test_m_guard(self, rect, plan_1k):
+    def test_m_guard(self, rect):
         with pytest.raises(ValueError):
-            H.run_gumbel_calibration(plan_1k, rect, m=8, reps=10, seed=0)
+            H.run_gumbel_calibration(rect, m=8, reps=10, seed=0)
 
     def test_ks_statistic_sane(self):
         rng = np.random.default_rng(0)
@@ -120,10 +104,10 @@ class TestGumbelCalibration:
         ks, _, _ = H.ks_statistics(u, lambda x: np.clip(x, 0.0, 1.0))
         assert ks < 0.02
 
-    def test_finite_m_law_dominates_gumbel(self, rect, plan_1k):
+    def test_finite_m_law_dominates_gumbel(self, rect):
         # the normalized finite-m maximum is stochastically below the limit:
         # the empirical cdf should never fall far below the Gumbel cdf
-        rep = H.run_gumbel_calibration(plan_1k, rect, m=4096, reps=2000, seed=21)
+        rep = H.run_gumbel_calibration(rect, m=4096, reps=2000, seed=21)
         assert rep.summary["ks_ecdf_below"] <= 0.03
         assert rep.summary["ks"] >= rep.summary["ks_ecdf_above"]
 
@@ -199,13 +183,9 @@ class TestAdaptivityHarness:
         # on a constant-density stretch the width obeys the n^{-1/2} rate up
         # to the explicit log factors: after dividing them out the quantity
         # is pinned to 2 * 2^{(j_eff)/2} with j_eff staying near j_min
-        import warnings
-
         uniform = make_uniform(-1.0, 2.0)
         for n in (2 ** 12, 2 ** 14):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                plan = derive_plan(PlanParams(n=n), rect)
+            plan = derive_plan(PlanParams(n=n), rect)
             rep = H.run_adaptivity(
                 uniform, [plan], rect, alpha=0.1, reps=5, seed=29, probes=(0.3, 0.7)
             )

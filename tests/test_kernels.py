@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locband.band import build_band, reference_global_band
-from locband.densities import AnalyticDensity, Piece, make_peak_triangular, make_weierstrass_composite, sample
-from locband.errors import InvalidIntervalError, InvalidToleranceError, LocbandError, UnsupportedMomentError
-from locband.estimator import build_kde_table, split_sample
+from locband.densities import AnalyticDensity, Piece, make_peak_triangular, make_weierstrass_composite
+from locband.errors import InvalidIntervalError, UnsupportedMomentError
 from locband.kernels import Kernel, convolve_at, kernel_moment, make_rectangular, sup_abs_bias
-from locband.selector import select_profile
 
 
 def affine_density(a=0.2, b=0.3, lo=-2.0, hi=2.0):
@@ -34,35 +31,13 @@ def quadratic_density(lo=0.5, hi=1.5):
     )
 
 
-def triangle_kernel():
-    # order-1 kernel that is not piecewise constant: no entry point accepts it
-    def evaluate(x):
-        x = np.asarray(x, dtype=float)
-        return np.maximum(1.0 - np.abs(x), 0.0)
-
-    return Kernel(
-        name="triangle",
-        evaluate=evaluate,
-        support_radius=1.0,
-        order=1,
-        tv=2.0,
-        norm_l1=1.0,
-        norm_l2_sq=2.0 / 3.0,
-        norm_sup=1.0,
-        symmetric=True,
-        jumps=(),
-        flat_pieces=None,
-    )
-
-
 class TestRectangular:
     def test_metadata(self, rect):
+        # closed forms over the one piece, exact in floating point
         assert rect.order == 1
-        assert rect.tv == pytest.approx(1.0, abs=1e-9)
-        assert rect.norm_l1 == pytest.approx(1.0, abs=1e-10)
-        assert rect.norm_l2_sq == pytest.approx(0.5, abs=1e-10)
-        assert rect.norm_sup == pytest.approx(0.5)
-        assert rect.symmetric
+        assert rect.tv == 1.0
+        assert rect.norm_l1 == 1.0
+        assert rect.norm_l2_sq == 0.5
 
     def test_pointwise_values(self, rect):
         assert rect(0.0) == 0.5
@@ -72,7 +47,7 @@ class TestRectangular:
 
     def test_zero_outside_support(self, rect):
         xs = np.array([-5.0, -1.0001, 1.0001, 7.3])
-        assert np.all(rect.evaluate(xs) == 0.0)
+        assert np.all(rect(xs) == 0.0)
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
@@ -102,6 +77,65 @@ class TestMoments:
             kernel_moment(rect, 13)
 
 
+class TestClosedForms:
+    def test_asymmetric_steps(self):
+        # the broken-order kernel of the verify suite: first moment -1/4
+        k = Kernel("broken", ((-1.0, 0.0, 0.75), (0.0, 1.0, 0.25)))
+        assert k.moment(1) == -0.25
+        assert k.order == 0
+        assert k.tv == 1.5
+        assert k.norm_l1 == 1.0
+        assert k.norm_l2_sq == 0.625
+        # closed pieces: both count at the shared endpoint
+        assert k(np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 1.5])).tolist() == [0.75, 0.75, 1.0, 0.25, 0.25, 0.0]
+
+    def test_gap(self):
+        k = Kernel("gap", ((-1.0, -0.5, 1.0), (0.5, 1.0, 1.0)))
+        assert k.moment(1) == 0.0
+        assert k.moment(2) == pytest.approx(7.0 / 12.0, abs=1e-15)
+        assert k.order == 1
+        assert k.tv == 4.0  # up and down at each of the two pieces
+        assert k.norm_l1 == 1.0
+        assert k.norm_l2_sq == 1.0
+        assert k(np.array([-0.75, -0.25, 0.0, 0.5])).tolist() == [1.0, 0.0, 0.0, 1.0]
+
+    @pytest.mark.parametrize("pieces", [
+        (),
+        ((0.0, 1.0, 0.5),),  # mass 1/2
+        ((0.0, 1.0, 0.5), (-1.0, 0.0, 0.5)),  # unordered
+        ((-1.0, 0.5, 0.5), (0.0, 0.5, 0.5)),  # overlapping
+        ((-1.0, -1.0, 0.5), (-1.0, 1.0, 0.5)),  # degenerate
+    ])
+    def test_invalid_pieces(self, pieces):
+        with pytest.raises(InvalidIntervalError):
+            Kernel("bad", pieces)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4), st.integers(-3, 3)), min_size=1, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_against_fine_grid(self, spec):
+        # steps on a grid of quarters (gap, width, value); the midpoint grid
+        # never hits a piece edge, so variation and norms are exact sums there
+        edge, raw = 0.0, []
+        for gap, width, value in spec:
+            lo = edge + gap / 4.0
+            edge = lo + width / 4.0
+            raw.append((lo, edge, float(value)))
+        mass = sum(v * (hi - lo) for lo, hi, v in raw)
+        if mass == 0.0:
+            return
+        k = Kernel("steps", tuple((lo, hi, v / mass) for lo, hi, v in raw))
+        dx = 2.0 ** -8
+        mid = np.arange(-1.0, edge + 1.0, dx) + dx / 2.0
+        vals = k(mid)
+        assert k.tv == pytest.approx(np.abs(np.diff(vals)).sum(), rel=1e-12)
+        assert k.norm_l1 == pytest.approx(np.abs(vals).sum() * dx, rel=1e-12)
+        assert k.norm_l2_sq == pytest.approx((vals ** 2).sum() * dx, rel=1e-12)
+        for j in (0, 1, 2):
+            assert k.moment(j) == pytest.approx((mid ** j * vals).sum() * dx, abs=1e-3 * k.norm_l1)
+
+
 class TestConvolveAt:
     def test_affine_reproduction(self, rect):
         p = affine_density()
@@ -119,29 +153,17 @@ class TestConvolveAt:
         # tightening the series tolerance tenfold moves the value by < 1e-8
         coarse = make_weierstrass_composite(0.0, 0.5, tol=1e-8)
         fine = make_weierstrass_composite(0.0, 0.5, tol=1e-9)
-        a = convolve_at(rect, coarse, 2.0 ** -5, 0.0, tol=1e-8)
-        b = convolve_at(rect, fine, 2.0 ** -5, 0.0, tol=1e-9)
+        a = convolve_at(rect, coarse, 2.0 ** -5, 0.0)
+        b = convolve_at(rect, fine, 2.0 ** -5, 0.0)
         assert a == pytest.approx(b, abs=1e-8)
 
-    def test_invalid_tolerance(self, rect):
-        with pytest.raises(InvalidToleranceError):
-            convolve_at(rect, affine_density(), 0.1, 0.0, tol=0.0)
-
-    def test_non_flat_kernel_rejected(self, rect, plan_1k):
-        # convolution, the table and both bands need the kernel's constant pieces
-        tri = triangle_kernel()
-        split = split_sample(sample(make_peak_triangular(), plan_1k.n, seed=3))
-        profile = select_profile(build_kde_table(split, plan_1k, rect, half_id=2), plan_1k)
-        calls = [
-            lambda: convolve_at(tri, quadratic_density(), 0.1, 1.0),
-            lambda: sup_abs_bias(tri, quadratic_density(), 0.1, (0.8, 1.2)),
-            lambda: build_kde_table(split, plan_1k, tri, half_id=2),
-            lambda: build_band(split, profile, plan_1k, tri, alpha=0.1),
-            lambda: reference_global_band(split, plan_1k, tri, alpha=0.1),
-        ]
-        for call in calls:
-            with pytest.raises(LocbandError, match="'triangle' is not piecewise constant"):
-                call()
+    def test_multi_piece_kernel_exact(self):
+        # each piece convolves through its own interval mass: the asymmetric
+        # step kernel's bias on an affine density is its first moment times the slope
+        k = Kernel("steps", ((-1.0, 0.0, 0.75), (0.0, 1.0, 0.25)))
+        p = affine_density(a=0.2, b=0.3)
+        h = 0.125
+        assert convolve_at(k, p, h, 0.5) == pytest.approx(p.pdf(0.5) + 0.3 * h * k.moment(1), abs=1e-12)
 
 
 class TestSupAbsBias:

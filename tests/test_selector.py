@@ -58,11 +58,7 @@ def rect_module():
 
 @pytest.fixture(scope="module")
 def plan_module(rect_module):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return derive_plan(PlanParams(n=2 ** 12), rect_module)
+    return derive_plan(PlanParams(n=2 ** 12), rect_module)
 
 
 class TestAdmissibleSet:
@@ -95,11 +91,7 @@ class TestAdmissibleSet:
             select_at(0.5 + 0.3 * plan_module.delta_n, table, plan_module)
 
     def test_clustered_data_excludes_coarse(self, rect_module):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            plan = derive_plan(PlanParams(n=2 ** 12, c2=0.05), rect_module)
+        plan = derive_plan(PlanParams(n=2 ** 12, c2=0.05), rect_module)
         rng = np.random.default_rng(4)
         n = plan.n
         half = rng.random(n)
