@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationPlan, band_halfwidth_quantile, optimal_bandwidth
-from .densities import AnalyticDensity
+from .csvtext import csv_text
 from .errors import CrossSampleContaminationError, OutOfDomainError
 from .estimator import SplitSample, rank_query_kde
 from .kernels import Kernel
@@ -42,8 +42,10 @@ class ConfidenceBand:
     def width(self, t: float) -> float:
         return 2.0 * float(self.halfwidths[self.cell_of(t) - 1])
 
-    def cell_edges(self) -> np.ndarray:
-        return np.arange(self.plan.mesh_count + 1, dtype=float) * self.plan.delta_n
+
+def cell_edges(plan: CalibrationPlan) -> np.ndarray:
+    """Edges 0, delta_n, ..., mesh_count delta_n of the plan's cells."""
+    return np.arange(plan.mesh_count + 1, dtype=float) * plan.delta_n
 
 
 def _centers_for(split: SplitSample, plan: CalibrationPlan, kernel: Kernel, h_loc: np.ndarray) -> np.ndarray:
@@ -117,9 +119,10 @@ def band_at(band: ConfidenceBand, t: float) -> tuple[float, float]:
     return c - hw, c + hw
 
 
-def covers_truth(band: ConfidenceBand, density: AnalyticDensity) -> bool:
-    """True iff every cell's interval contains the density's range on it."""
-    lo, hi = density.cells_extrema(band.cell_edges())
+def covers_truth(band: ConfidenceBand, truth: tuple[np.ndarray, np.ndarray]) -> bool:
+    """True iff every cell's interval contains the density's range on it;
+    `truth` is that range per cell, density.cells_extrema(cell_edges(plan))."""
+    lo, hi = truth
     return bool(
         np.all(band.centers - band.halfwidths <= lo)
         and np.all(hi <= band.centers + band.halfwidths)
@@ -129,12 +132,24 @@ def covers_truth(band: ConfidenceBand, density: AnalyticDensity) -> bool:
 def band_to_csv(band: ConfidenceBand) -> str:
     """Columns k, t_lo, t_hi, center, lo, hi, h_loc, j_hat_left, j_hat_right."""
     d = band.plan.delta_n
-    lines = ["k,t_lo,t_hi,center,lo,hi,h_loc,j_hat_left,j_hat_right"]
-    for k in range(1, band.plan.mesh_count + 1):
-        c = band.centers[k - 1]
-        hw = band.halfwidths[k - 1]
-        lines.append(
-            f"{k},{(k - 1) * d:.12g},{k * d:.12g},{c:.12g},{c - hw:.12g},{c + hw:.12g},"
-            f"{band.h_loc[k - 1]:.12g},{band.j_hat_left[k - 1]},{band.j_hat_right[k - 1]}"
+
+    def prefixes():
+        t_lo = f"{0 * d:.12g}"
+        for k in range(1, band.plan.mesh_count + 1):
+            t_hi = f"{k * d:.12g}"  # and row k + 1's t_lo
+            yield f"{k},{t_lo},{t_hi},"
+            t_lo = t_hi
+
+    def tail(i: int) -> str:
+        c, hw = band.centers[i], band.halfwidths[i]
+        return (
+            f"{c:.12g},{c - hw:.12g},{c + hw:.12g},{band.h_loc[i]:.12g},"
+            f"{band.j_hat_left[i]},{band.j_hat_right[i]}\n"
         )
-    return "\n".join(lines) + "\n"
+
+    return csv_text(
+        "k,t_lo,t_hi,center,lo,hi,h_loc,j_hat_left,j_hat_right\n",
+        prefixes(),
+        (band.centers, band.halfwidths, band.h_loc, band.j_hat_left, band.j_hat_right),
+        tail,
+    )

@@ -18,6 +18,7 @@ from . import densities as zoo
 from . import harness
 from .band import band_to_csv, build_band, reference_global_band
 from .calibration import DEFAULT_C2, PlanParams, derive_plan
+from .csvtext import CSV_CHUNK, csv_text
 from .errors import EmptyBandwidthGridError, InvalidConstantsError, LocbandError
 from .estimator import parse_data_file
 from .kernels import make_rectangular
@@ -208,15 +209,24 @@ def cmd_curves(args: argparse.Namespace, kernel=None) -> int:
     ref = reference_global_band(split, plan, kernel, cfg["alpha"])
     d = plan.delta_n
     truth = density.pdf(np.arange(1, plan.mesh_count + 1) * d)
-    lines = ["k,t,truth,local_center,local_lo,local_hi,global_lo,global_hi"]
-    for k in range(1, plan.mesh_count + 1):
-        c, hw = local.centers[k - 1], local.halfwidths[k - 1]
-        gc, ghw = ref.centers[k - 1], ref.halfwidths[k - 1]
-        lines.append(
-            f"{k},{k * d:.12g},{truth[k - 1]:.12g},{c:.12g},{c - hw:.12g},{c + hw:.12g},"
-            f"{gc - ghw:.12g},{gc + ghw:.12g}"
-        )
-    _emit("\n".join(lines) + "\n", _cfg_meta(cfg, "curves"), cfg["out"])
+
+    def prefixes():
+        for start in range(0, plan.mesh_count, CSV_CHUNK):
+            for k, v in enumerate(truth[start:start + CSV_CHUNK].tolist(), start + 1):
+                yield f"{k},{k * d:.12g},{v:.12g},"
+
+    def tail(i: int) -> str:
+        c, hw = local.centers[i], local.halfwidths[i]
+        gc, ghw = ref.centers[i], ref.halfwidths[i]
+        return f"{c:.12g},{c - hw:.12g},{c + hw:.12g},{gc - ghw:.12g},{gc + ghw:.12g}\n"
+
+    text = csv_text(
+        "k,t,truth,local_center,local_lo,local_hi,global_lo,global_hi\n",
+        prefixes(),
+        (local.centers, local.halfwidths, ref.centers, ref.halfwidths),
+        tail,
+    )
+    _emit(text, _cfg_meta(cfg, "curves"), cfg["out"])
     return 0
 
 

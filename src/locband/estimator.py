@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import secrets
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -17,6 +18,9 @@ import numpy as np
 from .calibration import CalibrationPlan
 from .errors import InsufficientDataError, InvalidBandwidthError
 from .kernels import Kernel
+
+# Lines per chunk of parse_data_file.
+PARSE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -136,7 +140,28 @@ def build_kde_table(
 
 
 def parse_data_file(path: str) -> np.ndarray:
-    """Plain text, one finite real per line; blank lines are permitted."""
+    """Plain text, one finite real per line; blank lines are permitted.
+
+    Lines are read in chunks; numpy converts each chunk's stripped lines
+    with float()'s grammar.  A chunk that does not convert to finite values
+    sends the whole file through _parse_lines, which names the first bad
+    line."""
+    parts = []
+    with open(path, "r", encoding="utf-8") as fh:
+        while raw := list(islice(fh, PARSE_CHUNK)):
+            lines = [line for line in map(str.strip, raw) if line]
+            try:
+                values = np.array(lines, dtype=float)
+            except ValueError:
+                return _parse_lines(path)
+            if not np.isfinite(values).all():
+                return _parse_lines(path)
+            parts.append(values)
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _parse_lines(path: str) -> np.ndarray:
+    """parse_data_file one line at a time, raising on the first bad line."""
     values = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .calibration import CalibrationPlan, optimal_bandwidth
+from .csvtext import csv_text
 from .densities import AnalyticDensity, local_exponent_oracle
 from .errors import OffMeshError
 from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table, split_sample
@@ -61,6 +61,20 @@ def _mesh_index(t, plan: CalibrationPlan) -> np.ndarray:
     return nearest.astype(np.int64)
 
 
+def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
+    """max(x[i:i + w]) for i = 0..len(x) - w, over full windows only (van
+    Herk / Gil-Werman: within blocks of w, the window maximum is the larger
+    of a suffix maximum of one block and a prefix maximum of the next)."""
+    n = x.size
+    count = max(n - w + 1, 0)
+    blocks = np.full(-(-n // w) * w, -np.inf)
+    blocks[:n] = x
+    blocks = blocks.reshape(-1, w)
+    prefix = np.maximum.accumulate(blocks, axis=1).ravel()
+    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
+    return np.maximum(suffix[:count], prefix[w - 1:w - 1 + count])
+
+
 def _ball_maxima(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int):
     """Yield (j, G) for j = j_max - 4 down to j_min, where G[i] is the
     largest pair ratio over m > m' >= j + 3 on the open ball around mesh
@@ -82,7 +96,7 @@ def _ball_maxima(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int):
         j = mp - 3
         a = ball_offset(plan, j)
         window = running[k_lo - a - table.idx_lo:k_hi + a + 1 - table.idx_lo]
-        yield j, maximum_filter1d(window, size=2 * a + 1, mode="nearest")[a:a + k_hi - k_lo + 1]
+        yield j, _sliding_max(window, 2 * a + 1)
 
 
 def _select_run(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) -> np.ndarray:
@@ -139,8 +153,10 @@ def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float
 def profile_to_csv(profile: BandwidthProfile) -> str:
     """Columns k, t = k delta_n, j_hat, h_loc (h_loc blank at k = 0: cells
     are indexed by their right endpoints)."""
-    lines = ["k,t,j_hat,h_loc"]
-    for k in range(profile.plan.mesh_count + 1):
-        h = "" if k == 0 else f"{profile.h_loc[k - 1]:.12g}"
-        lines.append(f"{k},{k * profile.plan.delta_n:.12g},{profile.j_hat[k]},{h}")
-    return "\n".join(lines) + "\n"
+    d = profile.plan.delta_n
+    return csv_text(
+        f"k,t,j_hat,h_loc\n0,{0 * d:.12g},{profile.j_hat[0]},\n",
+        (f"{k},{k * d:.12g}," for k in range(1, profile.plan.mesh_count + 1)),
+        (profile.j_hat[1:], profile.h_loc),
+        lambda i: f"{profile.j_hat[i + 1]},{profile.h_loc[i]:.12g}\n",
+    )

@@ -7,14 +7,30 @@ from locband.band import (
     band_at,
     band_to_csv,
     build_band,
+    cell_edges,
     covers_truth,
     reference_global_band,
 )
 from locband.calibration import PlanParams, derive_plan, optimal_bandwidth
+from locband.csvtext import CSV_CHUNK
 from locband.densities import make_peak_triangular, make_uniform, sample
 from locband.errors import CrossSampleContaminationError, OutOfDomainError
 from locband.estimator import build_kde_table, split_sample
 from locband.selector import select_profile
+
+
+def band_to_csv_oracle(band) -> str:
+    """One f-string per row: the writer band_to_csv must match byte for byte."""
+    d = band.plan.delta_n
+    lines = ["k,t_lo,t_hi,center,lo,hi,h_loc,j_hat_left,j_hat_right"]
+    for k in range(1, band.plan.mesh_count + 1):
+        c = band.centers[k - 1]
+        hw = band.halfwidths[k - 1]
+        lines.append(
+            f"{k},{(k - 1) * d:.12g},{k * d:.12g},{c:.12g},{c - hw:.12g},{c + hw:.12g},"
+            f"{band.h_loc[k - 1]:.12g},{band.j_hat_left[k - 1]},{band.j_hat_right[k - 1]}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -143,16 +159,16 @@ class TestBandAt:
 
 
 class TestCoversTruth:
-    def test_wide_band_covers(self, fitted):
+    def test_wide_band_covers(self, fitted, plan_mod):
         density, _, _, band = fitted
-        assert covers_truth(band, density)
+        assert covers_truth(band, density.cells_extrema(cell_edges(plan_mod)))
 
-    def test_shifted_center_fails(self, fitted):
+    def test_shifted_center_fails(self, fitted, plan_mod):
         density, _, _, band = fitted
         from dataclasses import replace
 
         shifted = replace(band, centers=band.centers + 2.5 * band.halfwidths.max())
-        assert not covers_truth(shifted, density)
+        assert not covers_truth(shifted, density.cells_extrema(cell_edges(plan_mod)))
 
     def test_agrees_with_dense_grid(self, fitted, plan_mod):
         density, _, _, band = fitted
@@ -169,7 +185,7 @@ class TestCoversTruth:
             lo = cand.centers[ks - 1] - cand.halfwidths[ks - 1]
             hi = cand.centers[ks - 1] + cand.halfwidths[ks - 1]
             dense_ok = bool(np.all((vals >= lo - 1e-12) & (vals <= hi + 1e-12)))
-            exact = covers_truth(cand, density)
+            exact = covers_truth(cand, density.cells_extrema(cell_edges(plan_mod)))
             # the exact check is at least as strict as the dense-grid one
             if exact:
                 assert dense_ok
@@ -180,7 +196,7 @@ class TestCoversTruth:
         split = split_sample(data)
         profile = select_profile(build_kde_table(split, plan_mod, rect_mod, half_id=2), plan_mod)
         band = build_band(split, profile, plan_mod, rect_mod, alpha=0.1)
-        assert covers_truth(band, density)
+        assert covers_truth(band, density.cells_extrema(cell_edges(plan_mod)))
 
 
 class TestReferenceGlobalBand:
@@ -223,3 +239,41 @@ class TestBandCsv:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert float(first[4]) <= float(first[3]) <= float(first[5])
+
+    def test_matches_oracle_on_peak_64k(self, rect_mod):
+        plan = derive_plan(PlanParams(n=2 ** 16), rect_mod)
+        split = split_sample(sample(make_peak_triangular(), plan.n, seed=3))
+        profile = select_profile(build_kde_table(split, plan, rect_mod, half_id=2), plan)
+        band = build_band(split, profile, plan, rect_mod, alpha=0.1)
+        assert plan.mesh_count % CSV_CHUNK != 0
+        assert band_to_csv(band) == band_to_csv_oracle(band)
+
+    def test_matches_oracle_on_reference_band(self, fitted, plan_mod, rect_mod):
+        _, split, _, _ = fitted
+        ref = reference_global_band(split, plan_mod, rect_mod, alpha=0.1)
+        assert band_to_csv(ref) == band_to_csv_oracle(ref)
+
+    @pytest.mark.parametrize("mesh_count", [2 * CSV_CHUNK, 2 * CSV_CHUNK + 1])
+    def test_matches_oracle_across_chunks(self, fitted, mesh_count):
+        # few distinct values, as in a fitted band; 0.0 and -0.0 compare
+        # equal yet format as "0" and "-0", and with a zero halfwidth the
+        # sign reaches lo and hi too
+        _, _, _, band = fitted
+        from dataclasses import replace
+
+        rng = np.random.default_rng(4)
+        plan = replace(band.plan, mesh_count=mesh_count, delta_n=1.0 / mesh_count)
+
+        def pick(values):
+            return rng.choice(np.array(values), size=mesh_count)
+
+        synthetic = replace(
+            band,
+            plan=plan,
+            centers=pick([0.0, -0.0, 1.25, 0.1 + 0.2, 3.0]),
+            halfwidths=pick([0.0, 0.5, 1.0 / 3.0]),
+            h_loc=pick([0.25, 2.0 ** -10]),
+            j_hat_left=pick([-1, 3, 4]),
+            j_hat_right=pick([3, 4]),
+        )
+        assert band_to_csv(synthetic) == band_to_csv_oracle(synthetic)

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import locband
 from locband.cli import build_parser, cmd_verify, main
 from locband.densities import make_peak_triangular, sample
 
@@ -192,3 +198,10 @@ class TestConfigAndEnv:
         captured = capsys.readouterr()
         assert captured.out.startswith("k,t_lo")
         assert "alpha=" in captured.err  # metadata goes to stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    env = {**os.environ, "PYTHONPATH": str(Path(locband.__file__).resolve().parent.parent)}
+    code = "import sys, locband.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

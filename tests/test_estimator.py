@@ -1,7 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from locband import estimator
 
 from locband.densities import make_peak_triangular, sample
 from locband.errors import InsufficientDataError, InvalidBandwidthError
@@ -9,6 +13,7 @@ from locband.estimator import (
     ball_offset,
     build_kde_table,
     kde_at,
+    _parse_lines,
     parse_data_file,
     rank_query_kde,
     split_sample,
@@ -189,3 +194,59 @@ class TestParseDataFile:
         path.write_text("0.5\n1.0\nnan\n")
         with pytest.raises(ValueError, match="line 3"):
             parse_data_file(str(path))
+
+    def test_blank_run_longer_than_a_chunk(self, tmp_path):
+        path = tmp_path / "gap.txt"
+        path.write_text("1.5\n" + "\n" * (estimator.PARSE_CHUNK + 3) + "2.5\n")
+        assert parse_data_file(str(path)).tolist() == [1.5, 2.5]
+
+    def test_bad_line_in_second_chunk(self, tmp_path):
+        path = tmp_path / "late.txt"
+        n = estimator.PARSE_CHUNK + 7
+        path.write_text("0.25\n" * (n - 1) + "x\n")
+        with pytest.raises(ValueError, match=f"^line {n}: not a real number: 'x\\\\n'$"):
+            parse_data_file(str(path))
+
+
+# Lines that float() accepts, rejects, or reads as non-finite, and blanks.
+PARSE_TOKENS = [
+    "0.5", "-1.25", "3e-2", "1_0", "+.5", "1e400", "-1e-400", "nan", "inf", "-Infinity",
+    "1 2", "1\x0c2", "\x0c3\x0c", " 7 ", "\t8", "x", "1,5", "0x1p3", "1\x00", "", "  ", "\x0c",
+]
+
+
+class TestParseEquivalence:
+    """The chunked parser returns _parse_lines' array bit for bit, or raises
+    its message, at chunk sizes small enough that blank runs and bad lines
+    span chunks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(
+            st.one_of(
+                st.sampled_from(PARSE_TOKENS),
+                st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                st.integers(0, 6).map(lambda b: "\n" * b),
+            ),
+            max_size=30,
+        ),
+        eol=st.sampled_from(["\n", "\r\n"]),
+        chunk=st.integers(1, 4),
+    )
+    def test_matches_line_parser(self, tmp_path_factory, lines, eol, chunk):
+        path = tmp_path_factory.mktemp("parse") / "data.txt"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(line.replace("\n", eol) + eol for line in lines))
+        try:
+            want = _parse_lines(str(path))
+        except ValueError as exc:
+            want = exc
+        with mock.patch.object(estimator, "PARSE_CHUNK", chunk):
+            if isinstance(want, ValueError):
+                with pytest.raises(ValueError) as raised:
+                    parse_data_file(str(path))
+                assert str(raised.value) == str(want)
+            else:
+                got = parse_data_file(str(path))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -62,6 +62,19 @@ class TestCoverage:
             assert rec["width_min"] > 0.0
             assert rec["width_min"] <= rec["width_mean"] <= rec["width_max"]
 
+    def test_truth_range_computed_once(self, rect, plan_1k, monkeypatch):
+        peak = make_peak_triangular()
+        calls = []
+        scan = type(peak).cells_extrema
+
+        def counted(self, edges, *args, **kwargs):
+            calls.append(edges.size)
+            return scan(self, edges, *args, **kwargs)
+
+        monkeypatch.setattr(type(peak), "cells_extrema", counted)
+        H.run_coverage(peak, plan_1k, rect, alpha=0.1, reps=3, seed=4)
+        assert calls == [plan_1k.mesh_count + 1]
+
 
 class TestWindowCheck:
     def test_saturated_selector_limit(self, rect, plan_1k):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locband.calibration import PlanParams, derive_plan, optimal_bandwidth
+from locband.csvtext import CSV_CHUNK
 from locband.densities import (
     local_exponent_oracle,
     make_peak_triangular,
@@ -16,7 +17,10 @@ from locband.densities import (
 from locband.errors import OffMeshError
 from locband.estimator import KdeTable, build_kde_table, split_sample
 from locband.selector import (
+    BandwidthProfile,
+    _sliding_max,
     pair_ratio,
+    profile_to_csv,
     select_at,
     select_profile,
     theoretical_window,
@@ -40,6 +44,15 @@ def admissible_set(t: float, table: KdeTable, plan) -> set[int]:
         ):
             out.add(j)
     return out
+
+
+def profile_to_csv_oracle(profile) -> str:
+    """One f-string per row: the writer profile_to_csv must match byte for byte."""
+    lines = ["k,t,j_hat,h_loc"]
+    for k in range(profile.plan.mesh_count + 1):
+        h = "" if k == 0 else f"{profile.h_loc[k - 1]:.12g}"
+        lines.append(f"{k},{k * profile.plan.delta_n:.12g},{profile.j_hat[k]},{h}")
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -216,8 +229,6 @@ class TestSelectProfile:
 
 class TestProfileCsv:
     def test_schema(self, peak_table, plan_module):
-        from locband.selector import profile_to_csv
-
         profile = select_profile(peak_table[1], plan_module)
         lines = profile_to_csv(profile).strip().split("\n")
         assert lines[0] == "k,t,j_hat,h_loc"
@@ -226,6 +237,47 @@ class TestProfileCsv:
         assert k0[0] == "0" and k0[3] == ""  # cells are indexed by right endpoints
         k1 = lines[2].split(",")
         assert float(k1[3]) == pytest.approx(profile.h_loc[0])
+
+    def test_matches_oracle_on_peak_64k(self, rect_module):
+        plan = derive_plan(PlanParams(n=2 ** 16), rect_module)
+        split = split_sample(sample(make_peak_triangular(), plan.n, seed=3))
+        profile = select_profile(build_kde_table(split, plan, rect_module, half_id=2), plan)
+        assert plan.mesh_count % CSV_CHUNK != 0
+        assert profile_to_csv(profile) == profile_to_csv_oracle(profile)
+
+    @pytest.mark.parametrize("mesh_count", [2 * CSV_CHUNK, 2 * CSV_CHUNK + 1])
+    def test_matches_oracle_across_chunks(self, plan_module, mesh_count):
+        # few distinct values, including signed zeros, which compare equal
+        # yet format differently
+        rng = np.random.default_rng(5)
+        plan = replace(plan_module, mesh_count=mesh_count, delta_n=1.0 / mesh_count)
+        profile = BandwidthProfile(
+            plan=plan,
+            j_hat=rng.choice(np.array([3, 4, 5]), size=mesh_count + 1),
+            h_loc=rng.choice(np.array([0.0, -0.0, 0.25, 0.1 + 0.2]), size=mesh_count),
+            half_id=2,
+            split_token=0,
+        )
+        assert profile_to_csv(profile) == profile_to_csv_oracle(profile)
+
+
+class TestSlidingMax:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        x=st.lists(st.sampled_from([0.0, 0.0, 0.0, 0.5, 1.0, 2.5]), min_size=1, max_size=60),
+        data=st.data(),
+    )
+    def test_matches_brute_force(self, x, data):
+        # values from a small set, mostly zeros, so ties and long zero runs recur
+        w = data.draw(st.integers(1, len(x)), label="w")
+        got = _sliding_max(np.array(x), w)
+        assert got.tolist() == [max(x[i:i + w]) for i in range(len(x) - w + 1)]
+
+    def test_edge_windows(self):
+        x = np.array([0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        assert _sliding_max(x, 1).tolist() == x.tolist()
+        assert _sliding_max(x, x.size).tolist() == [3.0]
+        assert _sliding_max(x, 3).tolist() == [3.0, 3.0, 0.0, 0.0, 1.0]
 
 
 class TestTheoreticalWindow:
