@@ -1,8 +1,8 @@
 """Sample splitting and kernel density estimation.
 
-The selector consumes a table of estimates over an extended mesh (the mesh
-points of [0,1] plus the margin its spatial maximum reaches into), filled by
-sorted rank queries against the kernel's constant pieces.
+The selector consumes a table of the bandwidth rows it reads over an extended
+mesh (the mesh points of [0,1] plus the margin its ball maxima reach into),
+each row filled by an O(n~ + N) counting pass.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .calibration import CalibrationPlan
-from .errors import InsufficientDataError, InvalidBandwidthError
+from .errors import InsufficientDataError, InvalidBandwidthError, InvalidExponentError
 from .kernels import Kernel
 
 # Lines per chunk of parse_data_file.
@@ -69,7 +69,8 @@ def kde_at(half: np.ndarray, t: float, h: float, kernel: Kernel) -> float:
 
 def rank_query_kde(sorted_half: np.ndarray, points: np.ndarray, h: float | np.ndarray, kernel: Kernel) -> np.ndarray:
     """Estimates at `points` with bandwidth h (a scalar, or one per point)
-    by sorted rank queries against the kernel's constant pieces."""
+    by binary searches against the kernel's constant pieces: the band
+    centers' path, and the oracle of build_kde_table's rows."""
     m = sorted_half.size
     out = np.zeros_like(points)
     for lo, hi, val in kernel.pieces:
@@ -83,20 +84,20 @@ def rank_query_kde(sorted_half: np.ndarray, points: np.ndarray, h: float | np.nd
 @dataclass(frozen=True)
 class KdeTable:
     """Estimates p_hat(i * delta_n, j) for mesh indices idx_lo..idx_hi and
-    all bandwidth exponents of the plan's grid."""
+    j = j_min + 3..j_max, the only rows the selector's pairs m > m' >= j + 3 read."""
 
     plan: CalibrationPlan
     half_id: int
     split_token: int
     idx_lo: int
     idx_hi: int
-    values: np.ndarray  # shape (j_max - j_min + 1, idx_hi - idx_lo + 1)
+    values: np.ndarray  # shape (max(j_max - j_min - 2, 0), idx_hi - idx_lo + 1)
 
     def row(self, j: int) -> np.ndarray:
-        return self.values[j - self.plan.j_min]
-
-    def value(self, idx: int, j: int) -> float:
-        return float(self.values[j - self.plan.j_min, idx - self.idx_lo])
+        first = self.plan.j_min + 3
+        if not first <= j <= self.plan.j_max:
+            raise InvalidExponentError(f"the table holds rows j = {first}..{self.plan.j_max}; row {j} was not built")
+        return self.values[j - first]
 
 
 def ball_offset(plan: CalibrationPlan, j: int) -> int:
@@ -104,6 +105,30 @@ def ball_offset(plan: CalibrationPlan, j: int) -> int:
     (7/8) 2^-j; at j_min it is the margin a table needs around its queries."""
     rho = (7.0 / 8.0) * 2.0 ** -j * plan.mesh_count
     return max(0, math.ceil(rho - 1e-9) - 1)
+
+
+def _rank_bins(sorted_x: np.ndarray, edges: np.ndarray, side: str) -> np.ndarray:
+    """Increments whose cumsum is np.searchsorted(sorted_x, edges, side) for
+    non-decreasing, nearly even edges, in O(len(sorted_x) + N): each x between
+    the first and last edge gets the bin k with e[k] <= x < e[k+1] ("left";
+    e[k] < x <= e[k+1] for "right"), guessed from the mean spacing and moved
+    until the float edges confirm it, so the counts are exact."""
+    first = np.searchsorted(sorted_x, edges[0], side)
+    x = sorted_x[first:np.searchsorted(sorted_x, edges[-1], side)]
+    bins = np.zeros(edges.size, dtype=np.intp)
+    bins[0] = first
+    if not x.size:
+        return bins
+    k = ((x - edges[0]) * ((edges.size - 1) / (edges[-1] - edges[0]))).astype(np.intp)
+    np.clip(k, 0, edges.size - 2, out=k)
+    below, above = (np.less, np.greater_equal) if side == "left" else (np.less_equal, np.greater)
+    for move, outside, bound in ((-1, below, edges), (1, above, edges[1:])):
+        bad = np.flatnonzero(outside(x, np.take(bound, k)))
+        while bad.size:
+            k[bad] += move
+            bad = bad[outside(x[bad], bound[k[bad]])]
+    bins[1:] = np.bincount(k, minlength=edges.size - 1)
+    return bins
 
 
 def build_kde_table(
@@ -114,11 +139,10 @@ def build_kde_table(
     idx_lo: Optional[int] = None,
     idx_hi: Optional[int] = None,
 ) -> KdeTable:
-    """Precompute the estimate table the selector consumes.
-
-    The default index range covers the mesh of [0,1] plus the selector
-    margin.  Each entry costs O(log n~) rank queries.
-    """
+    """Precompute the rows j_min + 3..j_max the selector reads, over the mesh
+    of [0,1] plus the selector margin by default.  A row over N indices costs
+    O(n~ + N) per kernel piece and equals rank_query_kde's bit for bit: it
+    counts against the same float edges."""
     if plan.j_max < plan.j_min:
         raise InvalidBandwidthError("empty bandwidth grid")
     margin = ball_offset(plan, plan.j_min)
@@ -128,14 +152,22 @@ def build_kde_table(
         idx_hi = plan.mesh_count + margin
     half = split.half(half_id)
     points = np.arange(idx_lo, idx_hi + 1, dtype=float) * plan.delta_n
-    rows = [rank_query_kde(half, points, 2.0 ** -j, kernel) for j in plan.bandwidth_exponents]
+    bandwidths = [2.0 ** -j for j in range(plan.j_min + 3, plan.j_max + 1)]
+    values = np.zeros((len(bandwidths), points.size))
+    for row, h in zip(values, bandwidths):
+        for lo, hi, val in kernel.pieces:
+            # observations in [t + h*lo, t + h*hi], counted as rank_query_kde does
+            bins = _rank_bins(half, points + h * hi, "right")
+            bins -= _rank_bins(half, points + h * lo, "left")
+            row += val * np.cumsum(bins)
+        row /= half.size * h
     return KdeTable(
         plan=plan,
         half_id=half_id,
         split_token=split.token,
         idx_lo=idx_lo,
         idx_hi=idx_hi,
-        values=np.vstack(rows),
+        values=values,
     )
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationPlan, optimal_bandwidth
-from .csvtext import csv_text
 from .densities import AnalyticDensity, local_exponent_oracle
 from .errors import OffMeshError
 from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table, split_sample
@@ -149,14 +148,3 @@ def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float
     j_bar = math.floor(math.log2(1.0 / h_bar) + 1e-12) + 1
     return j_bar - plan.m_n, j_bar + 1
 
-
-def profile_to_csv(profile: BandwidthProfile) -> str:
-    """Columns k, t = k delta_n, j_hat, h_loc (h_loc blank at k = 0: cells
-    are indexed by their right endpoints)."""
-    d = profile.plan.delta_n
-    return csv_text(
-        f"k,t,j_hat,h_loc\n0,{0 * d:.12g},{profile.j_hat[0]},\n",
-        (f"{k},{k * d:.12g}," for k in range(1, profile.plan.mesh_count + 1)),
-        (profile.j_hat[1:], profile.h_loc),
-        lambda i: f"{profile.j_hat[i + 1]},{profile.h_loc[i]:.12g}\n",
-    )

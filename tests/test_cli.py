@@ -19,6 +19,21 @@ def data_file(tmp_path):
     return str(path)
 
 
+# `band` on the four points 0.1, 0.4, 0.6, 0.9: the plan has j_min = j_max = 3,
+# so the estimate table holds no row and every mesh point keeps j = 3.
+FOUR_POINT_BAND = (
+    "k,t_lo,t_hi,center,lo,hi,h_loc,j_hat_left,j_hat_right\n"
+    "1,0,0.125,0.933331335467,-4.06552778472,5.93219045565,0.267857716226,3,3\n"
+    "2,0.125,0.25,1.86666267093,-3.13219644925,6.86552179112,0.267857716226,3,3\n"
+    "3,0.25,0.375,0.933331335467,-4.06552778472,5.93219045565,0.267857716226,3,3\n"
+    "4,0.375,0.5,0.933331335467,-4.06552778472,5.93219045565,0.267857716226,3,3\n"
+    "5,0.5,0.625,0.933331335467,-4.06552778472,5.93219045565,0.267857716226,3,3\n"
+    "6,0.625,0.75,0,-4.99885912019,4.99885912019,0.267857716226,3,3\n"
+    "7,0.75,0.875,0,-4.99885912019,4.99885912019,0.267857716226,3,3\n"
+    "8,0.875,1,0,-4.99885912019,4.99885912019,0.267857716226,3,3\n"
+)
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -58,6 +73,14 @@ class TestBandCommand:
             rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
             outs[alpha] = np.array([(float(r[5]) - float(r[4])) / 2.0 for r in rows])
         assert np.all(outs["0.01"] >= outs["0.1"])
+
+    def test_four_points(self, tmp_path):
+        data = tmp_path / "four.txt"
+        data.write_text("0.1\n0.4\n0.6\n0.9\n")
+        out = tmp_path / "four.csv"
+        assert run_cli("band", "--input", str(data), "--out", str(out)) == 0
+        assert out.read_text() == FOUR_POINT_BAND
+        assert (tmp_path / "four.csv.meta").read_text() == "alpha=0.1\nc2=0.65\nlstar=1.0\nmode=practical\nn=4\n"
 
     def test_parse_failure_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from locband import estimator
 
+from locband.calibration import PlanParams, derive_plan
 from locband.densities import make_peak_triangular, sample
-from locband.errors import InsufficientDataError, InvalidBandwidthError
+from locband.errors import InsufficientDataError, InvalidBandwidthError, InvalidExponentError
 from locband.estimator import (
+    _rank_bins,
     ball_offset,
     build_kde_table,
     kde_at,
@@ -134,17 +136,102 @@ class TestRankQuery:
         assert got.tolist() == [kde_at(half, t, h, kernel) for t in points]
 
 
+@st.composite
+def edge_grids(draw):
+    """Query edges as build_kde_table forms them: mesh points idx_lo.. times
+    delta_n plus h * lo, so a nearly affine float grid; or, rarely, any
+    sorted floats with ties, which only the fix-up can place exactly."""
+    if draw(st.integers(0, 4)) == 0:
+        vals = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 1.0 / 3.0, 0.5, 2.0]), min_size=1, max_size=12))
+        return np.sort(np.array(vals))
+    delta = 1.0 / draw(st.integers(1, 5000))
+    idx_lo = draw(st.integers(-300, 300))
+    count = draw(st.integers(1, 80))
+    h = 2.0 ** -draw(st.integers(0, 14))
+    lo = draw(st.sampled_from([-1.0, 1.0, -0.5, 0.25, 1.0 / 3.0]))
+    return np.arange(idx_lo, idx_lo + count, dtype=float) * delta + h * lo
+
+
+class TestRankBins:
+    @given(
+        edges=edge_grids(),
+        side=st.sampled_from(["left", "right"]),
+        region=st.sampled_from(["mixed", "inside", "below", "above"]),
+        data=st.data(),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_cumsum_is_searchsorted(self, edges, side, region, data):
+        # observations on the edges, one ulp either side of them, repeated,
+        # and free ones wholly below, above or inside the edge range
+        e0, e1 = float(edges[0]), float(edges[-1])
+        span = e1 - e0 + 1e-3
+        bounds = {"mixed": (e0 - span, e1 + span), "inside": (e0, e1),
+                  "below": (e0 - span, np.nextafter(e0, -np.inf)),
+                  "above": (np.nextafter(e1, np.inf), e1 + span)}[region]
+        x = data.draw(st.lists(st.floats(*bounds), max_size=40), label="free")
+        if region in ("mixed", "inside"):
+            hits = data.draw(st.lists(st.tuples(st.integers(0, edges.size - 1), st.integers(-1, 1)),
+                                      max_size=40), label="on edges")
+            for i, ulp in hits:
+                x.append(float(np.nextafter(edges[i], ulp * np.inf) if ulp else edges[i]))
+        reps = data.draw(st.integers(1, 3), label="copies")
+        sorted_x = np.sort(np.repeat(np.array(x, dtype=float), reps))
+        got = np.cumsum(_rank_bins(sorted_x, edges, side))
+        assert got.tolist() == np.searchsorted(sorted_x, edges, side).tolist()
+
+    def test_two_edge_grid(self):
+        edges = np.array([0.25, 0.5])
+        x = np.array([0.0, 0.25, 0.25, np.nextafter(0.25, 1.0), 0.4, np.nextafter(0.5, 0.0), 0.5, 0.5, 1.0])
+        for side in ("left", "right"):
+            want = np.searchsorted(x, edges, side)
+            assert np.cumsum(_rank_bins(x, edges, side)).tolist() == want.tolist()
+
+
 class TestKdeTable:
     def test_matches_kde_at(self, rect, plan_16k):
         data = sample(make_peak_triangular(), plan_16k.n, seed=5)
         split = split_sample(data)
         table = build_kde_table(split, plan_16k, rect, half_id=2)
+        points = np.arange(table.idx_lo, table.idx_hi + 1, dtype=float) * plan_16k.delta_n
         rng = np.random.default_rng(1)
         for _ in range(100):
             idx = int(rng.integers(table.idx_lo, table.idx_hi + 1))
             j = int(rng.integers(plan_16k.j_min, plan_16k.j_max + 1))
             direct = kde_at(split.chi2, idx * plan_16k.delta_n, 2.0 ** -j, rect)
-            assert table.value(idx, j) == pytest.approx(direct, abs=1e-12)
+            if j >= plan_16k.j_min + 3:
+                got = table.row(j)[idx - table.idx_lo]
+            else:
+                # rows the selector never reads are not built: check the
+                # estimate at the table's point through the point-query path
+                got = rank_query_kde(split.chi2, points[[idx - table.idx_lo]], 2.0 ** -j, rect)[0]
+            assert got == pytest.approx(direct, abs=1e-12)
+
+    def test_rows_equal_rank_queries(self, rect, plan_16k):
+        # full and windowed tables: every built row is rank_query_kde's, bit for bit
+        split = split_sample(sample(make_peak_triangular(), plan_16k.n, seed=9))
+        for lo, hi in ((None, None), (40, 41 + 2 * ball_offset(plan_16k, plan_16k.j_min)), (-3, -3)):
+            table = build_kde_table(split, plan_16k, rect, half_id=2, idx_lo=lo, idx_hi=hi)
+            points = np.arange(table.idx_lo, table.idx_hi + 1, dtype=float) * plan_16k.delta_n
+            assert table.values.shape == (plan_16k.j_max - plan_16k.j_min - 2, points.size)
+            for j in range(plan_16k.j_min + 3, plan_16k.j_max + 1):
+                assert np.array_equal(table.row(j), rank_query_kde(split.chi2, points, 2.0 ** -j, rect))
+
+    def test_unbuilt_rows_raise(self, rect, plan_16k):
+        table = build_kde_table(split_sample(np.linspace(0.0, 1.0, 64)), plan_16k, rect, half_id=2)
+        for j in (plan_16k.j_min, plan_16k.j_min + 2, plan_16k.j_max + 1):
+            with pytest.raises(InvalidExponentError, match=f"row {j} was not built"):
+                table.row(j)
+
+    @pytest.mark.parametrize("n, j_max", [(4, 3), (256, 4)])
+    def test_short_grid_builds_no_rows(self, rect, n, j_max):
+        # j_max - j_min <= 2: no pair is ever compared, so no row is read
+        plan = derive_plan(PlanParams(n=n), rect)
+        assert (plan.j_min, plan.j_max) == (3, j_max)
+        table = build_kde_table(split_sample(np.linspace(0.1, 0.9, n)), plan, rect, half_id=2)
+        assert table.values.shape == (0, table.idx_hi - table.idx_lo + 1)
+        for j in plan.bandwidth_exponents:
+            with pytest.raises(InvalidExponentError):
+                table.row(j)
 
     def test_nonnegative(self, rect, plan_16k):
         data = sample(make_peak_triangular(), plan_16k.n, seed=6)
@@ -155,7 +242,7 @@ class TestKdeTable:
         # data concentrated near 1: left-margin cells see nothing
         data = np.full(plan_16k.n, 0.99) + np.linspace(0, 0.001, plan_16k.n)
         table = build_kde_table(split_sample(data), plan_16k, rect, half_id=2)
-        assert table.value(table.idx_lo, plan_16k.j_max) == 0.0
+        assert table.row(plan_16k.j_max)[0] == 0.0
 
     def test_covers_margin(self, rect, plan_16k):
         data = sample(make_peak_triangular(), plan_16k.n, seed=7)

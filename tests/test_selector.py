@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locband.calibration import PlanParams, derive_plan, optimal_bandwidth
-from locband.csvtext import CSV_CHUNK
 from locband.densities import (
     local_exponent_oracle,
     make_peak_triangular,
@@ -17,10 +16,8 @@ from locband.densities import (
 from locband.errors import OffMeshError
 from locband.estimator import KdeTable, build_kde_table, split_sample
 from locband.selector import (
-    BandwidthProfile,
     _sliding_max,
     pair_ratio,
-    profile_to_csv,
     select_at,
     select_profile,
     theoretical_window,
@@ -44,15 +41,6 @@ def admissible_set(t: float, table: KdeTable, plan) -> set[int]:
         ):
             out.add(j)
     return out
-
-
-def profile_to_csv_oracle(profile) -> str:
-    """One f-string per row: the writer profile_to_csv must match byte for byte."""
-    lines = ["k,t,j_hat,h_loc"]
-    for k in range(profile.plan.mesh_count + 1):
-        h = "" if k == 0 else f"{profile.h_loc[k - 1]:.12g}"
-        lines.append(f"{k},{k * profile.plan.delta_n:.12g},{profile.j_hat[k]},{h}")
-    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -84,10 +72,11 @@ class TestAdmissibleSet:
             assert all(j + 1 in s for j in s if j < plan_module.j_max)
 
     def test_small_grid_all_admissible(self, rect_module, peak_table, plan_module):
-        # with at most 3 exponents no pair m > m' > j+2 exists
+        # with at most 3 exponents no pair m > m' > j+2 exists, and the
+        # table holds no row
         _, table = peak_table
         small = replace(plan_module, j_max=plan_module.j_min + 2)
-        small_table = replace(table, plan=small, values=table.values[:3])
+        small_table = replace(table, plan=small, values=table.values[:0])
         s = admissible_set(0.5, small_table, small)
         assert s == set(range(small.j_min, small.j_max + 1))
         assert select_at(0.5, small_table, small) == small.j_min
@@ -142,7 +131,8 @@ def _random_table(plan, seed, j_min, n_exp, mesh_count, tie):
     plan = replace(plan, j_min=j_min, j_max=j_min + n_exp - 1, mesh_count=mesh_count,
                    delta_n=1.0 / mesh_count)
     margin = max(0, math.ceil((7.0 / 8.0) * 2.0 ** -j_min * mesh_count - 1e-9) - 1)
-    values = 0.1 * rng.integers(0, 5, size=(n_exp, mesh_count + 1 + 2 * margin))
+    # draw rows j_min..j_max, then keep j_min + 3..j_max, the rows a table holds
+    values = 0.1 * rng.integers(0, 5, size=(n_exp, mesh_count + 1 + 2 * margin))[3:]
     table = KdeTable(plan=plan, half_id=2, split_token=0, idx_lo=-margin,
                      idx_hi=mesh_count + margin, values=values)
     if tie and n_exp >= 5:
@@ -225,40 +215,6 @@ class TestSelectProfile:
         tight = select_profile(table, replace(plan_module, c2=0.4)).j_hat
         loose = select_profile(table, replace(plan_module, c2=0.8)).j_hat
         assert np.all(loose <= tight)
-
-
-class TestProfileCsv:
-    def test_schema(self, peak_table, plan_module):
-        profile = select_profile(peak_table[1], plan_module)
-        lines = profile_to_csv(profile).strip().split("\n")
-        assert lines[0] == "k,t,j_hat,h_loc"
-        assert len(lines) == 2 + plan_module.mesh_count  # mesh points 0..N
-        k0 = lines[1].split(",")
-        assert k0[0] == "0" and k0[3] == ""  # cells are indexed by right endpoints
-        k1 = lines[2].split(",")
-        assert float(k1[3]) == pytest.approx(profile.h_loc[0])
-
-    def test_matches_oracle_on_peak_64k(self, rect_module):
-        plan = derive_plan(PlanParams(n=2 ** 16), rect_module)
-        split = split_sample(sample(make_peak_triangular(), plan.n, seed=3))
-        profile = select_profile(build_kde_table(split, plan, rect_module, half_id=2), plan)
-        assert plan.mesh_count % CSV_CHUNK != 0
-        assert profile_to_csv(profile) == profile_to_csv_oracle(profile)
-
-    @pytest.mark.parametrize("mesh_count", [2 * CSV_CHUNK, 2 * CSV_CHUNK + 1])
-    def test_matches_oracle_across_chunks(self, plan_module, mesh_count):
-        # few distinct values, including signed zeros, which compare equal
-        # yet format differently
-        rng = np.random.default_rng(5)
-        plan = replace(plan_module, mesh_count=mesh_count, delta_n=1.0 / mesh_count)
-        profile = BandwidthProfile(
-            plan=plan,
-            j_hat=rng.choice(np.array([3, 4, 5]), size=mesh_count + 1),
-            h_loc=rng.choice(np.array([0.0, -0.0, 0.25, 0.1 + 0.2]), size=mesh_count),
-            half_id=2,
-            split_token=0,
-        )
-        assert profile_to_csv(profile) == profile_to_csv_oracle(profile)
 
 
 class TestSlidingMax:
