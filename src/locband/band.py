@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TextIO
 
 import numpy as np
 
 from .calibration import CalibrationPlan, band_halfwidth_quantile, optimal_bandwidth
-from .csvtext import csv_text
+from .csvtext import write_csv
 from .errors import CrossSampleContaminationError, OutOfDomainError
 from .estimator import SplitSample, rank_query_kde
 from .kernels import Kernel
@@ -129,8 +130,8 @@ def covers_truth(band: ConfidenceBand, truth: tuple[np.ndarray, np.ndarray]) -> 
     )
 
 
-def band_to_csv(band: ConfidenceBand) -> str:
-    """Columns k, t_lo, t_hi, center, lo, hi, h_loc, j_hat_left, j_hat_right."""
+def write_band_csv(band: ConfidenceBand, fh: TextIO) -> None:
+    """Stream the band to `fh` as CSV: k, t_lo, t_hi, center, lo, hi, h_loc, j_hat_left, j_hat_right."""
     d = band.plan.delta_n
 
     def prefixes():
@@ -147,7 +148,8 @@ def band_to_csv(band: ConfidenceBand) -> str:
             f"{band.j_hat_left[i]},{band.j_hat_right[i]}\n"
         )
 
-    return csv_text(
+    write_csv(
+        fh,
         "k,t_lo,t_hi,center,lo,hi,h_loc,j_hat_left,j_hat_right\n",
         prefixes(),
         (band.centers, band.halfwidths, band.h_loc, band.j_hat_left, band.j_hat_right),

@@ -11,16 +11,17 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, TextIO
 
 import numpy as np
 
 from . import densities as zoo
 from . import harness
-from .band import band_to_csv, build_band, reference_global_band
-from .calibration import DEFAULT_C2, PlanParams, derive_plan
-from .csvtext import CSV_CHUNK, csv_text
+from .band import build_band, reference_global_band, write_band_csv
+from .calibration import DEFAULT_C2, CalibrationPlan, PlanParams, derive_plan
+from .csvtext import CSV_CHUNK, write_csv
 from .errors import EmptyBandwidthGridError, InvalidConstantsError, LocbandError
-from .estimator import parse_data_file
+from .estimator import parse_data_file, split_sample
 from .kernels import make_rectangular
 from .selector import fit_profile
 
@@ -101,13 +102,19 @@ def _cfg_meta(cfg: dict, key: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, meta: str, out: str | None) -> None:
+def _warn(command: str, plan: CalibrationPlan) -> None:
+    for warning in plan.warnings:
+        print(f"{command}: warning: {warning}", file=sys.stderr)
+
+
+def _emit(write_body: Callable[[TextIO], object], meta: str, out: str | None) -> None:
+    """Body through `write_body` to `out` and meta to `out`.meta, or to stdout and stderr."""
     if out is None:
-        sys.stdout.write(text)
+        write_body(sys.stdout)
         sys.stderr.write(meta)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write_body(fh)
         with open(out + ".meta", "w", encoding="utf-8") as fh:
             fh.write(meta)
 
@@ -123,18 +130,13 @@ def cmd_band(args: argparse.Namespace, kernel=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"band: cannot read input: {exc}", file=sys.stderr)
         return 2
-    if data.size < 4:
-        print(f"band: need at least 4 observations, got {data.size}", file=sys.stderr)
-        return 2
     cfg["n"] = int(data.size)
-    try:
-        plan = _plan_from_cfg(cfg, kernel)
-    except (EmptyBandwidthGridError, InvalidConstantsError) as exc:
-        print(f"band: degenerate theory-mode plan: {exc}", file=sys.stderr)
-        return 3
-    split, profile = fit_profile(data, plan, kernel)
-    band = build_band(split, profile, plan, kernel, cfg["alpha"])
-    _emit(band_to_csv(band), _cfg_meta(cfg, "band"), cfg["out"])
+    split = split_sample(data)  # InsufficientDataError below 4 points: exit 2
+    del data  # the fit reads only the sorted halves
+    plan = _plan_from_cfg(cfg, kernel)
+    _warn("band", plan)
+    band = build_band(split, fit_profile(split, plan, kernel), plan, kernel, cfg["alpha"])
+    _emit(lambda fh: write_band_csv(band, fh), _cfg_meta(cfg, "band"), cfg["out"])
     return 0
 
 
@@ -154,11 +156,7 @@ def cmd_simulate(args: argparse.Namespace, kernel=None) -> int:
         except KeyError as exc:
             print(f"simulate: {exc.args[0]}", file=sys.stderr)
             return 2
-        try:
-            plan = _plan_from_cfg(cfg, kernel)
-        except (EmptyBandwidthGridError, InvalidConstantsError) as exc:
-            print(f"simulate: degenerate theory-mode plan: {exc}", file=sys.stderr)
-            return 3
+        plan = _plan_from_cfg(cfg, kernel)
         if kind == "coverage":
             report = harness.run_coverage(density, plan, kernel, cfg["alpha"], cfg["reps"], cfg["seed"])
         elif kind == "window":
@@ -168,7 +166,7 @@ def cmd_simulate(args: argparse.Namespace, kernel=None) -> int:
                 density, [plan], kernel, cfg["alpha"], cfg["reps"], cfg["seed"], probes=(0.5, 0.9)
             )
     meta = _cfg_meta(cfg, kind) + report.meta_text()
-    _emit(report.to_csv_text(), meta, cfg["out"])
+    _emit(lambda fh: fh.write(report.to_csv_text()), meta, cfg["out"])
     return 0
 
 
@@ -182,7 +180,7 @@ def cmd_verify(args: argparse.Namespace, kernel=None) -> int:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
     meta = _cfg_meta(cfg, "verify") + report.meta_text()
-    _emit(report.to_csv_text(), meta, cfg["out"])
+    _emit(lambda fh: fh.write(report.to_csv_text()), meta, cfg["out"])
     failed = [r for r in report.records if not r["passed"]]
     if failed:
         names = ",".join(sorted({r["item"] for r in failed}))
@@ -199,13 +197,10 @@ def cmd_curves(args: argparse.Namespace, kernel=None) -> int:
     except KeyError as exc:
         print(f"curves: {exc.args[0]}", file=sys.stderr)
         return 2
-    try:
-        plan = _plan_from_cfg(cfg, kernel)
-    except (EmptyBandwidthGridError, InvalidConstantsError) as exc:
-        print(f"curves: degenerate theory-mode plan: {exc}", file=sys.stderr)
-        return 3
-    split, profile = fit_profile(zoo.sample(density, plan.n, cfg["seed"]), plan, kernel)
-    local = build_band(split, profile, plan, kernel, cfg["alpha"])
+    plan = _plan_from_cfg(cfg, kernel)
+    _warn("curves", plan)
+    split = split_sample(zoo.sample(density, plan.n, cfg["seed"]))
+    local = build_band(split, fit_profile(split, plan, kernel), plan, kernel, cfg["alpha"])
     ref = reference_global_band(split, plan, kernel, cfg["alpha"])
     d = plan.delta_n
     truth = density.pdf(np.arange(1, plan.mesh_count + 1) * d)
@@ -220,13 +215,16 @@ def cmd_curves(args: argparse.Namespace, kernel=None) -> int:
         gc, ghw = ref.centers[i], ref.halfwidths[i]
         return f"{c:.12g},{c - hw:.12g},{c + hw:.12g},{gc - ghw:.12g},{gc + ghw:.12g}\n"
 
-    text = csv_text(
-        "k,t,truth,local_center,local_lo,local_hi,global_lo,global_hi\n",
-        prefixes(),
-        (local.centers, local.halfwidths, ref.centers, ref.halfwidths),
-        tail,
-    )
-    _emit(text, _cfg_meta(cfg, "curves"), cfg["out"])
+    def write_body(fh: TextIO) -> None:
+        write_csv(
+            fh,
+            "k,t,truth,local_center,local_lo,local_hi,global_lo,global_hi\n",
+            prefixes(),
+            (local.centers, local.halfwidths, ref.centers, ref.halfwidths),
+            tail,
+        )
+
+    _emit(write_body, _cfg_meta(cfg, "curves"), cfg["out"])
     return 0
 
 
@@ -278,6 +276,10 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except (EmptyBandwidthGridError, InvalidConstantsError) as exc:
+        # derive_plan is the only source of these, in band, simulate and curves
+        print(f"{args.command}: degenerate theory-mode plan: {exc}", file=sys.stderr)
+        return 3
     except LocbandError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -72,12 +72,6 @@ class ExperimentReport:
             lines.append(f"warning.{i}={w}")
         return "\n".join(lines) + "\n"
 
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
-        with open(path + ".meta", "w", encoding="utf-8") as fh:
-            fh.write(self.meta_text())
-
 
 def replication_seed(master_seed: int, rep: int) -> int:
     """64-bit per-replication seed from the splittable counter scheme."""
@@ -131,7 +125,8 @@ def run_coverage(
     truth = density.cells_extrema(cell_edges(plan))
     for r in range(reps):
         rseed = replication_seed(seed, r)
-        split, profile = fit_profile(sample(density, plan.n, rseed), plan, kernel)
+        split = split_sample(sample(density, plan.n, rseed))
+        profile = fit_profile(split, plan, kernel)
         band = build_band(split, profile, plan, kernel, alpha)
         covered = covers_truth(band, truth)
         widths = 2.0 * band.halfwidths
@@ -276,7 +271,7 @@ def run_window_check(
     )
     for r in range(reps):
         rseed = replication_seed(seed, r)
-        _, profile = fit_profile(sample(density, plan.n, rseed), plan, kernel)
+        profile = fit_profile(split_sample(sample(density, plan.n, rseed)), plan, kernel)
         inside = (profile.j_hat >= lo) & (profile.j_hat <= hi)
         report.records.append({
             "rep": r,

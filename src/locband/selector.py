@@ -23,7 +23,7 @@ import numpy as np
 from .calibration import CalibrationPlan, optimal_bandwidth
 from .densities import AnalyticDensity, local_exponent_oracle
 from .errors import OffMeshError
-from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table, split_sample
+from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table
 from .kernels import Kernel
 
 
@@ -66,12 +66,13 @@ def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
     of a suffix maximum of one block and a prefix maximum of the next)."""
     n = x.size
     count = max(n - w + 1, 0)
-    blocks = np.full(-(-n // w) * w, -np.inf)
-    blocks[:n] = x
-    blocks = blocks.reshape(-1, w)
+    buf = np.full(-(-n // w) * w, -np.inf)
+    buf[:n] = x  # x is left unchanged: callers pass views of live arrays
+    blocks = buf.reshape(-1, w)
     prefix = np.maximum.accumulate(blocks, axis=1).ravel()
-    suffix = np.maximum.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    return np.maximum(suffix[:count], prefix[w - 1:w - 1 + count])
+    np.maximum.accumulate(blocks[:, ::-1], axis=1, out=blocks[:, ::-1])
+    out = buf[:count]
+    return np.maximum(out, prefix[w - 1:w - 1 + count], out=out)
 
 
 def _ball_maxima(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int):
@@ -132,11 +133,10 @@ def select_profile(table: KdeTable, plan: CalibrationPlan) -> BandwidthProfile:
     )
 
 
-def fit_profile(data, plan: CalibrationPlan, kernel: Kernel) -> tuple[SplitSample, BandwidthProfile]:
-    """Split the data and select the bandwidth profile on the second half;
-    the first half is left for the band centers."""
-    split = split_sample(data)
-    return split, select_profile(build_kde_table(split, plan, kernel, half_id=2), plan)
+def fit_profile(split: SplitSample, plan: CalibrationPlan, kernel: Kernel) -> BandwidthProfile:
+    """Select the bandwidth profile on the second half of the split; the
+    first half is left for the band centers."""
+    return select_profile(build_kde_table(split, plan, kernel, half_id=2), plan)
 
 
 def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float) -> tuple[float, int]:

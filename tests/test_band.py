@@ -5,11 +5,11 @@ import pytest
 
 from locband.band import (
     band_at,
-    band_to_csv,
     build_band,
     cell_edges,
     covers_truth,
     reference_global_band,
+    write_band_csv,
 )
 from locband.calibration import PlanParams, derive_plan, optimal_bandwidth
 from locband.csvtext import CSV_CHUNK
@@ -20,7 +20,7 @@ from locband.selector import select_profile
 
 
 def band_to_csv_oracle(band) -> str:
-    """One f-string per row: the writer band_to_csv must match byte for byte."""
+    """One f-string per row: the writer write_band_csv must match byte for byte."""
     d = band.plan.delta_n
     lines = ["k,t_lo,t_hi,center,lo,hi,h_loc,j_hat_left,j_hat_right"]
     for k in range(1, band.plan.mesh_count + 1):
@@ -31,6 +31,29 @@ def band_to_csv_oracle(band) -> str:
             f"{band.h_loc[k - 1]:.12g},{band.j_hat_left[k - 1]},{band.j_hat_right[k - 1]}"
         )
     return "\n".join(lines) + "\n"
+
+
+class RecordingFile:
+    """A text file object that keeps each write separately."""
+
+    def __init__(self):
+        self.writes: list[str] = []
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
+
+
+def assert_streams_oracle(band) -> None:
+    """write_band_csv's writes join to the oracle's text, and none is longer
+    than the header or one chunk's rows: the whole text is never built."""
+    fh = RecordingFile()
+    write_band_csv(band, fh)
+    expected = band_to_csv_oracle(band)
+    assert "".join(fh.writes) == expected
+    header, *rows = expected.splitlines(keepends=True)
+    longest = max(len("".join(rows[i:i + CSV_CHUNK])) for i in range(0, len(rows), CSV_CHUNK))
+    assert max(len(text) for text in fh.writes) <= max(len(header), longest)
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +255,9 @@ class TestReferenceGlobalBand:
 class TestBandCsv:
     def test_schema_and_rows(self, fitted, plan_mod):
         _, _, _, band = fitted
-        text = band_to_csv(band)
+        fh = RecordingFile()
+        write_band_csv(band, fh)
+        text = "".join(fh.writes)
         lines = text.strip().split("\n")
         assert lines[0] == "k,t_lo,t_hi,center,lo,hi,h_loc,j_hat_left,j_hat_right"
         assert len(lines) == 1 + plan_mod.mesh_count
@@ -246,12 +271,12 @@ class TestBandCsv:
         profile = select_profile(build_kde_table(split, plan, rect_mod, half_id=2), plan)
         band = build_band(split, profile, plan, rect_mod, alpha=0.1)
         assert plan.mesh_count % CSV_CHUNK != 0
-        assert band_to_csv(band) == band_to_csv_oracle(band)
+        assert_streams_oracle(band)
 
     def test_matches_oracle_on_reference_band(self, fitted, plan_mod, rect_mod):
         _, split, _, _ = fitted
         ref = reference_global_band(split, plan_mod, rect_mod, alpha=0.1)
-        assert band_to_csv(ref) == band_to_csv_oracle(ref)
+        assert_streams_oracle(ref)
 
     @pytest.mark.parametrize("mesh_count", [2 * CSV_CHUNK, 2 * CSV_CHUNK + 1])
     def test_matches_oracle_across_chunks(self, fitted, mesh_count):
@@ -276,4 +301,4 @@ class TestBandCsv:
             j_hat_left=pick([-1, 3, 4]),
             j_hat_right=pick([3, 4]),
         )
-        assert band_to_csv(synthetic) == band_to_csv_oracle(synthetic)
+        assert_streams_oracle(synthetic)

@@ -82,6 +82,14 @@ class TestBandCommand:
         assert out.read_text() == FOUR_POINT_BAND
         assert (tmp_path / "four.csv.meta").read_text() == "alpha=0.1\nc2=0.65\nlstar=1.0\nmode=practical\nn=4\n"
 
+    def test_four_points_warns(self, tmp_path, capsys):
+        data = tmp_path / "four.txt"
+        data.write_text("0.1\n0.4\n0.6\n0.9\n")
+        assert run_cli("band", "--input", str(data), "--out", str(tmp_path / "four.csv")) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert "band: warning: j_max=1 clamped up to j_min=3" in err
+        assert all(line.startswith("band: warning: ") for line in err)
+
     def test_parse_failure_exit_2(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("1.0\noops\n")
@@ -89,6 +97,12 @@ class TestBandCommand:
 
     def test_theory_mode_degenerate_exit_3(self, data_file):
         assert run_cli("band", "--input", data_file, "--mode", "theory") == 3
+
+    def test_three_points_exit_2(self, tmp_path, capsys):
+        data = tmp_path / "three.txt"
+        data.write_text("0.1\n0.4\n0.6\n")
+        assert run_cli("band", "--input", str(data)) == 2
+        assert capsys.readouterr().err == "band: need at least 4 observations, got 3\n"
 
     def test_missing_input_exit_2(self):
         assert run_cli("band") == 2
@@ -215,12 +229,27 @@ class TestConfigAndEnv:
         assert rc == 0
         assert "seed=5" in (tmp_path / "gum.csv.meta").read_text()
 
-    def test_stdout_mode(self, data_file, capsys):
-        rc = run_cli("band", "--input", data_file)
-        assert rc == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("k,t_lo")
-        assert "alpha=" in captured.err  # metadata goes to stderr
+    def test_stdout_mode(self, data_file, tmp_path):
+        # a child process, so that the bytes are those of the real stdout
+        out = tmp_path / "band.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(locband.__file__).resolve().parent.parent)}
+        done = subprocess.run([sys.executable, "-m", "locband.cli", "band", "--input", data_file],
+                              env=env, capture_output=True, check=True)
+        assert run_cli("band", "--input", data_file, "--out", str(out)) == 0
+        assert done.stdout.startswith(b"k,t_lo")
+        assert done.stdout == out.read_bytes()
+        # metadata goes to stderr, after the plan's warnings
+        assert done.stderr.endswith((tmp_path / "band.csv.meta").read_bytes())
+        assert b"band: warning: " in done.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "coverage", "--n", "4096", "--mode", "theory"),
+    ("curves", "--n", "4096", "--mode", "theory"),
+])
+def test_degenerate_plan_exit_3(argv, capsys):
+    assert run_cli(*argv) == 3
+    assert capsys.readouterr().err.startswith(f"{argv[0]}: degenerate theory-mode plan: ")
 
 
 def test_cli_import_leaves_scipy_out():

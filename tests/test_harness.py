@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from locband import harness as H
 from locband.calibration import PlanParams, derive_plan, normalizers
+from locband.cli import main
 from locband.densities import make_peak_triangular, make_uniform
 from locband.errors import InvalidConfigurationError
 from locband.kernels import Kernel
@@ -40,10 +41,11 @@ class TestReports:
         rep = H.run_coverage(peak, plan_1k, rect, alpha=0.2, reps=4, seed=5)
         assert rep.summary["coverage"] == sum(r["covered"] for r in rep.records) / 4
 
-    def test_write_csv_and_meta(self, tmp_path, rect, plan_1k):
-        rep = H.run_coverage(make_peak_triangular(), plan_1k, rect, alpha=0.2, reps=2, seed=1)
+    def test_write_csv_and_meta(self, tmp_path):
         out = tmp_path / "cov.csv"
-        rep.write(str(out))
+        rc = main(["simulate", "coverage", "--density", "peak", "--n", "2048", "--alpha", "0.2",
+                   "--reps", "2", "--seed", "1", "--out", str(out)])
+        assert rc == 0
         assert out.exists() and (tmp_path / "cov.csv.meta").exists()
         header = out.read_text().splitlines()[0]
         assert header.split(",")[0] == "rep"

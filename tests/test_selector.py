@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locband import selector
 from locband.calibration import PlanParams, derive_plan, optimal_bandwidth
 from locband.densities import (
     local_exponent_oracle,
@@ -14,8 +15,9 @@ from locband.densities import (
     sample,
 )
 from locband.errors import OffMeshError
-from locband.estimator import KdeTable, build_kde_table, split_sample
+from locband.estimator import KdeTable, ball_offset, build_kde_table, split_sample
 from locband.selector import (
+    _ball_maxima,
     _sliding_max,
     pair_ratio,
     select_at,
@@ -226,14 +228,40 @@ class TestSlidingMax:
     def test_matches_brute_force(self, x, data):
         # values from a small set, mostly zeros, so ties and long zero runs recur
         w = data.draw(st.integers(1, len(x)), label="w")
-        got = _sliding_max(np.array(x), w)
+        arr = np.array(x)
+        got = _sliding_max(arr, w)
         assert got.tolist() == [max(x[i:i + w]) for i in range(len(x) - w + 1)]
+        assert arr.tolist() == x  # the input is left unchanged
 
     def test_edge_windows(self):
         x = np.array([0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         assert _sliding_max(x, 1).tolist() == x.tolist()
         assert _sliding_max(x, x.size).tolist() == [3.0]
         assert _sliding_max(x, 3).tolist() == [3.0, 3.0, 0.0, 0.0, 1.0]
+
+    def test_ball_maxima_keep_running_max(self, peak_table, plan_module, monkeypatch):
+        # each window handed to the sliding maximum is a view of the running
+        # maximum that the next exponents fold into
+        _, table = peak_table
+        windows = []
+
+        def recording(x, w):
+            windows.append((x, x.copy()))
+            return _sliding_max(x, w)
+
+        monkeypatch.setattr(selector, "_sliding_max", recording)
+        k_hi = plan_module.mesh_count
+        for j, _ in _ball_maxima(table, plan_module, 0, k_hi):
+            window, before = windows[-1]
+            assert np.array_equal(window, before)
+            a = ball_offset(plan_module, j)
+            ratios = [
+                pair_ratio(table, plan_module, m, mp)[-a - table.idx_lo:k_hi + a + 1 - table.idx_lo]
+                for mp in range(j + 3, plan_module.j_max + 1)
+                for m in range(mp + 1, plan_module.j_max + 1)
+            ]
+            assert np.array_equal(before, np.maximum.reduce(ratios))
+        assert len(windows) == plan_module.j_max - 3 - plan_module.j_min
 
 
 class TestTheoreticalWindow:
