@@ -33,15 +33,12 @@ class ConfidenceBand:
     j_hat_left: np.ndarray
     j_hat_right: np.ndarray
 
-    def cell_of(self, t: float) -> int:
-        lo, hi = 0.0, 1.0
-        if not (lo <= t <= hi):
-            raise OutOfDomainError(f"point {t!r} outside [0,1]")
-        k = int(math.floor(t / self.plan.delta_n)) + 1
-        return min(k, self.plan.mesh_count)
 
-    def width(self, t: float) -> float:
-        return 2.0 * float(self.halfwidths[self.cell_of(t) - 1])
+def cell_of(plan: CalibrationPlan, t: float) -> int:
+    """The cell k that holds t: right-open cells, the last closed at 1."""
+    if not (0.0 <= t <= 1.0):
+        raise OutOfDomainError(f"point {t!r} outside [0,1]")
+    return min(int(math.floor(t / plan.delta_n)) + 1, plan.mesh_count)
 
 
 def cell_edges(plan: CalibrationPlan) -> np.ndarray:
@@ -57,18 +54,17 @@ def _centers_for(split: SplitSample, plan: CalibrationPlan, kernel: Kernel, h_lo
 def build_band(
     split: SplitSample,
     profile: BandwidthProfile,
-    plan: CalibrationPlan,
     kernel: Kernel,
     alpha: float,
 ) -> ConfidenceBand:
-    """Assemble the band: centers from the first half at bandwidths selected
-    on the second half, half-widths from the calibrated quantile."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha!r}")
-    if profile.split_token != split.token or profile.half_id != 2:
+    """Assemble the band on the profile's plan: centers from the first half
+    at bandwidths selected on the second half, half-widths from the
+    calibrated quantile."""
+    if profile.split_token != split.token:
         raise CrossSampleContaminationError(
             "bandwidth profile must be selected on the second half of this split"
         )
+    plan = profile.plan
     q_n = band_halfwidth_quantile(plan, alpha)
     centers = _centers_for(split, plan, kernel, profile.h_loc)
     halfwidths = q_n / np.sqrt(plan.n_tilde * profile.h_loc)
@@ -92,8 +88,6 @@ def reference_global_band(
 ) -> ConfidenceBand:
     """Non-adaptive baseline: the worst-case bandwidth h_{beta_*} 2^-u_n in
     every cell, same centers and quantile construction."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha!r}")
     h_ref = optimal_bandwidth(plan, plan.beta_star_low) * 2.0 ** -plan.u_n
     h_loc = np.full(plan.mesh_count, h_ref)
     q_n = band_halfwidth_quantile(plan, alpha)
@@ -109,15 +103,6 @@ def reference_global_band(
         j_hat_left=j_ref,
         j_hat_right=j_ref,
     )
-
-
-def band_at(band: ConfidenceBand, t: float) -> tuple[float, float]:
-    """(lower, upper) of the cell containing t; right-open cells, the last
-    cell closed at 1."""
-    k = band.cell_of(t)
-    c = float(band.centers[k - 1])
-    hw = float(band.halfwidths[k - 1])
-    return c - hw, c + hw
 
 
 def covers_truth(band: ConfidenceBand, truth: tuple[np.ndarray, np.ndarray]) -> bool:

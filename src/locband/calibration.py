@@ -35,9 +35,7 @@ class PlanParams:
     n: int
     epsilon: float = 0.25
     beta_star_low: float = 0.95
-    beta_star_high: Optional[int] = None  # filled from the kernel order
     L_star: float = 1.0
-    M: float = 1.0 / 12.0
     c1: float = 3.0
     kappa1: Optional[float] = None  # practical default max(1/(2 beta_*), 1/2)
     kappa2: float = 1.0
@@ -64,9 +62,8 @@ class CalibrationPlan:
     n: int
     epsilon: float
     beta_star_low: float
-    beta_star_high: int
+    beta_star_high: int  # the kernel's order + 1
     L_star: float
-    M: float
     c1: float
     kappa1: float
     kappa2: float
@@ -118,15 +115,14 @@ def normalizers(delta_n: float, tv: float) -> tuple[float, float]:
 
 
 def theory_constraint_violations(params: PlanParams) -> list[str]:
-    """The three constant constraints the asymptotics require."""
+    """The three constant constraints the asymptotics require; kappa1 must be set."""
     out = []
     c1_floor = 2.0 / (params.beta_star_low * math.log(2.0))
     if not params.c1 > c1_floor:
         out.append(f"c1={params.c1:g} must exceed 2/(beta_* log 2)={c1_floor:g}")
-    kappa1 = params.kappa1 if params.kappa1 is not None else max(1.0 / (2.0 * params.beta_star_low), 0.5)
     k1_floor = 1.0 / (2.0 * params.beta_star_low)
-    if kappa1 < k1_floor:
-        out.append(f"kappa1={kappa1:g} must be >= 1/(2 beta_*)={k1_floor:g}")
+    if params.kappa1 < k1_floor:
+        out.append(f"kappa1={params.kappa1:g} must be >= 1/(2 beta_*)={k1_floor:g}")
     k2_floor = params.c1 * math.log(2.0) + 4.0
     if not params.kappa2 > k2_floor:
         out.append(f"kappa2={params.kappa2:g} must exceed c1 log2 + 4={k2_floor:g}")
@@ -135,13 +131,6 @@ def theory_constraint_violations(params: PlanParams) -> list[str]:
 
 def derive_plan(params: PlanParams, kernel) -> CalibrationPlan:
     """Evaluate every derived quantity by direct formula in double precision."""
-    beta_star_high = params.beta_star_high
-    if beta_star_high is None:
-        beta_star_high = kernel.order + 1
-    elif beta_star_high != kernel.order + 1:
-        raise InvalidConstantsError(
-            f"beta_star_high={beta_star_high} inconsistent with kernel order+1={kernel.order + 1}"
-        )
     kappa1 = params.kappa1 if params.kappa1 is not None else max(1.0 / (2.0 * params.beta_star_low), 0.5)
 
     plan_warnings: list[str] = []
@@ -178,9 +167,8 @@ def derive_plan(params: PlanParams, kernel) -> CalibrationPlan:
         n=params.n,
         epsilon=params.epsilon,
         beta_star_low=params.beta_star_low,
-        beta_star_high=beta_star_high,
+        beta_star_high=kernel.order + 1,
         L_star=params.L_star,
-        M=params.M,
         c1=params.c1,
         kappa1=kappa1,
         kappa2=params.kappa2,
@@ -212,7 +200,10 @@ def optimal_bandwidth(plan: CalibrationPlan, beta: float) -> float:
 
 
 def band_halfwidth_quantile(plan: CalibrationPlan, alpha: float) -> float:
-    """q_n(alpha) = sqrt(L*) q_{1-alpha/2} / a_n + b_n."""
+    """q_n(alpha) = sqrt(L*) q_{1-alpha/2} / a_n + b_n; the one place alpha
+    enters the band, so the one place it is checked."""
+    if not (0.0 < alpha < 1.0):
+        raise InvalidProbabilityError(f"alpha must lie in (0,1), got {alpha!r}")
     q = gumbel_quantile(1.0 - alpha / 2.0)
     return math.sqrt(plan.L_star) * q / plan.a_n + plan.b_n
 
@@ -222,11 +213,11 @@ def band_halfwidth_quantile(plan: CalibrationPlan, alpha: float) -> float:
 # ---------------------------------------------------------------------------
 
 _PARAM_FIELDS = (
-    "n", "epsilon", "beta_star_low", "beta_star_high", "L_star", "M",
-    "c1", "kappa1", "kappa2", "c2", "mode",
+    "n", "epsilon", "beta_star_low", "L_star", "c1", "kappa1", "kappa2", "c2", "mode",
 )
 _DERIVED_FIELDS = (
-    "n_tilde", "j_min", "j_max", "delta_n", "mesh_count", "u_n", "m_n", "a_n", "b_n", "c3",
+    "beta_star_high", "n_tilde", "j_min", "j_max", "delta_n", "mesh_count",
+    "u_n", "m_n", "a_n", "b_n", "c3",
 )
 
 
@@ -257,9 +248,7 @@ def plan_from_text(text: str, kernel) -> CalibrationPlan:
         n=int(kv["n"]),
         epsilon=float(kv.get("epsilon", 0.25)),
         beta_star_low=float(kv.get("beta_star_low", 0.95)),
-        beta_star_high=int(kv["beta_star_high"]) if "beta_star_high" in kv else None,
         L_star=float(kv.get("L_star", 1.0)),
-        M=float(kv.get("M", 1.0 / 12.0)),
         c1=float(kv.get("c1", 3.0)),
         kappa1=float(kv["kappa1"]) if "kappa1" in kv else None,
         kappa2=float(kv.get("kappa2", 1.0)),
@@ -267,7 +256,7 @@ def plan_from_text(text: str, kernel) -> CalibrationPlan:
         mode=kv.get("mode", "practical"),
     )
     plan = derive_plan(params, kernel)
-    for name in ("n_tilde", "j_min", "j_max", "mesh_count"):
+    for name in ("beta_star_high", "n_tilde", "j_min", "j_max", "mesh_count"):
         if name in kv and int(kv[name]) != getattr(plan, name):
             raise ValueError(
                 f"stored {name}={kv[name]} disagrees with re-derived {getattr(plan, name)}"

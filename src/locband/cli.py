@@ -20,7 +20,7 @@ from . import harness
 from .band import build_band, reference_global_band, write_band_csv
 from .calibration import DEFAULT_C2, CalibrationPlan, PlanParams, derive_plan
 from .csvtext import CSV_CHUNK, write_csv
-from .errors import EmptyBandwidthGridError, InvalidConstantsError, LocbandError
+from .errors import EmptyBandwidthGridError, InvalidConfigurationError, InvalidConstantsError, LocbandError
 from .estimator import parse_data_file, split_sample
 from .kernels import make_rectangular
 from .selector import fit_profile
@@ -77,14 +77,9 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _plan_from_cfg(cfg: dict, kernel):
-    params = PlanParams(n=cfg["n"], L_star=cfg["lstar"], c2=cfg["c2"], mode=cfg["mode"])
-    return derive_plan(params, kernel)
-
-
-# The settings each command, or each simulate kind, reads; its .meta sidecar
+# The settings each command, or each simulate kind, reads.  Its .meta sidecar
 # records only these, so that the sidecar depends on neither the output path
-# nor unused defaults.
+# nor unused defaults, and a density is resolved only where it is read.
 _META_KEYS = {
     "band": ("alpha", "c2", "lstar", "mode", "n"),
     "verify": ("suite",),
@@ -95,6 +90,19 @@ _META_KEYS = {
     "gumbel": ("n", "reps", "seed"),
 }
 _SIMULATE_KINDS = ("coverage", "adaptivity", "window", "gumbel")
+
+
+def _density_and_plan(cfg: dict, key: str, kernel) -> tuple[zoo.AnalyticDensity | None, CalibrationPlan]:
+    """The zoo density, if the command or simulate kind `key` reads one, and
+    the plan derived from cfg."""
+    density = None
+    if "density" in _META_KEYS[key]:
+        try:
+            density = zoo.density_from_name(cfg["density"])
+        except KeyError as exc:
+            raise InvalidConfigurationError(exc.args[0]) from exc
+    params = PlanParams(n=cfg["n"], L_star=cfg["lstar"], c2=cfg["c2"], mode=cfg["mode"])
+    return density, derive_plan(params, kernel)
 
 
 def _cfg_meta(cfg: dict, key: str) -> str:
@@ -133,9 +141,9 @@ def cmd_band(args: argparse.Namespace, kernel=None) -> int:
     cfg["n"] = int(data.size)
     split = split_sample(data)  # InsufficientDataError below 4 points: exit 2
     del data  # the fit reads only the sorted halves
-    plan = _plan_from_cfg(cfg, kernel)
+    _, plan = _density_and_plan(cfg, "band", kernel)
     _warn("band", plan)
-    band = build_band(split, fit_profile(split, plan, kernel), plan, kernel, cfg["alpha"])
+    band = build_band(split, fit_profile(split, plan, kernel), kernel, cfg["alpha"])
     _emit(lambda fh: write_band_csv(band, fh), _cfg_meta(cfg, "band"), cfg["out"])
     return 0
 
@@ -147,16 +155,13 @@ def cmd_simulate(args: argparse.Namespace, kernel=None) -> int:
     if kind not in _SIMULATE_KINDS:
         print(f"simulate: unknown kind {kind!r} ({'|'.join(_SIMULATE_KINDS)})", file=sys.stderr)
         return 2
+    if cfg["reps"] < 1:
+        raise InvalidConfigurationError(f"reps must be >= 1, got {cfg['reps']!r}")
     if kind == "gumbel":
         # the comparison process needs only the cell count and the kernel
         report = harness.run_gumbel_calibration(kernel, m=cfg["n"], reps=cfg["reps"], seed=cfg["seed"])
     else:
-        try:
-            density = zoo.density_from_name(cfg["density"])
-        except KeyError as exc:
-            print(f"simulate: {exc.args[0]}", file=sys.stderr)
-            return 2
-        plan = _plan_from_cfg(cfg, kernel)
+        density, plan = _density_and_plan(cfg, kind, kernel)
         if kind == "coverage":
             report = harness.run_coverage(density, plan, kernel, cfg["alpha"], cfg["reps"], cfg["seed"])
         elif kind == "window":
@@ -192,15 +197,10 @@ def cmd_verify(args: argparse.Namespace, kernel=None) -> int:
 def cmd_curves(args: argparse.Namespace, kernel=None) -> int:
     kernel = kernel or make_rectangular()
     cfg = _resolve(args)
-    try:
-        density = zoo.density_from_name(cfg["density"])
-    except KeyError as exc:
-        print(f"curves: {exc.args[0]}", file=sys.stderr)
-        return 2
-    plan = _plan_from_cfg(cfg, kernel)
+    density, plan = _density_and_plan(cfg, "curves", kernel)
     _warn("curves", plan)
     split = split_sample(zoo.sample(density, plan.n, cfg["seed"]))
-    local = build_band(split, fit_profile(split, plan, kernel), plan, kernel, cfg["alpha"])
+    local = build_band(split, fit_profile(split, plan, kernel), kernel, cfg["alpha"])
     ref = reference_global_band(split, plan, kernel, cfg["alpha"])
     d = plan.delta_n
     truth = density.pdf(np.arange(1, plan.mesh_count + 1) * d)
@@ -280,10 +280,7 @@ def main(argv=None) -> int:
         # derive_plan is the only source of these, in band, simulate and curves
         print(f"{args.command}: degenerate theory-mode plan: {exc}", file=sys.stderr)
         return 3
-    except LocbandError as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (LocbandError, OSError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -238,9 +238,6 @@ class AnalyticDensity:
     def mass_between(self, a, b) -> np.ndarray | float:
         return self.mass_below(b) - self.mass_below(a)
 
-    def total_mass(self) -> float:
-        return float(self._cum_mass[-1])
-
     # -- per-cell extrema ---------------------------------------------------
 
     def cells_extrema(self, edges: np.ndarray, scan: int = 2048) -> tuple[np.ndarray, np.ndarray]:

@@ -37,11 +37,6 @@ class SplitSample:
     n_tilde: int
     token: int
 
-    def half(self, half_id: int) -> np.ndarray:
-        if half_id not in (1, 2):
-            raise ValueError(f"half_id must be 1 or 2, got {half_id!r}")
-        return self.chi1 if half_id == 1 else self.chi2
-
 
 def split_sample(data) -> SplitSample:
     """First n~ points to half 1, next n~ to half 2, odd point dropped."""
@@ -87,7 +82,6 @@ class KdeTable:
     j = j_min + 3..j_max, the only rows the selector's pairs m > m' >= j + 3 read."""
 
     plan: CalibrationPlan
-    half_id: int
     split_token: int
     idx_lo: int
     idx_hi: int
@@ -135,14 +129,14 @@ def build_kde_table(
     split: SplitSample,
     plan: CalibrationPlan,
     kernel: Kernel,
-    half_id: int,
     idx_lo: Optional[int] = None,
     idx_hi: Optional[int] = None,
 ) -> KdeTable:
-    """Precompute the rows j_min + 3..j_max the selector reads, over the mesh
-    of [0,1] plus the selector margin by default.  A row over N indices costs
-    O(n~ + N) per kernel piece and equals rank_query_kde's bit for bit: it
-    counts against the same float edges."""
+    """Precompute the rows j_min + 3..j_max the selector reads, from the
+    second half of the split (the first is left for the band centers), over
+    the mesh of [0,1] plus the selector margin by default.  A row over N
+    indices costs O(n~ + N) per kernel piece and equals rank_query_kde's bit
+    for bit: it counts against the same float edges."""
     if plan.j_max < plan.j_min:
         raise InvalidBandwidthError("empty bandwidth grid")
     margin = ball_offset(plan, plan.j_min)
@@ -150,7 +144,7 @@ def build_kde_table(
         idx_lo = -margin
     if idx_hi is None:
         idx_hi = plan.mesh_count + margin
-    half = split.half(half_id)
+    half = split.chi2
     points = np.arange(idx_lo, idx_hi + 1, dtype=float) * plan.delta_n
     bandwidths = [2.0 ** -j for j in range(plan.j_min + 3, plan.j_max + 1)]
     values = np.zeros((len(bandwidths), points.size))
@@ -163,7 +157,6 @@ def build_kde_table(
         row /= half.size * h
     return KdeTable(
         plan=plan,
-        half_id=half_id,
         split_token=split.token,
         idx_lo=idx_lo,
         idx_hi=idx_hi,

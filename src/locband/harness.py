@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import densities as zoo
-from .band import build_band, cell_edges, covers_truth
+from .band import build_band, cell_edges, cell_of, covers_truth
 from .calibration import (
     CalibrationPlan,
     PlanParams,
@@ -114,8 +114,6 @@ def run_coverage(
     seed: int,
 ) -> ExperimentReport:
     """Simultaneous-coverage experiment: sample, split, select, band, check."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps!r}")
     report = ExperimentReport(
         name="coverage",
         params={"density": density.name, "alpha": alpha, "reps": reps, "seed": seed, **plan_meta(plan)},
@@ -127,7 +125,7 @@ def run_coverage(
         rseed = replication_seed(seed, r)
         split = split_sample(sample(density, plan.n, rseed))
         profile = fit_profile(split, plan, kernel)
-        band = build_band(split, profile, plan, kernel, alpha)
+        band = build_band(split, profile, kernel, alpha)
         covered = covers_truth(band, truth)
         widths = 2.0 * band.halfwidths
         report.records.append({
@@ -161,13 +159,9 @@ def _probe_cell_exponents(density, plan, kernel, rng, probes):
     margin = ball_offset(plan, plan.j_min)
     out = []
     for t in probes:
-        k = min(int(math.floor(t / plan.delta_n)) + 1, plan.mesh_count)
-        table = build_kde_table(
-            split, plan, kernel, half_id=2,
-            idx_lo=k - 1 - margin, idx_hi=k + margin,
-        )
-        flanks = np.array([k - 1, k]) * plan.delta_n
-        out.append(int(select_at(flanks, table, plan).max()))
+        k = cell_of(plan, t)
+        table = build_kde_table(split, plan, kernel, idx_lo=k - 1 - margin, idx_hi=k + margin)
+        out.append(int(select_at(table, plan, k - 1, k).max()))
     return out
 
 
@@ -618,7 +612,7 @@ def calibrate_c2(
         rseed = replication_seed(seed, r)
         data = sample(uniform, n, rseed)
         split = split_sample(data)
-        table = build_kde_table(split, plan, kernel, half_id=2)
+        table = build_kde_table(split, plan, kernel)
         # j_hat <= j_min + 2 iff j_min + 2 is admissible (admissible sets are
         # upward closed), i.e. iff its ball maximum is at most c2; exponents
         # with no pairs, which are never yielded, are admissible at any c2

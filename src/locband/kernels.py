@@ -82,13 +82,6 @@ def make_rectangular() -> Kernel:
     return Kernel("rectangular", ((-1.0, 1.0, 0.5),))
 
 
-def kernel_moment(kernel: Kernel, j: int) -> float:
-    """j-th moment of the kernel, for 0 <= j <= MAX_MOMENT."""
-    if j < 0 or j > MAX_MOMENT:
-        raise UnsupportedMomentError(f"moment order {j} outside supported range 0..{MAX_MOMENT}")
-    return kernel.moment(j)
-
-
 def convolve_at(kernel: Kernel, density, h: float, s: float) -> float:
     """Value of (K_h * p)(s) = int K(x) p(s + h x) dx.
 

@@ -39,7 +39,6 @@ class BandwidthProfile:
     plan: CalibrationPlan
     j_hat: np.ndarray
     h_loc: np.ndarray
-    half_id: int
     split_token: int
 
 
@@ -50,14 +49,6 @@ def pair_ratio(table: KdeTable, plan: CalibrationPlan, m: int, mp: int) -> np.nd
     np.abs(d, out=d)
     d /= math.sqrt(plan.log_n_tilde / (plan.n_tilde * 2.0 ** -m))
     return d
-
-
-def _mesh_index(t, plan: CalibrationPlan) -> np.ndarray:
-    k = np.asarray(t, dtype=float) / plan.delta_n
-    nearest = np.round(k)
-    if np.any(np.abs(k - nearest) > 1e-8 * max(1.0, plan.mesh_count)):
-        raise OffMeshError(f"point {t!r} is not on the mesh of width {plan.delta_n!r}")
-    return nearest.astype(np.int64)
 
 
 def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
@@ -99,8 +90,9 @@ def _ball_maxima(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int):
         yield j, _sliding_max(window, 2 * a + 1)
 
 
-def _select_run(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) -> np.ndarray:
-    """Smallest admissible exponent at each mesh index k_lo..k_hi."""
+def select_at(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) -> np.ndarray:
+    """Smallest admissible exponent at each mesh index k_lo..k_hi; the table
+    must cover them plus the selector margin."""
     j_hat = np.full(k_hi - k_lo + 1, max(plan.j_min, plan.j_max - 3), dtype=np.int64)
     for j, ball_max in _ball_maxima(table, plan, k_lo, k_hi):
         ok = ball_max <= plan.c2
@@ -110,33 +102,16 @@ def _select_run(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) ->
     return j_hat
 
 
-def select_at(t, table: KdeTable, plan: CalibrationPlan):
-    """Selected exponent at mesh point t (an int), or at each mesh point of
-    the array t (an array); the table must cover the points plus the
-    selector margin."""
-    k = _mesh_index(t, plan)
-    k_lo = int(k.min())
-    j_hat = _select_run(table, plan, k_lo, int(k.max()))[k - k_lo]
-    return int(j_hat) if j_hat.ndim == 0 else j_hat
-
-
 def select_profile(table: KdeTable, plan: CalibrationPlan) -> BandwidthProfile:
     """Selected exponent at every mesh point of [0,1] plus the cell widths."""
-    j_hat = _select_run(table, plan, 0, plan.mesh_count)
+    j_hat = select_at(table, plan, 0, plan.mesh_count)
     h_loc = 2.0 ** -plan.u_n * np.exp2(-np.maximum(j_hat[:-1], j_hat[1:]).astype(float))
-    return BandwidthProfile(
-        plan=plan,
-        j_hat=j_hat,
-        h_loc=h_loc,
-        half_id=table.half_id,
-        split_token=table.split_token,
-    )
+    return BandwidthProfile(plan=plan, j_hat=j_hat, h_loc=h_loc, split_token=table.split_token)
 
 
 def fit_profile(split: SplitSample, plan: CalibrationPlan, kernel: Kernel) -> BandwidthProfile:
-    """Select the bandwidth profile on the second half of the split; the
-    first half is left for the band centers."""
-    return select_profile(build_kde_table(split, plan, kernel, half_id=2), plan)
+    """Select the bandwidth profile on the second half of the split."""
+    return select_profile(build_kde_table(split, plan, kernel), plan)
 
 
 def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float) -> tuple[float, int]:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from locband.band import (
-    band_at,
     build_band,
     cell_edges,
+    cell_of,
     covers_truth,
     reference_global_band,
     write_band_csv,
@@ -16,7 +16,7 @@ from locband.csvtext import CSV_CHUNK
 from locband.densities import make_peak_triangular, make_uniform, sample
 from locband.errors import CrossSampleContaminationError, OutOfDomainError
 from locband.estimator import build_kde_table, split_sample
-from locband.selector import select_profile
+from locband.selector import fit_profile, select_profile
 
 
 def band_to_csv_oracle(band) -> str:
@@ -61,9 +61,9 @@ def fitted(plan_mod, rect_mod):
     density = make_peak_triangular()
     data = sample(density, plan_mod.n, seed=99)
     split = split_sample(data)
-    table = build_kde_table(split, plan_mod, rect_mod, half_id=2)
+    table = build_kde_table(split, plan_mod, rect_mod)
     profile = select_profile(table, plan_mod)
-    band = build_band(split, profile, plan_mod, rect_mod, alpha=0.1)
+    band = build_band(split, profile, rect_mod, alpha=0.1)
     return density, split, profile, band
 
 
@@ -107,19 +107,27 @@ class TestBuildBand:
         density, split, profile, band = fitted
         other = split_sample(sample(density, plan_mod.n, seed=100))
         with pytest.raises(CrossSampleContaminationError):
-            build_band(other, profile, plan_mod, rect_mod, alpha=0.1)
+            build_band(other, profile, rect_mod, alpha=0.1)
 
-    def test_wrong_half_guard(self, fitted, plan_mod, rect_mod):
-        density, split, _, _ = fitted
-        table1 = build_kde_table(split, plan_mod, rect_mod, half_id=1)
-        profile1 = select_profile(table1, plan_mod)
-        with pytest.raises(CrossSampleContaminationError):
-            build_band(split, profile1, plan_mod, rect_mod, alpha=0.1)
+    def test_profile_reads_only_second_half(self, fitted, plan_mod, rect_mod):
+        # the mirror of test_split_discipline: the profile depends only on
+        # the second half, so replacing the first changes nothing and
+        # replacing the second changes the selection
+        from dataclasses import replace
+
+        density, split, profile, _ = fitted
+        other = split_sample(sample(density, plan_mod.n, seed=101))
+        same = fit_profile(replace(split, chi1=other.chi1), plan_mod, rect_mod)
+        assert np.array_equal(same.j_hat, profile.j_hat)
+        assert np.array_equal(same.h_loc, profile.h_loc)
+        moved = fit_profile(replace(split, chi2=other.chi2), plan_mod, rect_mod)
+        assert not np.array_equal(moved.j_hat, profile.j_hat)
+        assert not np.array_equal(moved.h_loc, profile.h_loc)
 
     def test_alpha_monotonicity(self, fitted, plan_mod, rect_mod):
         _, split, profile, _ = fitted
-        hw1 = build_band(split, profile, plan_mod, rect_mod, alpha=0.01).halfwidths
-        hw2 = build_band(split, profile, plan_mod, rect_mod, alpha=0.10).halfwidths
+        hw1 = build_band(split, profile, rect_mod, alpha=0.01).halfwidths
+        hw2 = build_band(split, profile, rect_mod, alpha=0.10).halfwidths
         assert np.all(hw1 >= hw2)
 
     def test_split_discipline(self, fitted, plan_mod, rect_mod):
@@ -129,7 +137,7 @@ class TestBuildBand:
         from dataclasses import replace
 
         scrambled = replace(split, chi2=np.sort(np.random.default_rng(0).permutation(split.chi2) + 0.0))
-        band2 = build_band(scrambled, replace(profile, split_token=scrambled.token), plan_mod, rect_mod, alpha=0.1)
+        band2 = build_band(scrambled, replace(profile, split_token=scrambled.token), rect_mod, alpha=0.1)
         assert np.array_equal(band.centers, band2.centers)
 
 
@@ -148,37 +156,27 @@ class TestOneCellPlan:
             plan=tiny,
             j_hat=np.array([tiny.j_min, tiny.j_min]),
             h_loc=np.array([h]),
-            half_id=2,
             split_token=split.token,
         )
-        band = build_band(split, profile, tiny, rect_mod, alpha=0.1)
+        band = build_band(split, profile, rect_mod, alpha=0.1)
         assert band.centers.shape == (1,)
         assert band.centers[0] == pytest.approx(kde_at(split.chi1, 1.0, h, rect_mod), abs=1e-14)
-        assert band.cell_of(0.0) == band.cell_of(1.0) == 1
+        assert cell_of(tiny, 0.0) == cell_of(tiny, 1.0) == 1
 
 
 class TestBandAt:
-    def test_tiling(self, fitted, plan_mod):
-        _, _, _, band = fitted
+    def test_tiling(self, plan_mod):
         d = plan_mod.delta_n
-        assert band.cell_of(0.0) == 1
-        assert band.cell_of(1.0) == plan_mod.mesh_count
+        assert cell_of(plan_mod, 0.0) == 1
+        assert cell_of(plan_mod, 1.0) == plan_mod.mesh_count
         # interior mesh point belongs to the right-open next cell
-        assert band.cell_of(5 * d) == 6
-        assert band.cell_of(5 * d - 1e-12) == 5
+        assert cell_of(plan_mod, 5 * d) == 6
+        assert cell_of(plan_mod, 5 * d - 1e-12) == 5
 
-    def test_values_match_cells(self, fitted):
-        _, _, _, band = fitted
-        lo, hi = band_at(band, 0.37)
-        k = band.cell_of(0.37)
-        assert lo == band.centers[k - 1] - band.halfwidths[k - 1]
-        assert hi == band.centers[k - 1] + band.halfwidths[k - 1]
-
-    def test_out_of_domain(self, fitted):
-        _, _, _, band = fitted
+    def test_out_of_domain(self, plan_mod):
         for t in (-0.01, 1.01):
             with pytest.raises(OutOfDomainError):
-                band_at(band, t)
+                cell_of(plan_mod, t)
 
 
 class TestCoversTruth:
@@ -217,8 +215,8 @@ class TestCoversTruth:
         density = make_uniform()
         data = sample(density, plan_mod.n, seed=5)
         split = split_sample(data)
-        profile = select_profile(build_kde_table(split, plan_mod, rect_mod, half_id=2), plan_mod)
-        band = build_band(split, profile, plan_mod, rect_mod, alpha=0.1)
+        profile = select_profile(build_kde_table(split, plan_mod, rect_mod), plan_mod)
+        band = build_band(split, profile, rect_mod, alpha=0.1)
         assert covers_truth(band, density.cells_extrema(cell_edges(plan_mod)))
 
 
@@ -244,10 +242,10 @@ class TestReferenceGlobalBand:
         for rep in range(10):
             data = sample(density, plan.n, seed=1000 + rep)
             split = split_sample(data)
-            profile = select_profile(build_kde_table(split, plan, rect_mod, half_id=2), plan)
-            band = build_band(split, profile, plan, rect_mod, alpha=0.1)
+            profile = select_profile(build_kde_table(split, plan, rect_mod), plan)
+            band = build_band(split, profile, rect_mod, alpha=0.1)
             ref = reference_global_band(split, plan, rect_mod, alpha=0.1)
-            k = band.cell_of(0.9)
+            k = cell_of(plan, 0.9)
             wins += band.halfwidths[k - 1] <= ref.halfwidths[k - 1]
         assert wins >= 9
 
@@ -268,8 +266,8 @@ class TestBandCsv:
     def test_matches_oracle_on_peak_64k(self, rect_mod):
         plan = derive_plan(PlanParams(n=2 ** 16), rect_mod)
         split = split_sample(sample(make_peak_triangular(), plan.n, seed=3))
-        profile = select_profile(build_kde_table(split, plan, rect_mod, half_id=2), plan)
-        band = build_band(split, profile, plan, rect_mod, alpha=0.1)
+        profile = select_profile(build_kde_table(split, plan, rect_mod), plan)
+        band = build_band(split, profile, rect_mod, alpha=0.1)
         assert plan.mesh_count % CSV_CHUNK != 0
         assert_streams_oracle(band)
 

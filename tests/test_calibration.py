@@ -190,3 +190,9 @@ class TestSerialization:
     def test_inconsistent_derived_rejected(self, rect):
         with pytest.raises(ValueError, match="disagrees"):
             plan_from_text("n=2048\nj_min=9\n", rect)
+
+    def test_beta_star_high_from_kernel_checked(self, rect):
+        # derived from the kernel's order, so a stored value is checked, not used
+        assert "beta_star_high=2\n" in plan_to_text(plan_from_text("n=2048\n", rect))
+        with pytest.raises(ValueError, match="stored beta_star_high=3 disagrees"):
+            plan_from_text("n=2048\nbeta_star_high=3\n", rect)

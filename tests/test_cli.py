@@ -243,6 +243,27 @@ class TestConfigAndEnv:
         assert b"band: warning: " in done.stderr
 
 
+@pytest.mark.parametrize("reps", ["0", "-3"])
+@pytest.mark.parametrize("kind", ["coverage", "window", "adaptivity", "gumbel"])
+def test_reps_below_one_exit_2(kind, reps, capsys):
+    assert run_cli("simulate", kind, "--n", "512", "--reps", reps) == 2
+    assert capsys.readouterr().err == f"simulate: reps must be >= 1, got {reps}\n"
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "1.5"])
+@pytest.mark.parametrize("argv", [
+    ("band", "--input", "{input}"),
+    ("simulate", "coverage", "--n", "512", "--reps", "1"),
+    ("simulate", "adaptivity", "--n", "512", "--reps", "1"),
+    ("curves", "--n", "512"),
+], ids=["band", "coverage", "adaptivity", "curves"])
+def test_alpha_outside_unit_interval_exit_2(argv, alpha, data_file, capsys):
+    argv = [a.format(input=data_file) for a in argv]
+    assert run_cli(*argv, "--alpha", alpha) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"{argv[0]}: alpha must lie in (0,1), got {float(alpha)!r}"
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "coverage", "--n", "4096", "--mode", "theory"),
     ("curves", "--n", "4096", "--mode", "theory"),

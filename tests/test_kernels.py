@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locband.densities import AnalyticDensity, Piece, make_peak_triangular, make_weierstrass_composite
-from locband.errors import InvalidIntervalError, UnsupportedMomentError
-from locband.kernels import Kernel, convolve_at, kernel_moment, make_rectangular, sup_abs_bias
+from locband.errors import InvalidIntervalError
+from locband.kernels import Kernel, convolve_at, make_rectangular, sup_abs_bias
 
 
 def affine_density(a=0.2, b=0.3, lo=-2.0, hi=2.0):
@@ -58,23 +58,19 @@ class TestRectangular:
 
 class TestMoments:
     def test_mass(self, rect):
-        assert kernel_moment(rect, 0) == pytest.approx(1.0, abs=1e-10)
+        assert rect.moment(0) == pytest.approx(1.0, abs=1e-10)
 
     def test_odd_vanish(self, rect):
-        assert kernel_moment(rect, 1) == pytest.approx(0.0, abs=1e-9)
-        assert kernel_moment(rect, 3) == pytest.approx(0.0, abs=1e-9)
+        assert rect.moment(1) == pytest.approx(0.0, abs=1e-9)
+        assert rect.moment(3) == pytest.approx(0.0, abs=1e-9)
 
     def test_second_moment(self, rect):
-        assert kernel_moment(rect, 2) == pytest.approx(1.0 / 3.0, abs=1e-10)
+        assert rect.moment(2) == pytest.approx(1.0 / 3.0, abs=1e-10)
 
     @pytest.mark.parametrize("j", [4, 6, 8, 10, 12])
     def test_even_moments_exact(self, rect, j):
         # int_{-1}^{1} x^j / 2 dx = 1/(j+1)
-        assert kernel_moment(rect, j) == pytest.approx(1.0 / (j + 1), abs=1e-10)
-
-    def test_moment_guard(self, rect):
-        with pytest.raises(UnsupportedMomentError):
-            kernel_moment(rect, 13)
+        assert rect.moment(j) == pytest.approx(1.0 / (j + 1), abs=1e-10)
 
 
 class TestClosedForms:

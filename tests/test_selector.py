@@ -49,7 +49,7 @@ def admissible_set(t: float, table: KdeTable, plan) -> set[int]:
 def peak_table(rect_module, plan_module):
     data = sample(make_peak_triangular(), plan_module.n, seed=17)
     split = split_sample(data)
-    return split, build_kde_table(split, plan_module, rect_module, half_id=2)
+    return split, build_kde_table(split, plan_module, rect_module)
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +81,8 @@ class TestAdmissibleSet:
         small_table = replace(table, plan=small, values=table.values[:0])
         s = admissible_set(0.5, small_table, small)
         assert s == set(range(small.j_min, small.j_max + 1))
-        assert select_at(0.5, small_table, small) == small.j_min
+        k = round(0.5 * small.mesh_count)
+        assert select_at(small_table, small, k, k).tolist() == [small.j_min]
 
     def test_huge_threshold_admits_everything(self, peak_table, plan_module):
         _, table = peak_table
@@ -90,9 +91,12 @@ class TestAdmissibleSet:
         assert s == set(range(loose.j_min, loose.j_max + 1))
 
     def test_off_mesh_rejected(self, peak_table, plan_module):
+        # runs whose selector balls reach past either end of the table
         _, table = peak_table
-        with pytest.raises(OffMeshError):
-            select_at(0.5 + 0.3 * plan_module.delta_n, table, plan_module)
+        N = plan_module.mesh_count
+        for k_lo, k_hi in ((-1, 0), (N, N + 1)):
+            with pytest.raises(OffMeshError):
+                select_at(table, plan_module, k_lo, k_hi)
 
     def test_clustered_data_excludes_coarse(self, rect_module):
         plan = derive_plan(PlanParams(n=2 ** 12, c2=0.05), rect_module)
@@ -104,17 +108,17 @@ class TestAdmissibleSet:
         rest = 10.0 + rng.random(n - n // 4)
         data = np.concatenate([half[: n // 2], cluster, rest])[: n // 2 * 2]
         split = split_sample(data)
-        table = build_kde_table(split, plan, rect_module, half_id=2)
+        table = build_kde_table(split, plan, rect_module)
         s = admissible_set(0.5, table, plan)
         assert plan.j_min not in s
-        assert select_at(0.5, table, plan) == min(s)
+        k = round(0.5 * plan.mesh_count)
+        assert select_at(table, plan, k, k).tolist() == [min(s)]
         # the unscaled comparison |p_m - p_m'| <= c2 sqrt(log n~ / (n~ 2^-m))
         # agrees away from float ties
         for j in range(plan.j_min, plan.j_max + 1):
             ok = True
             a = (7.0 / 8.0) * 2.0 ** -j * plan.mesh_count
             amax = max(0, math.ceil(a - 1e-9) - 1)
-            k = round(0.5 * plan.mesh_count)
             for mp in range(j + 3, plan.j_max + 1):
                 for m in range(mp + 1, plan.j_max + 1):
                     lo = k - amax - table.idx_lo
@@ -135,7 +139,7 @@ def _random_table(plan, seed, j_min, n_exp, mesh_count, tie):
     margin = max(0, math.ceil((7.0 / 8.0) * 2.0 ** -j_min * mesh_count - 1e-9) - 1)
     # draw rows j_min..j_max, then keep j_min + 3..j_max, the rows a table holds
     values = 0.1 * rng.integers(0, 5, size=(n_exp, mesh_count + 1 + 2 * margin))[3:]
-    table = KdeTable(plan=plan, half_id=2, split_token=0, idx_lo=-margin,
+    table = KdeTable(plan=plan, split_token=0, idx_lo=-margin,
                      idx_hi=mesh_count + margin, values=values)
     if tie and n_exp >= 5:
         mp = int(rng.integers(j_min + 3, plan.j_max))
@@ -175,12 +179,11 @@ class TestSelectionRoutine:
         hi = k_hi + margin + int(rng.integers(0, N - k_hi + 1))
         window = replace(table, idx_lo=lo, idx_hi=hi,
                          values=table.values[:, lo - table.idx_lo:hi - table.idx_lo + 1])
-        got = select_at(np.arange(k_lo, k_hi + 1) * plan.delta_n, window, plan)
-        assert got.tolist() == oracle[k_lo:k_hi + 1]
-        assert select_at(k_hi * plan.delta_n, window, plan) == oracle[k_hi]
+        assert select_at(window, plan, k_lo, k_hi).tolist() == oracle[k_lo:k_hi + 1]
+        assert select_at(window, plan, k_hi, k_hi).tolist() == [oracle[k_hi]]
         if lo == k_lo - margin:
             with pytest.raises(OffMeshError):
-                select_at((k_lo - 1) * plan.delta_n, window, plan)
+                select_at(window, plan, k_lo - 1, k_hi)
 
 
 class TestSelectProfile:
@@ -190,9 +193,8 @@ class TestSelectProfile:
         rng = np.random.default_rng(2)
         ks = rng.integers(0, plan_module.mesh_count + 1, size=50)
         for k in ks:
-            t = k * plan_module.delta_n
-            assert profile.j_hat[k] == select_at(t, table, plan_module)
-            assert profile.j_hat[k] == min(admissible_set(t, table, plan_module))
+            assert profile.j_hat[k] == select_at(table, plan_module, k, k)[0]
+            assert profile.j_hat[k] == min(admissible_set(k * plan_module.delta_n, table, plan_module))
 
     def test_bounds_and_h_loc(self, peak_table, plan_module):
         _, table = peak_table
