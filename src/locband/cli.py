@@ -18,7 +18,7 @@ import numpy as np
 from . import densities as zoo
 from . import harness
 from .band import build_band, reference_global_band, write_band_csv
-from .calibration import DEFAULT_C2, CalibrationPlan, PlanParams, derive_plan
+from .calibration import DEFAULT_C2, CalibrationPlan, PlanParams, band_halfwidth_quantile, derive_plan
 from .csvtext import CSV_CHUNK, write_csv
 from .errors import EmptyBandwidthGridError, InvalidConfigurationError, InvalidConstantsError, LocbandError
 from .estimator import parse_data_file, split_sample
@@ -143,6 +143,7 @@ def cmd_band(args: argparse.Namespace, kernel=None) -> int:
     del data  # the fit reads only the sorted halves
     _, plan = _density_and_plan(cfg, "band", kernel)
     _warn("band", plan)
+    band_halfwidth_quantile(plan, cfg["alpha"])  # refuse a bad alpha before the fit
     band = build_band(split, fit_profile(split, plan, kernel), kernel, cfg["alpha"])
     _emit(lambda fh: write_band_csv(band, fh), _cfg_meta(cfg, "band"), cfg["out"])
     return 0
@@ -199,6 +200,7 @@ def cmd_curves(args: argparse.Namespace, kernel=None) -> int:
     cfg = _resolve(args)
     density, plan = _density_and_plan(cfg, "curves", kernel)
     _warn("curves", plan)
+    band_halfwidth_quantile(plan, cfg["alpha"])  # refuse a bad alpha before the fit
     split = split_sample(zoo.sample(density, plan.n, cfg["seed"]))
     local = build_band(split, fit_profile(split, plan, kernel), kernel, cfg["alpha"])
     ref = reference_global_band(split, plan, kernel, cfg["alpha"])

@@ -29,6 +29,13 @@ from .errors import (
 )
 
 DEFAULT_SERIES_TOL = 1e-12
+# The rough-density extrema scan (AnalyticDensity.cells_extrema): points per
+# cell, the series tolerances of its coarse passes as multiples of w^beta
+# (the order of the density's range on a cell of width w), and points per
+# block.  Each coarse pass leaves a few percent of its points to the next.
+_SCAN_POINTS = 2048
+_COARSE_TOLS = (1.0 / 8.0, 1.0 / 64.0)
+_SCAN_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +247,39 @@ class AnalyticDensity:
 
     # -- per-cell extrema ---------------------------------------------------
 
-    def cells_extrema(self, edges: np.ndarray, scan: int = 2048) -> tuple[np.ndarray, np.ndarray]:
+    def cells_extrema(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(inf, sup) of the density over each cell [edges[k], edges[k+1]].
 
         Piecewise-polynomial members are handled in closed form (endpoint,
-        kink and stationary-point values); rough members fall back to a
-        dense per-cell scan of `scan` points.
+        kink and stationary-point values).  Rough members take the min and
+        max of the density at the _SCAN_POINTS points left + width * frac,
+        frac = linspace(0, 1, _SCAN_POINTS), of each cell: bit for bit what
+        evaluating every point with the full series gives, but with the
+        full series evaluated at a few points per cell only.
+
+        - Coarse passes evaluate the candidate points (at first, all of
+          them) with the series truncated at a larger tolerance tol, in
+          turn w^beta / 8 and w^beta / 64 for the widest cell width w.
+          The truncated sum's terms are a bitwise prefix of the full one
+          (same amplitudes, phases and order of additions) and the dropped
+          tail is at most tol, so every point's coarse value lies within
+          B = max over pieces of sum |scale| * tol * (1 + 1e-6) + 1e-12 of
+          its full value; the factor and the additive slack cover the
+          rounding of the remaining adds and of poly + scale * W.
+        - Each pass keeps only the candidates whose coarse value lies
+          within 2B of their cell's coarse min or max.  The point x* of the
+          full minimum has coarse(x*) <= full(x*) + B <= full(argmin
+          coarse) + B <= coarse min + 2B, so it stays (and likewise for the
+          maximum); each cell keeps its coarse argmin and argmax, so none
+          is left empty.
+        - The last pass evaluates the survivors with the full series.  The
+          min and max over a subset that holds the points of both are those
+          over all points, bit for bit, because a point's value does not
+          depend on which other points are evaluated with it.
         """
         edges = np.asarray(edges, dtype=float)
         if self.is_rough:
-            ncell = len(edges) - 1
-            lo = np.empty(ncell)
-            hi = np.empty(ncell)
-            frac = np.linspace(0.0, 1.0, scan)
-            block = max(1, (1 << 19) // scan)
-            for start in range(0, ncell, block):
-                stop = min(start + block, ncell)
-                left = edges[start:stop, None]
-                width = (edges[start + 1:stop + 1] - edges[start:stop])[:, None]
-                vals = self.pdf((left + width * frac[None, :]).ravel()).reshape(stop - start, scan)
-                lo[start:stop] = vals.min(axis=1)
-                hi[start:stop] = vals.max(axis=1)
-            return lo, hi
+            return self._rough_extrema(edges)
         vals = self.pdf(edges)
         lo = np.minimum(vals[:-1], vals[1:])
         hi = np.maximum(vals[:-1], vals[1:])
@@ -274,6 +292,38 @@ class AnalyticDensity:
             for c, val in zip(cell, v):
                 lo[c] = min(lo[c], val)
                 hi[c] = max(hi[c], val)
+        return lo, hi
+
+    def _rough_extrema(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        weight = max(sum(abs(s) for s, _ in p.wterms) for p in self.pieces)
+        scale = float(np.max(edges[1:] - edges[:-1], initial=0.0)) ** self.wspec.beta
+        # only a tolerance above the density's own truncates its series further
+        passes = [
+            (replace(self, wspec=replace(self.wspec, tol=tol)), weight * tol * (1.0 + 1e-6) + 1e-12)
+            for tol in (scale * r for r in _COARSE_TOLS) if tol > self.wspec.tol
+        ] + [(self, None)]
+        ncell = len(edges) - 1
+        lo = np.empty(ncell)
+        hi = np.empty(ncell)
+        frac = np.linspace(0.0, 1.0, _SCAN_POINTS)
+        rows = max(1, _SCAN_BLOCK // _SCAN_POINTS)
+        for start in range(0, ncell, rows):
+            stop = min(start + rows, ncell)
+            left = edges[start:stop, None]
+            width = (edges[start + 1:stop + 1] - edges[start:stop])[:, None]
+            xs = (left + width * frac[None, :]).ravel()
+            row = np.repeat(np.arange(stop - start), _SCAN_POINTS)
+            for density, bound in passes:
+                vals = density.pdf(xs)
+                # every pass keeps each row's argmin and argmax, so no row is empty
+                first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+                vmin = np.minimum.reduceat(vals, first)
+                vmax = np.maximum.reduceat(vals, first)
+                if bound is not None:
+                    near = (vals <= vmin[row] + 2.0 * bound) | (vals >= vmax[row] - 2.0 * bound)
+                    xs, row = xs[near], row[near]
+            lo[start:stop] = vmin
+            hi[start:stop] = vmax
         return lo, hi
 
 

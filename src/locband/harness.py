@@ -119,6 +119,7 @@ def run_coverage(
         params={"density": density.name, "alpha": alpha, "reps": reps, "seed": seed, **plan_meta(plan)},
         warnings=list(plan.warnings),
     )
+    band_halfwidth_quantile(plan, alpha)  # refuse a bad alpha before the truth scan
     # the density's range per cell depends only on the density and the mesh
     truth = density.cells_extrema(cell_edges(plan))
     for r in range(reps):

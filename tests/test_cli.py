@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import locband
+from locband import cli
 from locband.cli import build_parser, cmd_verify, main
-from locband.densities import make_peak_triangular, sample
+from locband.densities import AnalyticDensity, make_peak_triangular, sample
 
 
 @pytest.fixture()
@@ -262,6 +263,28 @@ def test_alpha_outside_unit_interval_exit_2(argv, alpha, data_file, capsys):
     assert run_cli(*argv, "--alpha", alpha) == 2
     err = capsys.readouterr().err.splitlines()
     assert err[-1] == f"{argv[0]}: alpha must lie in (0,1), got {float(alpha)!r}"
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_bad_alpha_refused_before_truth_scan(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, AnalyticDensity, "cells_extrema")
+    assert run_cli("simulate", "coverage", "--density", "weierstrass:0.5:0.5", "--n", "64", "--alpha", "1.5") == 2
+    assert calls == []
+    assert capsys.readouterr().err.endswith("simulate: alpha must lie in (0,1), got 1.5\n")
+
+
+@pytest.mark.parametrize("argv", [("band", "--input", "{input}"), ("curves", "--n", "512")], ids=["band", "curves"])
+def test_bad_alpha_refused_before_fit(argv, data_file, monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, cli, "fit_profile")
+    assert run_cli(*[a.format(input=data_file) for a in argv], "--alpha", "1.5") == 2
+    assert calls == []
+    assert capsys.readouterr().err.endswith(f"{argv[0]}: alpha must lie in (0,1), got 1.5\n")
 
 
 @pytest.mark.parametrize("argv", [

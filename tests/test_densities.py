@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locband import densities as zoo
+from locband.band import cell_edges
+from locband.calibration import PlanParams, derive_plan
 from locband.densities import (
+    _SCAN_POINTS,
     AnalyticDensity,
     Piece,
     WeierstrassSpec,
@@ -227,6 +230,66 @@ class TestZooInvariants:
             make_perturbed(make_weierstrass_composite(0.5, 0.5), 1000, 0.5, "one")
         with pytest.raises(ConstructionOverlapError):
             make_perturbed(make_triangular_hypothesis(0.5), 1000, 1.0, "one")
+
+
+def _exhaustive_extrema(density, edges):
+    """The rough scan's oracle: every one of the _SCAN_POINTS points of each
+    cell evaluated with the full series."""
+    ncell = len(edges) - 1
+    lo = np.empty(ncell)
+    hi = np.empty(ncell)
+    frac = np.linspace(0.0, 1.0, _SCAN_POINTS)
+    block = max(1, (1 << 19) // _SCAN_POINTS)
+    for start in range(0, ncell, block):
+        stop = min(start + block, ncell)
+        left = edges[start:stop, None]
+        width = (edges[start + 1:stop + 1] - edges[start:stop])[:, None]
+        vals = density.pdf((left + width * frac[None, :]).ravel()).reshape(stop - start, _SCAN_POINTS)
+        lo[start:stop] = vals.min(axis=1)
+        hi[start:stop] = vals.max(axis=1)
+    return lo, hi
+
+
+@st.composite
+def _rough_cells(draw):
+    """A rough density and a few cells of non-uniform widths placed at a
+    piece joint, a support end or anywhere in the support."""
+    beta = draw(st.floats(0.2, 0.95))
+    kind = draw(st.sampled_from(["weierstrass", "perturbed1", "perturbed2"]))
+    if kind == "weierstrass":
+        tol = draw(st.sampled_from([1e-12, 1e-6, 1e-2]))
+        density = make_weierstrass_composite(draw(st.floats(-1.0, 1.0)), beta, tol)
+    else:
+        density = density_from_name(f"{kind}:{beta!r}:{draw(st.sampled_from([16, 256, 1000, 4096]))}")
+    joints = [p.lo for p in density.pieces] + [density.pieces[-1].hi]
+    anchor = draw(st.sampled_from(joints) | st.floats(*density.support))
+    widths = np.array(draw(st.lists(st.floats(1e-6, 0.5), min_size=1, max_size=4)))
+    left = anchor - draw(st.floats(0.0, 1.0)) * widths[0]
+    return density, left + np.concatenate([[0.0], np.cumsum(widths)])
+
+
+class TestCellsExtrema:
+    @given(_rough_cells())
+    @settings(max_examples=80, deadline=None)
+    def test_rough_scan_matches_exhaustive(self, case):
+        density, edges = case
+        lo, hi = density.cells_extrema(edges)
+        want_lo, want_hi = _exhaustive_extrema(density, edges)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+    @pytest.mark.parametrize("name", ["weierstrass:0.5:0.5", "perturbed2:0.5:256"])
+    def test_rough_scan_on_plan_mesh(self, name, rect):
+        # 40 cells of the n = 256 plan's mesh around 1/2: more than one block
+        plan = derive_plan(PlanParams(n=256), rect)
+        edges = cell_edges(plan)[plan.mesh_count // 2 - 20:plan.mesh_count // 2 + 21]
+        density = density_from_name(name)
+        lo, hi = density.cells_extrema(edges)
+        want_lo, want_hi = _exhaustive_extrema(density, edges)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+    def test_no_cells(self):
+        lo, hi = make_weierstrass_composite(0.5, 0.5).cells_extrema(np.array([0.25]))
+        assert lo.shape == hi.shape == (0,)
 
 
 class TestDensityNames:

@@ -52,6 +52,12 @@ PINNED = {
         "7c25fd97a9239a84d7f12ec9d4be699380be4a7d81c6df83ec92593654dd5a55",
         "f6153bfc23a24d899ad5d57cfb2929d1242d2e08380e14e8fd1c585094f12741",
     ),
+    # the only run here whose truth range comes from the rough-density scan (394 cells)
+    "coverage-rough": (
+        ("simulate", "coverage", "--density", "weierstrass:0.5:0.5", "--n", "64", "--reps", "2", "--seed", "16"),
+        "5a239a2132976823bad25564f946e9bb902d38ed76ac7aed3de52c4d7e8a5aad",
+        "73bcae5d6f53972381bef1015abb76f6abe145e431f042eda8c2f8a66c93420d",
+    ),
 }
 
 
