@@ -1,9 +1,10 @@
 """Piecewise-constant confidence bands.
 
 Cells are right-open except the last: I_k = [(k-1) d, k d) for
-k = 1..1/d - 1 and I_{1/d} = [1 - d, 1].  Centers are first-half estimates
-at the cell's right-endpoint mesh point with the profile's undersmoothed
-bandwidth; half-widths are q_n(alpha) / sqrt(n~ h_loc).
+k = 1..1/d - 1 and I_{1/d} = [1 - d, 1].  fit_band is the one fit: it
+selects the exponents on the second half of the split and estimates each
+cell's center on the first half, at the cell's right-endpoint mesh point
+with an undersmoothed bandwidth; half-widths are q_n(alpha) / sqrt(n~ h_loc).
 """
 
 from __future__ import annotations
@@ -14,24 +15,25 @@ from typing import TextIO
 
 import numpy as np
 
-from .calibration import CalibrationPlan, band_halfwidth_quantile, optimal_bandwidth
+from .calibration import CalibrationPlan, optimal_bandwidth
 from .csvtext import write_csv
-from .errors import CrossSampleContaminationError, OutOfDomainError
+from .errors import OutOfDomainError
 from .estimator import SplitSample, rank_query_kde
 from .kernels import Kernel
-from .selector import BandwidthProfile
+from .selector import fit_profile
 
 
 @dataclass(frozen=True)
 class ConfidenceBand:
+    """j_hat[k] is the exponent selected at mesh point k delta_n for
+    k = 0..mesh_count (-1 where none was selected); the other arrays are
+    per cell k = 1..mesh_count, at index k - 1."""
+
     plan: CalibrationPlan
-    alpha: float
-    q_n: float
-    centers: np.ndarray      # cell k = 1..mesh_count
-    halfwidths: np.ndarray
+    j_hat: np.ndarray
     h_loc: np.ndarray
-    j_hat_left: np.ndarray
-    j_hat_right: np.ndarray
+    centers: np.ndarray
+    halfwidths: np.ndarray
 
 
 def cell_of(plan: CalibrationPlan, t: float) -> int:
@@ -46,63 +48,32 @@ def cell_edges(plan: CalibrationPlan) -> np.ndarray:
     return np.arange(plan.mesh_count + 1, dtype=float) * plan.delta_n
 
 
-def _centers_for(split: SplitSample, plan: CalibrationPlan, kernel: Kernel, h_loc: np.ndarray) -> np.ndarray:
+def _assemble(
+    split: SplitSample, plan: CalibrationPlan, kernel: Kernel, q_n: float, j_hat: np.ndarray, h_loc: np.ndarray
+) -> ConfidenceBand:
+    """Centers from the first half at the cells' bandwidths h_loc, and
+    half-widths q_n / sqrt(n~ h_loc)."""
     points = np.arange(1, plan.mesh_count + 1, dtype=float) * plan.delta_n
-    return rank_query_kde(split.chi1, points, h_loc, kernel)
+    centers = rank_query_kde(split.chi1, points, h_loc, kernel)
+    return ConfidenceBand(plan, j_hat, h_loc, centers, q_n / np.sqrt(plan.n_tilde * h_loc))
 
 
-def build_band(
-    split: SplitSample,
-    profile: BandwidthProfile,
-    kernel: Kernel,
-    alpha: float,
-) -> ConfidenceBand:
-    """Assemble the band on the profile's plan: centers from the first half
-    at bandwidths selected on the second half, half-widths from the
-    calibrated quantile."""
-    if profile.split_token != split.token:
-        raise CrossSampleContaminationError(
-            "bandwidth profile must be selected on the second half of this split"
-        )
-    plan = profile.plan
-    q_n = band_halfwidth_quantile(plan, alpha)
-    centers = _centers_for(split, plan, kernel, profile.h_loc)
-    halfwidths = q_n / np.sqrt(plan.n_tilde * profile.h_loc)
-    return ConfidenceBand(
-        plan=plan,
-        alpha=alpha,
-        q_n=q_n,
-        centers=centers,
-        halfwidths=halfwidths,
-        h_loc=profile.h_loc.copy(),
-        j_hat_left=profile.j_hat[:-1].copy(),
-        j_hat_right=profile.j_hat[1:].copy(),
-    )
+def fit_band(split: SplitSample, plan: CalibrationPlan, kernel: Kernel, q_n: float) -> ConfidenceBand:
+    """The locally adaptive band: exponents selected on the second half of
+    the split, and on cell k the undersmoothed bandwidth
+    h_loc[k-1] = 2^-u_n 2^-max(j_hat[k-1], j_hat[k]) for the centers, which
+    come from the first half.  q_n is band_halfwidth_quantile(plan, alpha)."""
+    j_hat = fit_profile(split, plan, kernel)
+    h_loc = 2.0 ** -plan.u_n * np.exp2(-np.maximum(j_hat[:-1], j_hat[1:]).astype(float))
+    return _assemble(split, plan, kernel, q_n, j_hat, h_loc)
 
 
-def reference_global_band(
-    split: SplitSample,
-    plan: CalibrationPlan,
-    kernel: Kernel,
-    alpha: float,
-) -> ConfidenceBand:
+def reference_global_band(split: SplitSample, plan: CalibrationPlan, kernel: Kernel, q_n: float) -> ConfidenceBand:
     """Non-adaptive baseline: the worst-case bandwidth h_{beta_*} 2^-u_n in
     every cell, same centers and quantile construction."""
     h_ref = optimal_bandwidth(plan, plan.beta_star_low) * 2.0 ** -plan.u_n
-    h_loc = np.full(plan.mesh_count, h_ref)
-    q_n = band_halfwidth_quantile(plan, alpha)
-    centers = _centers_for(split, plan, kernel, h_loc)
-    j_ref = np.full(plan.mesh_count, -1, dtype=np.int64)
-    return ConfidenceBand(
-        plan=plan,
-        alpha=alpha,
-        q_n=q_n,
-        centers=centers,
-        halfwidths=q_n / np.sqrt(plan.n_tilde * h_loc),
-        h_loc=h_loc,
-        j_hat_left=j_ref,
-        j_hat_right=j_ref,
-    )
+    j_ref = np.full(plan.mesh_count + 1, -1, dtype=np.int64)
+    return _assemble(split, plan, kernel, q_n, j_ref, np.full(plan.mesh_count, h_ref))
 
 
 def covers_truth(band: ConfidenceBand, truth: tuple[np.ndarray, np.ndarray]) -> bool:
@@ -118,6 +89,7 @@ def covers_truth(band: ConfidenceBand, truth: tuple[np.ndarray, np.ndarray]) -> 
 def write_band_csv(band: ConfidenceBand, fh: TextIO) -> None:
     """Stream the band to `fh` as CSV: k, t_lo, t_hi, center, lo, hi, h_loc, j_hat_left, j_hat_right."""
     d = band.plan.delta_n
+    j_left, j_right = band.j_hat[:-1], band.j_hat[1:]
 
     def prefixes():
         t_lo = f"{0 * d:.12g}"
@@ -130,13 +102,13 @@ def write_band_csv(band: ConfidenceBand, fh: TextIO) -> None:
         c, hw = band.centers[i], band.halfwidths[i]
         return (
             f"{c:.12g},{c - hw:.12g},{c + hw:.12g},{band.h_loc[i]:.12g},"
-            f"{band.j_hat_left[i]},{band.j_hat_right[i]}\n"
+            f"{j_left[i]},{j_right[i]}\n"
         )
 
     write_csv(
         fh,
         "k,t_lo,t_hi,center,lo,hi,h_loc,j_hat_left,j_hat_right\n",
         prefixes(),
-        (band.centers, band.halfwidths, band.h_loc, band.j_hat_left, band.j_hat_right),
+        (band.centers, band.halfwidths, band.h_loc, j_left, j_right),
         tail,
     )

@@ -82,10 +82,6 @@ class CalibrationPlan:
     warnings: tuple[str, ...] = ()
 
     @property
-    def bandwidth_exponents(self) -> range:
-        return range(self.j_min, self.j_max + 1)
-
-    @property
     def log_n_tilde(self) -> float:
         return math.log(self.n_tilde)
 

@@ -17,13 +17,12 @@ import numpy as np
 
 from . import densities as zoo
 from . import harness
-from .band import build_band, reference_global_band, write_band_csv
+from .band import fit_band, reference_global_band, write_band_csv
 from .calibration import DEFAULT_C2, CalibrationPlan, PlanParams, band_halfwidth_quantile, derive_plan
 from .csvtext import CSV_CHUNK, write_csv
 from .errors import EmptyBandwidthGridError, InvalidConfigurationError, InvalidConstantsError, LocbandError
 from .estimator import parse_data_file, split_sample
 from .kernels import make_rectangular
-from .selector import fit_profile
 
 SEED_ENV = "LOCBAND_SEED"
 
@@ -143,8 +142,8 @@ def cmd_band(args: argparse.Namespace, kernel=None) -> int:
     del data  # the fit reads only the sorted halves
     _, plan = _density_and_plan(cfg, "band", kernel)
     _warn("band", plan)
-    band_halfwidth_quantile(plan, cfg["alpha"])  # refuse a bad alpha before the fit
-    band = build_band(split, fit_profile(split, plan, kernel), kernel, cfg["alpha"])
+    q_n = band_halfwidth_quantile(plan, cfg["alpha"])  # refuses a bad alpha before the fit
+    band = fit_band(split, plan, kernel, q_n)
     _emit(lambda fh: write_band_csv(band, fh), _cfg_meta(cfg, "band"), cfg["out"])
     return 0
 
@@ -200,10 +199,10 @@ def cmd_curves(args: argparse.Namespace, kernel=None) -> int:
     cfg = _resolve(args)
     density, plan = _density_and_plan(cfg, "curves", kernel)
     _warn("curves", plan)
-    band_halfwidth_quantile(plan, cfg["alpha"])  # refuse a bad alpha before the fit
+    q_n = band_halfwidth_quantile(plan, cfg["alpha"])  # refuses a bad alpha before the fit
     split = split_sample(zoo.sample(density, plan.n, cfg["seed"]))
-    local = build_band(split, fit_profile(split, plan, kernel), kernel, cfg["alpha"])
-    ref = reference_global_band(split, plan, kernel, cfg["alpha"])
+    local = fit_band(split, plan, kernel, q_n)
+    ref = reference_global_band(split, plan, kernel, q_n)
     d = plan.delta_n
     truth = density.pdf(np.arange(1, plan.mesh_count + 1) * d)
 

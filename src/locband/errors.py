@@ -73,10 +73,6 @@ class OffMeshError(LocbandError, ValueError):
     pass
 
 
-class CrossSampleContaminationError(LocbandError, ValueError):
-    """Band centers and bandwidth profile must come from distinct halves."""
-
-
 class OutOfDomainError(LocbandError, ValueError):
     pass
 

@@ -8,7 +8,6 @@ each row filled by an O(n~ + N) counting pass.
 from __future__ import annotations
 
 import math
-import secrets
 from dataclasses import dataclass
 from itertools import islice
 from typing import Optional
@@ -26,16 +25,11 @@ PARSE_CHUNK = 1 << 16
 @dataclass(frozen=True)
 class SplitSample:
     """The two halves, sorted for rank queries; estimates never depend on
-    the order, so sorting is purely an internal representation.
-
-    ``token`` is a random 64-bit identifier of this split, so that estimates
-    from different splits cannot be mixed even when they come from
-    different processes."""
+    the order, so sorting is purely an internal representation."""
 
     chi1: np.ndarray
     chi2: np.ndarray
     n_tilde: int
-    token: int
 
 
 def split_sample(data) -> SplitSample:
@@ -44,12 +38,7 @@ def split_sample(data) -> SplitSample:
     if arr.size < 4:
         raise InsufficientDataError(f"need at least 4 observations, got {arr.size}")
     nt = arr.size // 2
-    return SplitSample(
-        chi1=np.sort(arr[:nt]),
-        chi2=np.sort(arr[nt:2 * nt]),
-        n_tilde=nt,
-        token=secrets.randbits(64),
-    )
+    return SplitSample(chi1=np.sort(arr[:nt]), chi2=np.sort(arr[nt:2 * nt]), n_tilde=nt)
 
 
 def kde_at(half: np.ndarray, t: float, h: float, kernel: Kernel) -> float:
@@ -82,7 +71,6 @@ class KdeTable:
     j = j_min + 3..j_max, the only rows the selector's pairs m > m' >= j + 3 read."""
 
     plan: CalibrationPlan
-    split_token: int
     idx_lo: int
     idx_hi: int
     values: np.ndarray  # shape (max(j_max - j_min - 2, 0), idx_hi - idx_lo + 1)
@@ -155,13 +143,7 @@ def build_kde_table(
             bins -= _rank_bins(half, points + h * lo, "left")
             row += val * np.cumsum(bins)
         row /= half.size * h
-    return KdeTable(
-        plan=plan,
-        split_token=split.token,
-        idx_lo=idx_lo,
-        idx_hi=idx_hi,
-        values=values,
-    )
+    return KdeTable(plan=plan, idx_lo=idx_lo, idx_hi=idx_hi, values=values)
 
 
 def parse_data_file(path: str) -> np.ndarray:

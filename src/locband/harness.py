@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import densities as zoo
-from .band import build_band, cell_edges, cell_of, covers_truth
+from .band import cell_edges, cell_of, covers_truth, fit_band
 from .calibration import (
     CalibrationPlan,
     PlanParams,
@@ -119,14 +119,12 @@ def run_coverage(
         params={"density": density.name, "alpha": alpha, "reps": reps, "seed": seed, **plan_meta(plan)},
         warnings=list(plan.warnings),
     )
-    band_halfwidth_quantile(plan, alpha)  # refuse a bad alpha before the truth scan
+    q_n = band_halfwidth_quantile(plan, alpha)  # refuses a bad alpha before the truth scan
     # the density's range per cell depends only on the density and the mesh
     truth = density.cells_extrema(cell_edges(plan))
     for r in range(reps):
         rseed = replication_seed(seed, r)
-        split = split_sample(sample(density, plan.n, rseed))
-        profile = fit_profile(split, plan, kernel)
-        band = build_band(split, profile, kernel, alpha)
+        band = fit_band(split_sample(sample(density, plan.n, rseed)), plan, kernel, q_n)
         covered = covers_truth(band, truth)
         widths = 2.0 * band.halfwidths
         report.records.append({
@@ -136,8 +134,8 @@ def run_coverage(
             "width_min": float(widths.min()),
             "width_mean": float(widths.mean()),
             "width_max": float(widths.max()),
-            "j_hat_min": int(profile.j_hat.min()),
-            "j_hat_max": int(profile.j_hat.max()),
+            "j_hat_min": int(band.j_hat.min()),
+            "j_hat_max": int(band.j_hat.max()),
         })
     covered = [rec["covered"] for rec in report.records]
     report.summary = {
@@ -196,6 +194,7 @@ def run_adaptivity(
             "probes": ";".join(f"{t:g}" for t in probes),
             "sizes": ";".join(str(p.n) for p in plans),
         },
+        warnings=list(dict.fromkeys(w for plan in plans for w in plan.warnings)),
     )
     for plan in plans:
         q_n = band_halfwidth_quantile(plan, alpha)
@@ -266,14 +265,14 @@ def run_window_check(
     )
     for r in range(reps):
         rseed = replication_seed(seed, r)
-        profile = fit_profile(split_sample(sample(density, plan.n, rseed)), plan, kernel)
-        inside = (profile.j_hat >= lo) & (profile.j_hat <= hi)
+        j_hat = fit_profile(split_sample(sample(density, plan.n, rseed)), plan, kernel)
+        inside = (j_hat >= lo) & (j_hat <= hi)
         report.records.append({
             "rep": r,
             "rep_seed": rseed,
             "hit_fraction": float(inside.mean()),
-            "low_misses": int((profile.j_hat < lo).sum()),
-            "high_misses": int((profile.j_hat > hi).sum()),
+            "low_misses": int((j_hat < lo).sum()),
+            "high_misses": int((j_hat > hi).sum()),
         })
     report.summary = {
         "hit_fraction": float(np.mean([rec["hit_fraction"] for rec in report.records])),

@@ -16,7 +16,6 @@ and a run is decided at the first j where none of its points is admissible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,21 +24,6 @@ from .densities import AnalyticDensity, local_exponent_oracle
 from .errors import OffMeshError
 from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table
 from .kernels import Kernel
-
-
-@dataclass(frozen=True)
-class BandwidthProfile:
-    """Selected exponent per mesh point and undersmoothed width per cell.
-
-    j_hat[k] is the exponent at mesh point k delta_n for k = 0..mesh_count;
-    h_loc[k-1] = 2^-u_n * 2^-max(j_hat[k-1], j_hat[k]) is the bandwidth used
-    on cell k = 1..mesh_count.
-    """
-
-    plan: CalibrationPlan
-    j_hat: np.ndarray
-    h_loc: np.ndarray
-    split_token: int
 
 
 def pair_ratio(table: KdeTable, plan: CalibrationPlan, m: int, mp: int) -> np.ndarray:
@@ -102,16 +86,10 @@ def select_at(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) -> n
     return j_hat
 
 
-def select_profile(table: KdeTable, plan: CalibrationPlan) -> BandwidthProfile:
-    """Selected exponent at every mesh point of [0,1] plus the cell widths."""
-    j_hat = select_at(table, plan, 0, plan.mesh_count)
-    h_loc = 2.0 ** -plan.u_n * np.exp2(-np.maximum(j_hat[:-1], j_hat[1:]).astype(float))
-    return BandwidthProfile(plan=plan, j_hat=j_hat, h_loc=h_loc, split_token=table.split_token)
-
-
-def fit_profile(split: SplitSample, plan: CalibrationPlan, kernel: Kernel) -> BandwidthProfile:
-    """Select the bandwidth profile on the second half of the split."""
-    return select_profile(build_kde_table(split, plan, kernel), plan)
+def fit_profile(split: SplitSample, plan: CalibrationPlan, kernel: Kernel) -> np.ndarray:
+    """Selected exponent j_hat[k] at every mesh point k delta_n of [0,1],
+    k = 0..mesh_count, from the second half of the split."""
+    return select_at(build_kde_table(split, plan, kernel), plan, 0, plan.mesh_count)
 
 
 def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float) -> tuple[float, int]:

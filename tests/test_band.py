@@ -1,22 +1,26 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locband.band import (
-    build_band,
     cell_edges,
     cell_of,
     covers_truth,
+    fit_band,
     reference_global_band,
     write_band_csv,
 )
-from locband.calibration import PlanParams, derive_plan, optimal_bandwidth
+from locband.calibration import PlanParams, band_halfwidth_quantile, derive_plan, optimal_bandwidth
 from locband.csvtext import CSV_CHUNK
 from locband.densities import make_peak_triangular, make_uniform, sample
-from locband.errors import CrossSampleContaminationError, OutOfDomainError
-from locband.estimator import build_kde_table, split_sample
-from locband.selector import fit_profile, select_profile
+from locband.errors import OutOfDomainError
+from locband.estimator import build_kde_table, rank_query_kde, split_sample
+from locband.kernels import make_rectangular
+from locband.selector import select_at
 
 
 def band_to_csv_oracle(band) -> str:
@@ -28,7 +32,7 @@ def band_to_csv_oracle(band) -> str:
         hw = band.halfwidths[k - 1]
         lines.append(
             f"{k},{(k - 1) * d:.12g},{k * d:.12g},{c:.12g},{c - hw:.12g},{c + hw:.12g},"
-            f"{band.h_loc[k - 1]:.12g},{band.j_hat_left[k - 1]},{band.j_hat_right[k - 1]}"
+            f"{band.h_loc[k - 1]:.12g},{band.j_hat[k - 1]},{band.j_hat[k]}"
         )
     return "\n".join(lines) + "\n"
 
@@ -59,18 +63,12 @@ def assert_streams_oracle(band) -> None:
 @pytest.fixture(scope="module")
 def fitted(plan_mod, rect_mod):
     density = make_peak_triangular()
-    data = sample(density, plan_mod.n, seed=99)
-    split = split_sample(data)
-    table = build_kde_table(split, plan_mod, rect_mod)
-    profile = select_profile(table, plan_mod)
-    band = build_band(split, profile, rect_mod, alpha=0.1)
-    return density, split, profile, band
+    split = split_sample(sample(density, plan_mod.n, seed=99))
+    return density, split, fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
 
 
 @pytest.fixture(scope="module")
 def rect_mod():
-    from locband.kernels import make_rectangular
-
     return make_rectangular()
 
 
@@ -81,12 +79,12 @@ def plan_mod(rect_mod):
 
 class TestBuildBand:
     def test_width_law_identity(self, fitted, plan_mod):
-        _, _, _, band = fitted
+        _, _, band = fitted
         lhs = 2.0 * band.halfwidths * np.sqrt(plan_mod.n_tilde * band.h_loc)
-        assert np.allclose(lhs, 2.0 * band.q_n, atol=1e-12)
+        assert np.allclose(lhs, 2.0 * band_halfwidth_quantile(plan_mod, 0.1), atol=1e-12)
 
     def test_halfwidth_ratio_between_cells(self, fitted):
-        _, _, _, band = fitted
+        _, _, band = fitted
         r = band.halfwidths[0] / band.halfwidths[10]
         assert r == pytest.approx(math.sqrt(band.h_loc[10] / band.h_loc[0]), abs=1e-12)
 
@@ -96,70 +94,93 @@ class TestBuildBand:
         assert q_n / math.sqrt(1024 * 0.01) == pytest.approx(2.5106, abs=1e-4)
 
     def test_center_uses_right_endpoint(self, fitted, plan_mod, rect_mod):
-        density, split, profile, band = fitted
+        density, split, band = fitted
         from locband.estimator import kde_at
 
         for k in (1, 7, plan_mod.mesh_count):
-            direct = kde_at(split.chi1, k * plan_mod.delta_n, profile.h_loc[k - 1], rect_mod)
+            direct = kde_at(split.chi1, k * plan_mod.delta_n, band.h_loc[k - 1], rect_mod)
             assert band.centers[k - 1] == pytest.approx(direct, abs=1e-12)
 
-    def test_provenance_guard(self, fitted, plan_mod, rect_mod):
-        density, split, profile, band = fitted
-        other = split_sample(sample(density, plan_mod.n, seed=100))
-        with pytest.raises(CrossSampleContaminationError):
-            build_band(other, profile, rect_mod, alpha=0.1)
-
     def test_profile_reads_only_second_half(self, fitted, plan_mod, rect_mod):
-        # the mirror of test_split_discipline: the profile depends only on
-        # the second half, so replacing the first changes nothing and
-        # replacing the second changes the selection
-        from dataclasses import replace
-
-        density, split, profile, _ = fitted
+        # the selection depends only on the second half, so replacing the
+        # first changes nothing and replacing the second changes it
+        density, split, band = fitted
+        q_n = band_halfwidth_quantile(plan_mod, 0.1)
         other = split_sample(sample(density, plan_mod.n, seed=101))
-        same = fit_profile(replace(split, chi1=other.chi1), plan_mod, rect_mod)
-        assert np.array_equal(same.j_hat, profile.j_hat)
-        assert np.array_equal(same.h_loc, profile.h_loc)
-        moved = fit_profile(replace(split, chi2=other.chi2), plan_mod, rect_mod)
-        assert not np.array_equal(moved.j_hat, profile.j_hat)
-        assert not np.array_equal(moved.h_loc, profile.h_loc)
+        same = fit_band(replace(split, chi1=other.chi1), plan_mod, rect_mod, q_n)
+        assert np.array_equal(same.j_hat, band.j_hat)
+        assert np.array_equal(same.h_loc, band.h_loc)
+        moved = fit_band(replace(split, chi2=other.chi2), plan_mod, rect_mod, q_n)
+        assert not np.array_equal(moved.j_hat, band.j_hat)
+        assert not np.array_equal(moved.h_loc, band.h_loc)
 
     def test_alpha_monotonicity(self, fitted, plan_mod, rect_mod):
-        _, split, profile, _ = fitted
-        hw1 = build_band(split, profile, rect_mod, alpha=0.01).halfwidths
-        hw2 = build_band(split, profile, rect_mod, alpha=0.10).halfwidths
+        _, split, _ = fitted
+        hw1 = fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.01)).halfwidths
+        hw2 = fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.10)).halfwidths
         assert np.all(hw1 >= hw2)
 
-    def test_split_discipline(self, fitted, plan_mod, rect_mod):
-        # centers depend only on the first half: replacing the second half
-        # (same profile) changes nothing
-        density, split, profile, band = fitted
-        from dataclasses import replace
 
-        scrambled = replace(split, chi2=np.sort(np.random.default_rng(0).permutation(split.chi2) + 0.0))
-        band2 = build_band(scrambled, replace(profile, split_token=scrambled.token), rect_mod, alpha=0.1)
-        assert np.array_equal(band.centers, band2.centers)
+def _grid_or_spike(n_tilde: int, spike: bool) -> np.ndarray:
+    """A sorted half that the selector reads as smooth (an even grid) or as
+    one spike (every point at 1/2): the two differ at the mesh point 1/2
+    whenever some pair is compared there."""
+    return np.full(n_tilde, 0.5) if spike else (np.arange(n_tilde) + 0.5) / n_tilde
+
+
+class TestFitBand:
+    @given(
+        seed=st.integers(0, 2 ** 32 - 1),
+        n=st.sampled_from([2048, 2049, 3000, 4096]),
+        shape=st.tuples(st.floats(0.5, 5.0), st.floats(0.5, 5.0)),
+        outside=st.floats(0.0, 0.3),
+        alpha=st.floats(0.01, 0.5),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_definition(self, seed, n, shape, outside, alpha):
+        # split-sample provenance: the exponents come from chi2 alone, the
+        # centers from chi1 at the bandwidths those exponents give
+        rect = make_rectangular()
+        plan = derive_plan(PlanParams(n=n), rect)
+        assert plan.j_max - plan.j_min >= 4  # some pair is compared
+        rng = np.random.default_rng(seed)
+        data = rng.beta(*shape, size=n)
+        far = rng.random(n) < outside
+        data[far] = rng.uniform(-1.0, 2.0, size=far.sum())
+        split = split_sample(data)
+        q_n = band_halfwidth_quantile(plan, alpha)
+        band = fit_band(split, plan, rect, q_n)
+        N = plan.mesh_count
+
+        assert np.array_equal(band.j_hat, select_at(build_kde_table(split, plan, rect), plan, 0, N))
+        h_loc = 2.0 ** -plan.u_n * np.exp2(-np.maximum(band.j_hat[:-1], band.j_hat[1:]).astype(float))
+        assert np.array_equal(band.h_loc, h_loc)
+        assert np.array_equal(band.halfwidths, q_n / np.sqrt(plan.n_tilde * h_loc))
+        mesh = np.arange(1, N + 1, dtype=float) * plan.delta_n
+        assert np.array_equal(band.centers, rank_query_kde(split.chi1, mesh, h_loc, rect))
+
+        other = np.sort(rng.uniform(-0.5, 1.5, size=split.n_tilde))
+        assert np.array_equal(fit_band(replace(split, chi1=other), plan, rect, q_n).j_hat, band.j_hat)
+        moved = [
+            fit_band(replace(split, chi2=_grid_or_spike(split.n_tilde, spike)), plan, rect, q_n).j_hat
+            for spike in (False, True)
+        ]
+        assert not np.array_equal(moved[0], moved[1])
+        assert not all(np.array_equal(j_hat, band.j_hat) for j_hat in moved)
 
 
 class TestOneCellPlan:
     def test_single_interval(self, plan_mod, rect_mod):
-        from dataclasses import replace
-
         from locband.estimator import kde_at
-        from locband.selector import BandwidthProfile
 
         tiny = replace(plan_mod, mesh_count=1, delta_n=1.0)
         data = sample(make_peak_triangular(), tiny.n, seed=1)
         split = split_sample(data)
-        h = 2.0 ** (-tiny.j_min - tiny.u_n)
-        profile = BandwidthProfile(
-            plan=tiny,
-            j_hat=np.array([tiny.j_min, tiny.j_min]),
-            h_loc=np.array([h]),
-            split_token=split.token,
-        )
-        band = build_band(split, profile, rect_mod, alpha=0.1)
+        band = fit_band(split, tiny, rect_mod, band_halfwidth_quantile(tiny, 0.1))
+        assert band.j_hat.shape == (2,)
         assert band.centers.shape == (1,)
+        h = 2.0 ** (-band.j_hat.max() - tiny.u_n)
+        assert band.h_loc[0] == h
         assert band.centers[0] == pytest.approx(kde_at(split.chi1, 1.0, h, rect_mod), abs=1e-14)
         assert cell_of(tiny, 0.0) == cell_of(tiny, 1.0) == 1
 
@@ -181,23 +202,19 @@ class TestBandAt:
 
 class TestCoversTruth:
     def test_wide_band_covers(self, fitted, plan_mod):
-        density, _, _, band = fitted
+        density, _, band = fitted
         assert covers_truth(band, density.cells_extrema(cell_edges(plan_mod)))
 
     def test_shifted_center_fails(self, fitted, plan_mod):
-        density, _, _, band = fitted
-        from dataclasses import replace
-
+        density, _, band = fitted
         shifted = replace(band, centers=band.centers + 2.5 * band.halfwidths.max())
         assert not covers_truth(shifted, density.cells_extrema(cell_edges(plan_mod)))
 
     def test_agrees_with_dense_grid(self, fitted, plan_mod):
-        density, _, _, band = fitted
+        density, _, band = fitted
         rng = np.random.default_rng(1)
         for _ in range(20):
             scale = float(rng.uniform(0.1, 1.5))
-            from dataclasses import replace
-
             cand = replace(band, halfwidths=band.halfwidths * scale)
             # dense-grid oracle
             ts = np.linspace(0.0, 1.0, 10_001)
@@ -215,25 +232,27 @@ class TestCoversTruth:
         density = make_uniform()
         data = sample(density, plan_mod.n, seed=5)
         split = split_sample(data)
-        profile = select_profile(build_kde_table(split, plan_mod, rect_mod), plan_mod)
-        band = build_band(split, profile, rect_mod, alpha=0.1)
+        band = fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
         assert covers_truth(band, density.cells_extrema(cell_edges(plan_mod)))
 
 
 class TestReferenceGlobalBand:
     def test_constant_halfwidth(self, fitted, plan_mod, rect_mod):
-        _, split, _, _ = fitted
-        ref = reference_global_band(split, plan_mod, rect_mod, alpha=0.1)
+        _, split, _ = fitted
+        ref = reference_global_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
         assert np.ptp(ref.halfwidths) == 0.0
         h_ref = optimal_bandwidth(plan_mod, plan_mod.beta_star_low) * 2.0 ** -plan_mod.u_n
         assert ref.h_loc[0] == pytest.approx(h_ref)
+        assert np.all(ref.j_hat == -1) and ref.j_hat.shape == (plan_mod.mesh_count + 1,)
 
     def test_width_matches_local_where_exponent_matches(self, fitted, plan_mod, rect_mod):
         # same formula: if a cell's local bandwidth equals the reference
         # bandwidth the widths coincide; verified via the width law
-        _, split, profile, band = fitted
-        ref = reference_global_band(split, plan_mod, rect_mod, alpha=0.1)
-        assert ref.q_n == band.q_n
+        _, split, band = fitted
+        q_n = band_halfwidth_quantile(plan_mod, 0.1)
+        ref = reference_global_band(split, plan_mod, rect_mod, q_n)
+        for b in (band, ref):
+            assert np.array_equal(b.halfwidths, q_n / np.sqrt(plan_mod.n_tilde * b.h_loc))
 
     def test_local_narrower_in_smooth_region_at_scale(self, rect_mod):
         plan = derive_plan(PlanParams(n=2 ** 14), rect_mod)
@@ -242,9 +261,9 @@ class TestReferenceGlobalBand:
         for rep in range(10):
             data = sample(density, plan.n, seed=1000 + rep)
             split = split_sample(data)
-            profile = select_profile(build_kde_table(split, plan, rect_mod), plan)
-            band = build_band(split, profile, rect_mod, alpha=0.1)
-            ref = reference_global_band(split, plan, rect_mod, alpha=0.1)
+            q_n = band_halfwidth_quantile(plan, 0.1)
+            band = fit_band(split, plan, rect_mod, q_n)
+            ref = reference_global_band(split, plan, rect_mod, q_n)
             k = cell_of(plan, 0.9)
             wins += band.halfwidths[k - 1] <= ref.halfwidths[k - 1]
         assert wins >= 9
@@ -252,7 +271,7 @@ class TestReferenceGlobalBand:
 
 class TestBandCsv:
     def test_schema_and_rows(self, fitted, plan_mod):
-        _, _, _, band = fitted
+        _, _, band = fitted
         fh = RecordingFile()
         write_band_csv(band, fh)
         text = "".join(fh.writes)
@@ -266,14 +285,13 @@ class TestBandCsv:
     def test_matches_oracle_on_peak_64k(self, rect_mod):
         plan = derive_plan(PlanParams(n=2 ** 16), rect_mod)
         split = split_sample(sample(make_peak_triangular(), plan.n, seed=3))
-        profile = select_profile(build_kde_table(split, plan, rect_mod), plan)
-        band = build_band(split, profile, rect_mod, alpha=0.1)
+        band = fit_band(split, plan, rect_mod, band_halfwidth_quantile(plan, 0.1))
         assert plan.mesh_count % CSV_CHUNK != 0
         assert_streams_oracle(band)
 
     def test_matches_oracle_on_reference_band(self, fitted, plan_mod, rect_mod):
-        _, split, _, _ = fitted
-        ref = reference_global_band(split, plan_mod, rect_mod, alpha=0.1)
+        _, split, _ = fitted
+        ref = reference_global_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
         assert_streams_oracle(ref)
 
     @pytest.mark.parametrize("mesh_count", [2 * CSV_CHUNK, 2 * CSV_CHUNK + 1])
@@ -281,9 +299,7 @@ class TestBandCsv:
         # few distinct values, as in a fitted band; 0.0 and -0.0 compare
         # equal yet format as "0" and "-0", and with a zero halfwidth the
         # sign reaches lo and hi too
-        _, _, _, band = fitted
-        from dataclasses import replace
-
+        _, _, band = fitted
         rng = np.random.default_rng(4)
         plan = replace(band.plan, mesh_count=mesh_count, delta_n=1.0 / mesh_count)
 
@@ -296,7 +312,6 @@ class TestBandCsv:
             centers=pick([0.0, -0.0, 1.25, 0.1 + 0.2, 3.0]),
             halfwidths=pick([0.0, 0.5, 1.0 / 3.0]),
             h_loc=pick([0.25, 2.0 ** -10]),
-            j_hat_left=pick([-1, 3, 4]),
-            j_hat_right=pick([3, 4]),
+            j_hat=rng.choice(np.array([-1, 3, 4]), size=mesh_count + 1),
         )
         assert_streams_oracle(synthetic)

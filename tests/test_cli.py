@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import locband
-from locband import cli
+from locband import band, calibration, cli, harness
 from locband.cli import build_parser, cmd_verify, main
 from locband.densities import AnalyticDensity, make_peak_triangular, sample
 
@@ -279,12 +279,45 @@ def test_bad_alpha_refused_before_truth_scan(monkeypatch, capsys):
     assert capsys.readouterr().err.endswith("simulate: alpha must lie in (0,1), got 1.5\n")
 
 
-@pytest.mark.parametrize("argv", [("band", "--input", "{input}"), ("curves", "--n", "512")], ids=["band", "curves"])
+_FITTING_RUNS = pytest.mark.parametrize("argv", [
+    ("band", "--input", "{input}"),
+    ("curves", "--n", "512"),
+    ("simulate", "coverage", "--density", "peak", "--n", "512", "--reps", "2"),
+], ids=["band", "curves", "coverage"])
+
+
+@_FITTING_RUNS
 def test_bad_alpha_refused_before_fit(argv, data_file, monkeypatch, capsys):
-    calls = _count_calls(monkeypatch, cli, "fit_profile")
+    calls = _count_calls(monkeypatch, harness if argv[0] == "simulate" else cli, "fit_band")
     assert run_cli(*[a.format(input=data_file) for a in argv], "--alpha", "1.5") == 2
     assert calls == []
     assert capsys.readouterr().err.endswith(f"{argv[0]}: alpha must lie in (0,1), got 1.5\n")
+
+
+@_FITTING_RUNS
+def test_quantile_derived_once(argv, data_file, monkeypatch, tmp_path):
+    # one call both checks alpha and gives the q_n that every band of the run
+    # uses; counted wherever the package imports the function
+    calls = []
+    real = calibration.band_halfwidth_quantile
+    for module in (calibration, band, cli, harness):
+        if hasattr(module, "band_halfwidth_quantile"):
+            monkeypatch.setattr(module, "band_halfwidth_quantile", lambda *a: calls.append(1) or real(*a))
+    assert run_cli(*[a.format(input=data_file) for a in argv], "--out", str(tmp_path / "out.csv")) == 0
+    assert len(calls) == 1
+
+
+def test_adaptivity_meta_records_plan_warnings(tmp_path):
+    # both kinds derive the same plan from the same settings, and both
+    # sidecars record its warnings
+    warnings = {}
+    for kind in ("coverage", "adaptivity"):
+        out = tmp_path / f"{kind}.csv"
+        assert run_cli("simulate", kind, "--n", "4096", "--reps", "1", "--out", str(out)) == 0
+        meta = (tmp_path / f"{kind}.csv.meta").read_text().splitlines()
+        warnings[kind] = [line for line in meta if line.startswith("warning.")]
+    assert len(warnings["coverage"]) == 2
+    assert warnings["adaptivity"] == warnings["coverage"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -40,7 +40,7 @@ PINNED = {
     "adaptivity": (
         ("simulate", "adaptivity", "--density", "peak", "--n", "4096", "--reps", "2", "--seed", "13"),
         "367d201ceed7745e1b9a51ea5db7aedab942673caf59dd418dfbdd768b097472",
-        "847bfccc5e3762f7cf72dcebfb5467ff85b5513cc8fde6e90c0ffac32f3522f0",
+        "b14edd8d70d2ae9c5e99904ade110cdee7d8d9f5a45f283565c06bd7cc0aad59",
     ),
     "gumbel": (
         ("simulate", "gumbel", "--n", "64", "--reps", "20", "--seed", "14"),

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locband import selector
+from locband.band import fit_band
 from locband.calibration import PlanParams, derive_plan, optimal_bandwidth
 from locband.densities import (
     local_exponent_oracle,
@@ -19,9 +20,9 @@ from locband.estimator import KdeTable, ball_offset, build_kde_table, split_samp
 from locband.selector import (
     _ball_maxima,
     _sliding_max,
+    fit_profile,
     pair_ratio,
     select_at,
-    select_profile,
     theoretical_window,
 )
 
@@ -32,7 +33,7 @@ def admissible_set(t: float, table: KdeTable, plan) -> set[int]:
     the selector's ratio expression, so both resolve a tie ratio == c2 alike."""
     k = round(t / plan.delta_n)
     out = set()
-    for j in plan.bandwidth_exponents:
+    for j in range(plan.j_min, plan.j_max + 1):
         a = max(0, math.ceil((7.0 / 8.0) * 2.0 ** -j * plan.mesh_count - 1e-9) - 1)
         lo, hi = k - a - table.idx_lo, k + a - table.idx_lo
         assert 0 <= lo and hi < table.values.shape[1], "oracle ball leaves the table"
@@ -139,8 +140,7 @@ def _random_table(plan, seed, j_min, n_exp, mesh_count, tie):
     margin = max(0, math.ceil((7.0 / 8.0) * 2.0 ** -j_min * mesh_count - 1e-9) - 1)
     # draw rows j_min..j_max, then keep j_min + 3..j_max, the rows a table holds
     values = 0.1 * rng.integers(0, 5, size=(n_exp, mesh_count + 1 + 2 * margin))[3:]
-    table = KdeTable(plan=plan, split_token=0, idx_lo=-margin,
-                     idx_hi=mesh_count + margin, values=values)
+    table = KdeTable(plan=plan, idx_lo=-margin, idx_hi=mesh_count + margin, values=values)
     if tie and n_exp >= 5:
         mp = int(rng.integers(j_min + 3, plan.j_max))
         m = int(rng.integers(mp + 1, plan.j_max + 1))
@@ -168,7 +168,7 @@ class TestSelectionRoutine:
             s = admissible_set(k * plan.delta_n, table, plan)
             assert s == set(range(min(s), plan.j_max + 1))  # upward closed
             oracle.append(min(s))
-        assert select_profile(table, plan).j_hat.tolist() == oracle
+        assert select_at(table, plan, 0, N).tolist() == oracle
 
         # windowed tables: a random run, with the table cut to the run plus
         # the selector margin and a random extra reach on each side
@@ -187,37 +187,34 @@ class TestSelectionRoutine:
 
 
 class TestSelectProfile:
-    def test_matches_scalar_path(self, peak_table, plan_module):
-        _, table = peak_table
-        profile = select_profile(table, plan_module)
+    def test_matches_scalar_path(self, peak_table, plan_module, rect_module):
+        split, table = peak_table
+        j_hat = fit_profile(split, plan_module, rect_module)
         rng = np.random.default_rng(2)
         ks = rng.integers(0, plan_module.mesh_count + 1, size=50)
         for k in ks:
-            assert profile.j_hat[k] == select_at(table, plan_module, k, k)[0]
-            assert profile.j_hat[k] == min(admissible_set(k * plan_module.delta_n, table, plan_module))
+            assert j_hat[k] == select_at(table, plan_module, k, k)[0]
+            assert j_hat[k] == min(admissible_set(k * plan_module.delta_n, table, plan_module))
 
-    def test_bounds_and_h_loc(self, peak_table, plan_module):
-        _, table = peak_table
-        profile = select_profile(table, plan_module)
-        assert profile.j_hat.min() >= plan_module.j_min
-        assert profile.j_hat.max() <= plan_module.j_max
-        expect = 2.0 ** -plan_module.u_n * np.exp2(
-            -np.maximum(profile.j_hat[:-1], profile.j_hat[1:]).astype(float)
-        )
-        assert np.array_equal(profile.h_loc, expect)
-        assert profile.h_loc.max() <= 2.0 ** (-plan_module.j_min - plan_module.u_n)
-        assert profile.h_loc.min() > 0.0
+    def test_bounds_and_h_loc(self, peak_table, plan_module, rect_module):
+        split, _ = peak_table
+        band = fit_band(split, plan_module, rect_module, q_n=1.0)
+        assert band.j_hat.shape == (plan_module.mesh_count + 1,)
+        assert band.j_hat.min() >= plan_module.j_min
+        assert band.j_hat.max() <= plan_module.j_max
+        assert band.h_loc.max() <= 2.0 ** (-plan_module.j_min - plan_module.u_n)
+        assert band.h_loc.min() > 0.0
 
     def test_huge_threshold_selects_floor(self, peak_table, plan_module):
         _, table = peak_table
         loose = replace(plan_module, c2=1e6)
-        profile = select_profile(table, loose)
-        assert np.all(profile.j_hat == loose.j_min)
+        assert np.all(select_at(table, loose, 0, loose.mesh_count) == loose.j_min)
 
     def test_monotone_threshold_response(self, peak_table, plan_module):
         _, table = peak_table
-        tight = select_profile(table, replace(plan_module, c2=0.4)).j_hat
-        loose = select_profile(table, replace(plan_module, c2=0.8)).j_hat
+        N = plan_module.mesh_count
+        tight = select_at(table, replace(plan_module, c2=0.4), 0, N)
+        loose = select_at(table, replace(plan_module, c2=0.8), 0, N)
         assert np.all(loose <= tight)
 
 
