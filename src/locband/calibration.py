@@ -9,8 +9,8 @@ departure as a warning on the plan instead of failing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Callable, Iterable, Mapping, Optional
 
 from .errors import (
     EmptyBandwidthGridError,
@@ -208,52 +208,56 @@ def band_halfwidth_quantile(plan: CalibrationPlan, alpha: float) -> float:
 # flat key=value serialization
 # ---------------------------------------------------------------------------
 
-_PARAM_FIELDS = (
-    "n", "epsilon", "beta_star_low", "L_star", "c1", "kappa1", "kappa2", "c2", "mode",
-)
-_DERIVED_FIELDS = (
-    "beta_star_high", "n_tilde", "j_min", "j_max", "delta_n", "mesh_count",
-    "u_n", "m_n", "a_n", "b_n", "c3",
-)
+# every field plan_to_text writes, in order, with the parser that reads it back
+_TEXT_FIELDS = {
+    "n": int, "epsilon": float, "beta_star_low": float, "L_star": float, "c1": float,
+    "kappa1": float, "kappa2": float, "c2": float, "mode": str,
+    "beta_star_high": int, "n_tilde": int, "j_min": int, "j_max": int, "delta_n": float,
+    "mesh_count": int, "u_n": float, "m_n": float, "a_n": float, "b_n": float, "c3": float,
+}
+
+
+def read_key_values(lines: Iterable[str], parsers: Mapping[str, Callable[[str], object]],
+                    what: str, where: str) -> dict:
+    """The key=value pairs of `lines`, each value parsed by its key's entry in
+    `parsers`.  Blank and '#' lines are skipped; a line without '=', a key not
+    in `parsers` (an unknown `what`) or a value its parser rejects raises
+    ValueError naming `where` and the line number."""
+    out = {}
+    for i, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = (s.strip() for s in line.partition("="))
+        if not sep:
+            raise ValueError(f"{where}{i}: expected key=value, got {raw.rstrip()!r}")
+        if key not in parsers:
+            raise ValueError(f"{where}{i}: unknown {what} {key!r}")
+        try:
+            out[key] = parsers[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{where}{i}: {key}={val}: {exc}") from exc
+    return out
 
 
 def plan_to_text(plan: CalibrationPlan) -> str:
+    """One key=value line per field in _TEXT_FIELDS, floats as their shortest
+    round-trip repr; the warnings are not included."""
     lines = []
-    for name in _PARAM_FIELDS + _DERIVED_FIELDS:
+    for name in _TEXT_FIELDS:
         v = getattr(plan, name)
-        lines.append(f"{name}={v:.17g}" if isinstance(v, float) else f"{name}={v}")
+        lines.append(f"{name}={v!r}" if isinstance(v, float) else f"{name}={v}")
     return "\n".join(lines) + "\n"
 
 
 def plan_from_text(text: str, kernel) -> CalibrationPlan:
     """Rebuild a plan from its key=value block and re-derive; stored derived
     integers must match the re-derivation bit for bit."""
-    kv: dict[str, str] = {}
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {i}: expected key=value, got {raw!r}")
-        key, val = line.split("=", 1)
-        key = key.strip()
-        if key not in _PARAM_FIELDS + _DERIVED_FIELDS:
-            raise ValueError(f"line {i}: unknown plan field {key!r}")
-        kv[key] = val.strip()
-    params = PlanParams(
-        n=int(kv["n"]),
-        epsilon=float(kv.get("epsilon", 0.25)),
-        beta_star_low=float(kv.get("beta_star_low", 0.95)),
-        L_star=float(kv.get("L_star", 1.0)),
-        c1=float(kv.get("c1", 3.0)),
-        kappa1=float(kv["kappa1"]) if "kappa1" in kv else None,
-        kappa2=float(kv.get("kappa2", 1.0)),
-        c2=float(kv.get("c2", DEFAULT_C2)),
-        mode=kv.get("mode", "practical"),
-    )
+    kv = read_key_values(text.splitlines(), _TEXT_FIELDS, "plan field", "line ")
+    params = PlanParams(**{f.name: kv[f.name] for f in fields(PlanParams) if f.name in kv})
     plan = derive_plan(params, kernel)
     for name in ("beta_star_high", "n_tilde", "j_min", "j_max", "mesh_count"):
-        if name in kv and int(kv[name]) != getattr(plan, name):
+        if name in kv and kv[name] != getattr(plan, name):
             raise ValueError(
                 f"stored {name}={kv[name]} disagrees with re-derived {getattr(plan, name)}"
             )

@@ -18,7 +18,15 @@ import numpy as np
 from . import densities as zoo
 from . import harness
 from .band import fit_band, reference_global_band, write_band_csv
-from .calibration import DEFAULT_C2, CalibrationPlan, PlanParams, band_halfwidth_quantile, derive_plan
+from .calibration import (
+    DEFAULT_C2,
+    CalibrationPlan,
+    PlanParams,
+    band_halfwidth_quantile,
+    derive_plan,
+    plan_to_text,
+    read_key_values,
+)
 from .csvtext import CSV_CHUNK, write_csv
 from .errors import EmptyBandwidthGridError, InvalidConfigurationError, InvalidConstantsError, LocbandError
 from .estimator import parse_data_file, split_sample
@@ -42,19 +50,8 @@ _CONFIG_KEYS = {
 
 
 def _read_config(path: str) -> dict:
-    out = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.rstrip()!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _CONFIG_KEYS[key](val)
-    return out
+        return read_key_values(fh, _CONFIG_KEYS, "config key", f"{path}:")
 
 
 def _resolve(args: argparse.Namespace) -> dict:
@@ -76,16 +73,17 @@ def _resolve(args: argparse.Namespace) -> dict:
     return cfg
 
 
-# The settings each command, or each simulate kind, reads.  Its .meta sidecar
-# records only these, so that the sidecar depends on neither the output path
-# nor unused defaults, and a density is resolved only where it is read.
+# The settings each command, or each simulate kind, reads that neither its
+# plan nor its report records.  Its .meta sidecar opens with these, so that
+# it depends on neither the output path nor unused defaults and names no
+# setting twice; a density is resolved only where it is read.
 _META_KEYS = {
-    "band": ("alpha", "c2", "lstar", "mode", "n"),
-    "verify": ("suite",),
-    "curves": ("alpha", "c2", "density", "lstar", "mode", "n", "seed"),
-    "coverage": ("alpha", "c2", "density", "lstar", "mode", "n", "reps", "seed"),
-    "adaptivity": ("alpha", "c2", "density", "lstar", "mode", "n", "reps", "seed"),
-    "window": ("c2", "density", "lstar", "mode", "n", "reps", "seed"),
+    "band": ("alpha",),
+    "verify": (),
+    "curves": ("alpha", "density", "seed"),
+    "coverage": ("alpha", "density", "reps", "seed"),
+    "adaptivity": ("alpha", "density", "reps", "seed"),
+    "window": ("density", "reps", "seed"),
     "gumbel": ("n", "reps", "seed"),
 }
 _SIMULATE_KINDS = ("coverage", "adaptivity", "window", "gumbel")
@@ -104,9 +102,18 @@ def _density_and_plan(cfg: dict, key: str, kernel) -> tuple[zoo.AnalyticDensity 
     return density, derive_plan(params, kernel)
 
 
-def _cfg_meta(cfg: dict, key: str) -> str:
-    lines = [f"{k}={cfg[k]}" for k in _META_KEYS[key] if cfg[k] is not None]
-    return "\n".join(lines) + "\n"
+def _sidecar(
+    cfg: dict, key: str, plan: CalibrationPlan | None = None, report: harness.ExperimentReport | None = None
+) -> str:
+    """The .meta text: the settings of _META_KEYS[key], then the plan and one
+    warning.<i> line per plan warning, then the report's own lines."""
+    parts = [f"{k}={cfg[k]}\n" for k in _META_KEYS[key]]
+    if plan is not None:
+        parts.append(plan_to_text(plan))
+        parts += [f"warning.{i}={w}\n" for i, w in enumerate(plan.warnings)]
+    if report is not None:
+        parts.append(report.meta_text())
+    return "".join(parts)
 
 
 def _warn(command: str, plan: CalibrationPlan) -> None:
@@ -115,15 +122,18 @@ def _warn(command: str, plan: CalibrationPlan) -> None:
 
 
 def _emit(write_body: Callable[[TextIO], object], meta: str, out: str | None) -> None:
-    """Body through `write_body` to `out` and meta to `out`.meta, or to stdout and stderr."""
+    """Body through `write_body` to `out` and meta to `out`.meta, or to stdout
+    and stderr.  An `out` that is not a regular file (a device such as
+    /dev/null, or a pipe) gets no sidecar."""
     if out is None:
         write_body(sys.stdout)
         sys.stderr.write(meta)
     else:
         with open(out, "w", encoding="utf-8") as fh:
             write_body(fh)
-        with open(out + ".meta", "w", encoding="utf-8") as fh:
-            fh.write(meta)
+        if os.path.isfile(out):
+            with open(out + ".meta", "w", encoding="utf-8") as fh:
+                fh.write(meta)
 
 
 def cmd_band(args: argparse.Namespace, kernel=None) -> int:
@@ -144,7 +154,7 @@ def cmd_band(args: argparse.Namespace, kernel=None) -> int:
     _warn("band", plan)
     q_n = band_halfwidth_quantile(plan, cfg["alpha"])  # refuses a bad alpha before the fit
     band = fit_band(split, plan, kernel, q_n)
-    _emit(lambda fh: write_band_csv(band, fh), _cfg_meta(cfg, "band"), cfg["out"])
+    _emit(lambda fh: write_band_csv(band, fh), _sidecar(cfg, "band", plan), cfg["out"])
     return 0
 
 
@@ -157,6 +167,7 @@ def cmd_simulate(args: argparse.Namespace, kernel=None) -> int:
         return 2
     if cfg["reps"] < 1:
         raise InvalidConfigurationError(f"reps must be >= 1, got {cfg['reps']!r}")
+    plan = None
     if kind == "gumbel":
         # the comparison process needs only the cell count and the kernel
         report = harness.run_gumbel_calibration(kernel, m=cfg["n"], reps=cfg["reps"], seed=cfg["seed"])
@@ -170,7 +181,7 @@ def cmd_simulate(args: argparse.Namespace, kernel=None) -> int:
             report = harness.run_adaptivity(
                 density, [plan], kernel, cfg["alpha"], cfg["reps"], cfg["seed"], probes=(0.5, 0.9)
             )
-    meta = _cfg_meta(cfg, kind) + report.meta_text()
+    meta = _sidecar(cfg, kind, plan, report)
     _emit(lambda fh: fh.write(report.to_csv_text()), meta, cfg["out"])
     return 0
 
@@ -184,8 +195,7 @@ def cmd_verify(args: argparse.Namespace, kernel=None) -> int:
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
-    meta = _cfg_meta(cfg, "verify") + report.meta_text()
-    _emit(lambda fh: fh.write(report.to_csv_text()), meta, cfg["out"])
+    _emit(lambda fh: fh.write(report.to_csv_text()), _sidecar(cfg, "verify", report=report), cfg["out"])
     failed = [r for r in report.records if not r["passed"]]
     if failed:
         names = ",".join(sorted({r["item"] for r in failed}))
@@ -225,7 +235,7 @@ def cmd_curves(args: argparse.Namespace, kernel=None) -> int:
             tail,
         )
 
-    _emit(write_body, _cfg_meta(cfg, "curves"), cfg["out"])
+    _emit(write_body, _sidecar(cfg, "curves", plan), cfg["out"])
     return 0
 
 

@@ -51,7 +51,6 @@ class ExperimentReport:
     params: dict
     records: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
-    warnings: list[str] = field(default_factory=list)
 
     def to_csv_text(self) -> str:
         if not self.records:
@@ -68,8 +67,6 @@ class ExperimentReport:
             lines.append(f"{k}={_fmt(v)}")
         for k, v in self.summary.items():
             lines.append(f"summary.{k}={_fmt(v)}")
-        for i, w in enumerate(self.warnings):
-            lines.append(f"warning.{i}={w}")
         return "\n".join(lines) + "\n"
 
 
@@ -90,17 +87,6 @@ def gamma_tilde(plan: CalibrationPlan) -> float:
     return 0.5 * (plan.c1 * math.log(2.0) - 1.0)
 
 
-def plan_meta(plan: CalibrationPlan) -> dict:
-    return {
-        "n": plan.n, "n_tilde": plan.n_tilde, "mode": plan.mode,
-        "j_min": plan.j_min, "j_max": plan.j_max, "mesh_count": plan.mesh_count,
-        "c1": plan.c1, "kappa1": plan.kappa1, "kappa2": plan.kappa2,
-        "c2": plan.c2, "L_star": plan.L_star, "epsilon": plan.epsilon,
-        "beta_star_low": plan.beta_star_low, "beta_star_high": plan.beta_star_high,
-        "u_n": plan.u_n, "a_n": plan.a_n, "b_n": plan.b_n,
-    }
-
-
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
@@ -114,11 +100,7 @@ def run_coverage(
     seed: int,
 ) -> ExperimentReport:
     """Simultaneous-coverage experiment: sample, split, select, band, check."""
-    report = ExperimentReport(
-        name="coverage",
-        params={"density": density.name, "alpha": alpha, "reps": reps, "seed": seed, **plan_meta(plan)},
-        warnings=list(plan.warnings),
-    )
+    report = ExperimentReport(name="coverage", params={})
     q_n = band_halfwidth_quantile(plan, alpha)  # refuses a bad alpha before the truth scan
     # the density's range per cell depends only on the density and the mesh
     truth = density.cells_extrema(cell_edges(plan))
@@ -189,12 +171,7 @@ def run_adaptivity(
         raise ValueError("need at least a kink probe and a smooth probe")
     report = ExperimentReport(
         name="adaptivity",
-        params={
-            "density": density.name, "alpha": alpha, "reps": reps, "seed": seed,
-            "probes": ";".join(f"{t:g}" for t in probes),
-            "sizes": ";".join(str(p.n) for p in plans),
-        },
-        warnings=list(dict.fromkeys(w for plan in plans for w in plan.warnings)),
+        params={"probes": ";".join(f"{t:g}" for t in probes)},
     )
     for plan in plans:
         q_n = band_halfwidth_quantile(plan, alpha)
@@ -258,11 +235,7 @@ def run_window_check(
     hi = np.empty(N + 1, dtype=np.int64)
     for k in range(N + 1):
         lo[k], hi[k] = theoretical_window(density, plan, k * plan.delta_n)
-    report = ExperimentReport(
-        name="window",
-        params={"density": density.name, "reps": reps, "seed": seed, **plan_meta(plan)},
-        warnings=list(plan.warnings),
-    )
+    report = ExperimentReport(name="window", params={})
     for r in range(reps):
         rseed = replication_seed(seed, r)
         j_hat = fit_profile(split_sample(sample(density, plan.n, rseed)), plan, kernel)
@@ -326,7 +299,7 @@ def run_gumbel_calibration(
     ks, d_plus, d_minus = ks_statistics(stats, gumbel_cdf)
     report = ExperimentReport(
         name="gumbel",
-        params={"m": m, "reps": reps, "seed": seed, "tv": kernel.tv, "a_n": a_n, "b_n": b_n},
+        params={"tv": kernel.tv, "a_n": a_n, "b_n": b_n},
         records=[{"rep": r, "statistic": float(stats[r])} for r in range(reps)],
         summary={"ks": ks, "ks_ecdf_above": d_plus, "ks_ecdf_below": d_minus,
                  "variance": sigma ** 2},

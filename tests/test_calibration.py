@@ -175,13 +175,19 @@ class TestBandHalfwidthQuantile:
 
 
 class TestSerialization:
-    def test_round_trip(self, plan_16k, rect):
+    @given(
+        st.integers(4, 2 ** 40),
+        st.floats(0.0, exclude_min=True, allow_infinity=False),
+        st.floats(0.0, exclude_min=True, allow_infinity=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, rect, n, c2, L_star):
+        plan = derive_plan(PlanParams(n=n, c2=c2, L_star=L_star), rect)
+        assert plan_from_text(plan_to_text(plan), rect) == plan
+
+    def test_floats_read_as_written(self, plan_16k):
         text = plan_to_text(plan_16k)
-        back = plan_from_text(text, rect)
-        assert back.mesh_count == plan_16k.mesh_count
-        assert back.delta_n == plan_16k.delta_n
-        assert back.a_n == plan_16k.a_n
-        assert back.c2 == plan_16k.c2
+        assert "c2=0.65\n" in text and "beta_star_low=0.95\n" in text
 
     def test_unknown_field_rejected(self, rect):
         with pytest.raises(ValueError, match="unknown plan field"):

@@ -8,8 +8,10 @@ import pytest
 
 import locband
 from locband import band, calibration, cli, harness
+from locband.calibration import PlanParams, derive_plan, plan_to_text
 from locband.cli import build_parser, cmd_verify, main
 from locband.densities import AnalyticDensity, make_peak_triangular, sample
+from locband.kernels import make_rectangular
 
 
 @pytest.fixture()
@@ -33,6 +35,18 @@ FOUR_POINT_BAND = (
     "7,0.75,0.875,0,-4.99885912019,4.99885912019,0.267857716226,3,3\n"
     "8,0.875,1,0,-4.99885912019,4.99885912019,0.267857716226,3,3\n"
 )
+# its sidecar: the one setting band reads that the plan does not record,
+# then the plan, then the plan's warnings
+FOUR_POINT_META = (
+    "alpha=0.1\n"
+    "n=4\nepsilon=0.25\nbeta_star_low=0.95\nL_star=1.0\nc1=3.0\nkappa1=0.5263157894736842\n"
+    "kappa2=1.0\nc2=0.65\nmode=practical\nbeta_star_high=2\nn_tilde=2\nj_min=3\nj_max=3\n"
+    "delta_n=0.125\nmesh_count=8\nu_n=-1.099538761744993\nm_n=-0.5497693808724965\n"
+    "a_n=2.884053773201766\nb_n=2.6289259576038364\nc3=1.4142135623730951\n"
+    "warning.0=theory constraint relaxed: c1=3 must exceed 2/(beta_* log 2)=3.03725\n"
+    "warning.1=theory constraint relaxed: kappa2=1 must exceed c1 log2 + 4=6.07944\n"
+    "warning.2=j_max=1 clamped up to j_min=3\n"
+)
 
 
 def run_cli(*argv):
@@ -49,9 +63,6 @@ class TestBandCommand:
         # one row per cell: mesh count for n~=1024 at the shipped defaults
         meta = (tmp_path / "band.csv.meta").read_text()
         assert "alpha=0.1" in meta
-        from locband.calibration import PlanParams, derive_plan
-        from locband.kernels import make_rectangular
-
         plan = derive_plan(PlanParams(n=2048), make_rectangular())
         assert len(lines) == 1 + plan.mesh_count
 
@@ -64,7 +75,9 @@ class TestBandCommand:
         meta = (tmp_path / "b1.csv.meta").read_bytes()
         assert meta == (tmp_path / "b2.csv.meta").read_bytes()
         keys = [line.split("=", 1)[0] for line in meta.decode().splitlines()]
-        assert keys == ["alpha", "c2", "lstar", "mode", "n"]
+        plan = derive_plan(PlanParams(n=2048), make_rectangular())
+        plan_keys = [line.split("=", 1)[0] for line in plan_to_text(plan).splitlines()]
+        assert keys == ["alpha", *plan_keys, "warning.0", "warning.1"]
 
     def test_alpha_monotone(self, data_file, tmp_path):
         outs = {}
@@ -81,7 +94,7 @@ class TestBandCommand:
         out = tmp_path / "four.csv"
         assert run_cli("band", "--input", str(data), "--out", str(out)) == 0
         assert out.read_text() == FOUR_POINT_BAND
-        assert (tmp_path / "four.csv.meta").read_text() == "alpha=0.1\nc2=0.65\nlstar=1.0\nmode=practical\nn=4\n"
+        assert (tmp_path / "four.csv.meta").read_text() == FOUR_POINT_META
 
     def test_four_points_warns(self, tmp_path, capsys):
         data = tmp_path / "four.txt"
@@ -127,14 +140,15 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("kind, keys", [
         ("gumbel", ["n", "reps", "seed"]),
-        ("window", ["c2", "density", "lstar", "mode", "n", "reps", "seed"]),
+        ("window", ["density", "reps", "seed"]),  # the plan records n, c2, L* and the mode
     ])
     def test_meta_records_only_settings_read(self, tmp_path, kind, keys):
         out = tmp_path / "sim.csv"
         assert run_cli("simulate", kind, "--n", "512", "--reps", "1", "--out", str(out)) == 0
         meta = (tmp_path / "sim.csv.meta").read_text().splitlines()
-        settings = meta[: meta.index(f"experiment={kind}")]
-        assert [line.split("=", 1)[0] for line in settings] == keys
+        # the settings end where the plan (window) or the report (gumbel) begins
+        assert [line.split("=", 1)[0] for line in meta[: len(keys)]] == keys
+        assert meta[len(keys)] == ("experiment=gumbel" if kind == "gumbel" else "n=512")
 
     def test_coverage_single_rep(self, tmp_path):
         out = tmp_path / "cov.csv"
@@ -217,7 +231,13 @@ class TestConfigAndEnv:
         cfg.write_text("alphaa=0.2\n")
         rc = run_cli("band", "--config", str(cfg), "--input", "whatever")
         assert rc == 2
-        assert "alphaa" in capsys.readouterr().err
+        assert f"{cfg}:1: unknown config key 'alphaa'" in capsys.readouterr().err
+
+    def test_bad_config_value_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=abc\n")
+        assert run_cli("simulate", "gumbel", "--config", str(cfg)) == 2
+        assert "run.cfg:1" in capsys.readouterr().err
 
     def test_env_seed_and_flag_priority(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LOCBAND_SEED", "999")
@@ -242,6 +262,12 @@ class TestConfigAndEnv:
         # metadata goes to stderr, after the plan's warnings
         assert done.stderr.endswith((tmp_path / "band.csv.meta").read_bytes())
         assert b"band: warning: " in done.stderr
+
+    def test_out_not_a_regular_file_gets_no_sidecar(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.symlink_to(os.devnull)
+        assert run_cli("simulate", "gumbel", "--n", "64", "--reps", "2", "--out", str(out)) == 0
+        assert not (tmp_path / "out.csv.meta").exists()
 
 
 @pytest.mark.parametrize("reps", ["0", "-3"])

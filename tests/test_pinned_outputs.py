@@ -9,6 +9,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from locband.calibration import PlanParams, derive_plan, plan_from_text, plan_to_text
 from locband.cli import main
 
 
@@ -25,50 +26,87 @@ PINNED = {
     "band": (
         ("band", "--input", "{input}", "--alpha", "0.1"),
         "22a6103842eddd2361a34834c81a4620dcebcfb4d956beddef45a3f23260b7d4",
-        "ac0332d24ff86f5fb39ae29d4219b4c8e19ea29aa2f2d08fa45db638d1248e36",
+        "88bcae28aec7f062e9a115e724cd7906883fd3f1c7745498934997f92c7cafb3",
     ),
     "coverage": (
         ("simulate", "coverage", "--density", "peak", "--n", "2048", "--reps", "2", "--seed", "11"),
         "d1129c4d19588cf411915d51685072805e9b408546640ce7b0aebffe5bf351a0",
-        "7cda9010055d53561c995f39d8c4bdae5b268b4c5067e665671e2f82e9caaa29",
+        "001d7b992f86b659d526f36f4b9a7ebfb15264f13bfa7915699ad1b7ac1fad91",
     ),
     "window": (
         ("simulate", "window", "--density", "tent:0.5", "--n", "2048", "--reps", "2", "--seed", "12"),
         "295cda7cffe4068aad5817f250822a64ef36620ac3baf633612df74fffcefc6c",
-        "bf9f0b11453b77bc951bafa5576dd850fd4fd09adf4fe4095706d9802968acdd",
+        "a85024b895a056e66f0f9c12287932cbf8766e1a935d0fffb2993ee31371ec42",
     ),
     "adaptivity": (
         ("simulate", "adaptivity", "--density", "peak", "--n", "4096", "--reps", "2", "--seed", "13"),
         "367d201ceed7745e1b9a51ea5db7aedab942673caf59dd418dfbdd768b097472",
-        "b14edd8d70d2ae9c5e99904ade110cdee7d8d9f5a45f283565c06bd7cc0aad59",
+        "4ba8d9022d0197044715b78ee516937e0d0b05571f360a3ad60640233145b386",
     ),
     "gumbel": (
         ("simulate", "gumbel", "--n", "64", "--reps", "20", "--seed", "14"),
         "e093f470738a18af0ea0608037d71db492ceab31d4f14c6c37121fac0eb05b42",
-        "c3d0b280b212294154b73f4e0665497ec02daa6dc1b35d83703efe4a230d9a30",
+        "058ab8a1bd33f4f17dee4f475ec7e7a9284d27188f16dafb4c44c9b3f127bcee",
     ),
     "curves": (
         ("curves", "--density", "peak", "--n", "2048", "--alpha", "0.2", "--seed", "15"),
         "7c25fd97a9239a84d7f12ec9d4be699380be4a7d81c6df83ec92593654dd5a55",
-        "f6153bfc23a24d899ad5d57cfb2929d1242d2e08380e14e8fd1c585094f12741",
+        "fa837d2be8a2c7e979759cf7349c1a43003a20dddb11b3ade83d365a6d8af634",
     ),
     # the only run here whose truth range comes from the rough-density scan (394 cells)
     "coverage-rough": (
         ("simulate", "coverage", "--density", "weierstrass:0.5:0.5", "--n", "64", "--reps", "2", "--seed", "16"),
         "5a239a2132976823bad25564f946e9bb902d38ed76ac7aed3de52c4d7e8a5aad",
-        "73bcae5d6f53972381bef1015abb76f6abe145e431f042eda8c2f8a66c93420d",
+        "294bf3b27231eeb7b5c7dd8ccd7719d81a78bc49b9ebee470b62b41f002719b0",
     ),
 }
 
 
-def _sha(path):
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+# every run above plus one that derives no plan and whose report has params
+RUNS = {name: argv for name, (argv, _, _) in PINNED.items()} | {"verify-a2": ("verify", "--suite", "a2")}
+PLAN_RUNS = sorted(set(PINNED) - {"gumbel"})
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """name -> (CSV bytes, .meta bytes) of RUNS[name], each run at most once."""
+    done = {}
+
+    def get(name):
+        if name not in done:
+            tmp = tmp_path_factory.mktemp(name)
+            data = _band_input(tmp / "data.txt") if name == "band" else None
+            out = tmp / "out.csv"
+            assert main([a.format(input=data) for a in RUNS[name]] + ["--out", str(out)]) == 0
+            done[name] = (out.read_bytes(), (tmp / "out.csv.meta").read_bytes())
+        return done[name]
+
+    return get
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
-def test_output_bytes_pinned(name, tmp_path):
-    argv, csv_sha, meta_sha = PINNED[name]
-    data = _band_input(tmp_path / "data.txt") if name == "band" else None
-    out = tmp_path / "out.csv"
-    assert main([a.format(input=data) for a in argv] + ["--out", str(out)]) == 0
-    assert (_sha(out), _sha(tmp_path / "out.csv.meta")) == (csv_sha, meta_sha)
+def test_output_bytes_pinned(name, outputs):
+    _, csv_sha, meta_sha = PINNED[name]
+    assert tuple(map(_sha, outputs(name))) == (csv_sha, meta_sha)
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_meta_names_each_key_once(name, outputs):
+    keys = [line.split("=", 1)[0] for line in outputs(name)[1].decode().splitlines()]
+    assert sorted(k for k in set(keys) if keys.count(k) > 1) == []
+
+
+@pytest.mark.parametrize("name", PLAN_RUNS)
+def test_meta_holds_plan_then_warnings(name, outputs, rect):
+    # the plan is re-derived from the sidecar's own plan lines; the sidecar
+    # must then hold its text verbatim, followed by one line per warning
+    meta = outputs(name)[1].decode()
+    fields = {line.split("=", 1)[0] for line in plan_to_text(derive_plan(PlanParams(n=64), rect)).splitlines()}
+    plan = plan_from_text("\n".join(l for l in meta.splitlines() if l.split("=", 1)[0] in fields), rect)
+    warnings = "".join(f"warning.{i}={w}\n" for i, w in enumerate(plan.warnings))
+    assert plan.warnings and plan_to_text(plan) + warnings in meta
+    assert meta.count("warning.") == len(plan.warnings)
