@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Optional, TextIO
 
 import numpy as np
 
 from .calibration import CalibrationPlan, optimal_bandwidth
 from .csvtext import write_csv
+from .densities import AnalyticDensity
 from .errors import OutOfDomainError
 from .estimator import SplitSample, rank_query_kde
 from .kernels import Kernel
@@ -76,14 +77,43 @@ def reference_global_band(split: SplitSample, plan: CalibrationPlan, kernel: Ker
     return _assemble(split, plan, kernel, q_n, j_ref, np.full(plan.mesh_count, h_ref))
 
 
-def covers_truth(band: ConfidenceBand, truth: tuple[np.ndarray, np.ndarray]) -> bool:
-    """True iff every cell's interval contains the density's range on it;
-    `truth` is that range per cell, density.cells_extrema(cell_edges(plan))."""
-    lo, hi = truth
-    return bool(
-        np.all(band.centers - band.halfwidths <= lo)
-        and np.all(hi <= band.centers + band.halfwidths)
-    )
+# Bisections of an undecided cell; 30 halvings of a 3e-5 cell leave ~250 ulps.
+_REFINE_LEVELS = 30
+
+
+def covers_truth(band: ConfidenceBand, density: AnalyticDensity, truth: tuple[np.ndarray, ...]) -> Optional[bool]:
+    """Whether the density lies in the band at every t in [0, 1]: True,
+    False, or None if still undecided after _REFINE_LEVELS bisections.
+
+    `truth` is density.cells_extrema(cell_edges(plan)): per cell, values lo
+    and hi the density takes there and a slack such that [lo - slack,
+    hi + slack] holds its true range.  A cell whose band interval holds that
+    enclosure is covered.  One whose interval misses lo or hi is not; where
+    there is slack (series terms) the miss must exceed density.value_error,
+    the error of a computed value.  Every other cell is bisected and its
+    halves decided from their own enclosures.  Without slack none is left.
+    """
+    lo, hi, slack = truth
+    band_lo, band_hi = band.centers - band.halfwidths, band.centers + band.halfwidths
+    for level in range(_REFINE_LEVELS + 1):
+        if np.all(band_lo <= lo - slack) and np.all(hi + slack <= band_hi):
+            return True
+        err = np.where(slack > 0.0, density.value_error, 0.0)
+        if np.any((lo < band_lo - err) | (hi > band_hi + err)):
+            return False
+        open_ = (lo - slack < band_lo) | (hi + slack > band_hi)
+        # an infinite slack (series exponent 1) never shrinks
+        if level == _REFINE_LEVELS or not np.isfinite(slack[open_]).all():
+            return None
+        if level == 0:  # the mesh's edges are needed only to bisect
+            edges = cell_edges(band.plan)
+            left, right = edges[:-1], edges[1:]
+        mid = 0.5 * (left[open_] + right[open_])
+        left, right = np.column_stack([left[open_], mid]).ravel(), np.column_stack([mid, right[open_]]).ravel()
+        band_lo, band_hi = np.repeat(band_lo[open_], 2), np.repeat(band_hi[open_], 2)
+        # the halves are cells of their joint edges; the gaps between them are ignored
+        sub = np.unique(np.concatenate([left, right]))
+        lo, hi, slack = (a[np.searchsorted(sub, left)] for a in density.cells_extrema(sub))
 
 
 def write_band_csv(band: ConfidenceBand, fh: TextIO) -> None:

@@ -251,14 +251,15 @@ def plan_to_text(plan: CalibrationPlan) -> str:
 
 
 def plan_from_text(text: str, kernel) -> CalibrationPlan:
-    """Rebuild a plan from its key=value block and re-derive; stored derived
-    integers must match the re-derivation bit for bit."""
+    """Rebuild a plan from its key=value block and re-derive; every stored
+    derived field must match the re-derivation exactly (floats are stored as
+    their shortest round-trip repr, so exact comparison is sound)."""
     kv = read_key_values(text.splitlines(), _TEXT_FIELDS, "plan field", "line ")
-    params = PlanParams(**{f.name: kv[f.name] for f in fields(PlanParams) if f.name in kv})
-    plan = derive_plan(params, kernel)
-    for name in ("beta_star_high", "n_tilde", "j_min", "j_max", "mesh_count"):
-        if name in kv and kv[name] != getattr(plan, name):
+    given = {f.name for f in fields(PlanParams)}
+    plan = derive_plan(PlanParams(**{k: v for k, v in kv.items() if k in given}), kernel)
+    for name, stored in kv.items():
+        if name not in given and stored != getattr(plan, name):
             raise ValueError(
-                f"stored {name}={kv[name]} disagrees with re-derived {getattr(plan, name)}"
+                f"stored {name}={stored!r} disagrees with re-derived {getattr(plan, name)!r}"
             )
     return plan

@@ -29,13 +29,6 @@ from .errors import (
 )
 
 DEFAULT_SERIES_TOL = 1e-12
-# The rough-density extrema scan (AnalyticDensity.cells_extrema): points per
-# cell, the series tolerances of its coarse passes as multiples of w^beta
-# (the order of the density's range on a cell of width w), and points per
-# block.  Each coarse pass leaves a few percent of its points to the next.
-_SCAN_POINTS = 2048
-_COARSE_TOLS = (1.0 / 8.0, 1.0 / 64.0)
-_SCAN_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -245,86 +238,57 @@ class AnalyticDensity:
     def mass_between(self, a, b) -> np.ndarray | float:
         return self.mass_below(b) - self.mass_below(a)
 
+    @property
+    def value_error(self) -> float:
+        """Bound on how far a computed value lies from the true one: the
+        series tail past the truncation tolerance, plus rounding (the factor
+        and the 1e-12 cover the adds and poly + scale W); 0 without series."""
+        weight = max(sum(abs(c) for c, _ in p.wterms) for p in self.pieces)
+        return weight * self.wspec.tol * (1.0 + 1e-6) + 1e-12 if self.is_rough else 0.0
+
     # -- per-cell extrema ---------------------------------------------------
 
-    def cells_extrema(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(inf, sup) of the density over each cell [edges[k], edges[k+1]].
+    def cells_extrema(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lo, hi, slack) per cell [edges[k], edges[k+1]]: lo and hi are
+        values the density takes on the cell, and its true range there lies
+        in [lo - slack, hi + slack].
 
-        Piecewise-polynomial members are handled in closed form (endpoint,
-        kink and stationary-point values).  Rough members take the min and
-        max of the density at the _SCAN_POINTS points left + width * frac,
-        frac = linspace(0, 1, _SCAN_POINTS), of each cell: bit for bit what
-        evaluating every point with the full series gives, but with the
-        full series evaluated at a few points per cell only.
-
-        - Coarse passes evaluate the candidate points (at first, all of
-          them) with the series truncated at a larger tolerance tol, in
-          turn w^beta / 8 and w^beta / 64 for the widest cell width w.
-          The truncated sum's terms are a bitwise prefix of the full one
-          (same amplitudes, phases and order of additions) and the dropped
-          tail is at most tol, so every point's coarse value lies within
-          B = max over pieces of sum |scale| * tol * (1 + 1e-6) + 1e-12 of
-          its full value; the factor and the additive slack cover the
-          rounding of the remaining adds and of poly + scale * W.
-        - Each pass keeps only the candidates whose coarse value lies
-          within 2B of their cell's coarse min or max.  The point x* of the
-          full minimum has coarse(x*) <= full(x*) + B <= full(argmin
-          coarse) + B <= coarse min + 2B, so it stays (and likewise for the
-          maximum); each cell keeps its coarse argmin and argmax, so none
-          is left empty.
-        - The last pass evaluates the survivors with the full series.  The
-          min and max over a subset that holds the points of both are those
-          over all points, bit for bit, because a point's value does not
-          depend on which other points are evaluated with it.
+        The cells are cut at the piece joints, and on pieces without series
+        terms at the polynomial's stationary points, into sub-intervals that
+        each lie in one piece (or outside the support, where the density is
+        0).  Each piece's own value is taken at the ends of its
+        sub-intervals, so no continuity at joints is assumed; lo and hi are
+        the least and greatest of these values.  A polynomial is monotone
+        between stationary points, so pieces without series terms add no
+        slack.  On a piece with series terms every point lies within w'/2
+        of an end of its sub-interval of width w', so the slack is
+        sum |scale| holder_quotient_bound(beta) (w'/2)^beta for the series,
+        plus sup |poly'| w'/2 for the polynomial part, plus value_error.
+        Each point is evaluated once per piece that holds it.
         """
         edges = np.asarray(edges, dtype=float)
-        if self.is_rough:
-            return self._rough_extrema(edges)
-        vals = self.pdf(edges)
-        lo = np.minimum(vals[:-1], vals[1:])
-        hi = np.maximum(vals[:-1], vals[1:])
-        stationary = [x for p in self.pieces for x in _stationary_points(p.coeffs, p.lo, p.hi)]
-        special = np.asarray(list(self.kinks) + stationary, dtype=float)
-        special = special[(special > edges[0]) & (special < edges[-1])]
-        if special.size:
-            cell = np.clip(np.searchsorted(edges, special, side="right") - 1, 0, len(edges) - 2)
-            v = self.pdf(special)
-            for c, val in zip(cell, v):
-                lo[c] = min(lo[c], val)
-                hi[c] = max(hi[c], val)
-        return lo, hi
-
-    def _rough_extrema(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        weight = max(sum(abs(s) for s, _ in p.wterms) for p in self.pieces)
-        scale = float(np.max(edges[1:] - edges[:-1], initial=0.0)) ** self.wspec.beta
-        # only a tolerance above the density's own truncates its series further
-        passes = [
-            (replace(self, wspec=replace(self.wspec, tol=tol)), weight * tol * (1.0 + 1e-6) + 1e-12)
-            for tol in (scale * r for r in _COARSE_TOLS) if tol > self.wspec.tol
-        ] + [(self, None)]
-        ncell = len(edges) - 1
-        lo = np.empty(ncell)
-        hi = np.empty(ncell)
-        frac = np.linspace(0.0, 1.0, _SCAN_POINTS)
-        rows = max(1, _SCAN_BLOCK // _SCAN_POINTS)
-        for start in range(0, ncell, rows):
-            stop = min(start + rows, ncell)
-            left = edges[start:stop, None]
-            width = (edges[start + 1:stop + 1] - edges[start:stop])[:, None]
-            xs = (left + width * frac[None, :]).ravel()
-            row = np.repeat(np.arange(stop - start), _SCAN_POINTS)
-            for density, bound in passes:
-                vals = density.pdf(xs)
-                # every pass keeps each row's argmin and argmax, so no row is empty
-                first = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
-                vmin = np.minimum.reduceat(vals, first)
-                vmax = np.maximum.reduceat(vals, first)
-                if bound is not None:
-                    near = (vals <= vmin[row] + 2.0 * bound) | (vals >= vmax[row] - 2.0 * bound)
-                    xs, row = xs[near], row[near]
-            lo[start:stop] = vmin
-            hi[start:stop] = vmax
-        return lo, hi
+        cuts = {x for p in self.pieces for x in (p.lo, p.hi)}
+        cuts |= {x for p in self.pieces if not p.wterms for x in _stationary_points(p.coeffs, p.lo, p.hi)}
+        cuts = np.array(sorted(x for x in cuts if edges[0] < x < edges[-1]))
+        # sub-interval m is [xs[m], xs[m+1]]; a cut on an edge adds an empty one, which changes nothing
+        xs = np.insert(edges, np.searchsorted(edges, cuts), cuts)
+        lo, hi, slack = np.zeros((3, len(xs) - 1))
+        for p in self.pieces:
+            s, e = np.searchsorted(xs, p.lo), np.searchsorted(xs, p.hi, side="right")
+            if e - s < 2:
+                continue
+            v = p.value(xs[s:e], self.wspec)
+            lo[s:e - 1], hi[s:e - 1] = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
+            if p.wterms:
+                half = 0.5 * np.diff(xs[s:e])
+                weight = sum(abs(c) for c, _ in p.wterms) * holder_quotient_bound(self.wspec.beta)
+                dpoly = [i * c for i, c in enumerate(p.coeffs)][1:] or [0.0]
+                slack[s:e - 1] = (weight * half ** self.wspec.beta + _poly_sup_on(dpoly, p.lo, p.hi) * half
+                                  + self.value_error)
+        first = np.searchsorted(xs, edges[:-1])
+        # without series terms the slack is 0: a broadcast zero holds no memory
+        slack = np.maximum.reduceat(slack, first) if self.is_rough else np.broadcast_to(0.0, first.shape)
+        return np.minimum.reduceat(lo, first), np.maximum.reduceat(hi, first), slack
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +526,14 @@ def density_from_name(name: str) -> AnalyticDensity:
 # sampling
 # ---------------------------------------------------------------------------
 
-def sample(density: AnalyticDensity, m: int, seed: int, batch: int = 8192) -> np.ndarray:
+_SAMPLE_BATCH = 8192
+
+
+def sample(density: AnalyticDensity, m: int, seed: int) -> np.ndarray:
     """m i.i.d. draws by rejection with a uniform proposal over the support.
 
     Stream order (fixed, part of the determinism contract): batches of
-    `batch` proposals; within a batch all positions are drawn first, then
+    _SAMPLE_BATCH proposals; within a batch all positions are drawn first, then
     all acceptance thresholds; accepted points keep proposal order and the
     first m acceptances are returned.
     """
@@ -577,8 +544,8 @@ def sample(density: AnalyticDensity, m: int, seed: int, batch: int = 8192) -> np
     out = []
     got = 0
     while got < m:
-        xs = lo + (hi - lo) * rng.random(batch)
-        us = rng.random(batch)
+        xs = lo + (hi - lo) * rng.random(_SAMPLE_BATCH)
+        us = rng.random(_SAMPLE_BATCH)
         fx = density.pdf(xs)
         if np.any(fx > density.sup_bound * (1.0 + 1e-12)):
             bad = float(fx.max())

@@ -107,12 +107,12 @@ def run_coverage(
     for r in range(reps):
         rseed = replication_seed(seed, r)
         band = fit_band(split_sample(sample(density, plan.n, rseed)), plan, kernel, q_n)
-        covered = covers_truth(band, truth)
+        covered = covers_truth(band, density, truth)
         widths = 2.0 * band.halfwidths
         report.records.append({
             "rep": r,
             "rep_seed": rseed,
-            "covered": covered,
+            "covered": "undecided" if covered is None else covered,
             "width_min": float(widths.min()),
             "width_mean": float(widths.mean()),
             "width_max": float(widths.max()),
@@ -121,9 +121,11 @@ def run_coverage(
         })
     covered = [rec["covered"] for rec in report.records]
     report.summary = {
-        "coverage": sum(covered) / reps,
+        "coverage": covered.count(True) / reps,
         "width_mean": float(np.mean([rec["width_mean"] for rec in report.records])),
     }
+    if "undecided" in covered:
+        report.summary["undecided"] = covered.count("undecided")
     return report
 
 

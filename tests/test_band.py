@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locband import harness
 from locband.band import (
+    ConfidenceBand,
     cell_edges,
     cell_of,
     covers_truth,
@@ -16,7 +18,16 @@ from locband.band import (
 )
 from locband.calibration import PlanParams, band_halfwidth_quantile, derive_plan, optimal_bandwidth
 from locband.csvtext import CSV_CHUNK
-from locband.densities import make_peak_triangular, make_uniform, sample
+from locband.densities import (
+    AnalyticDensity,
+    Piece,
+    WeierstrassSpec,
+    density_from_name,
+    make_peak_triangular,
+    make_triangular_hypothesis,
+    make_uniform,
+    sample,
+)
 from locband.errors import OutOfDomainError
 from locband.estimator import build_kde_table, rank_query_kde, split_sample
 from locband.kernels import make_rectangular
@@ -203,12 +214,12 @@ class TestBandAt:
 class TestCoversTruth:
     def test_wide_band_covers(self, fitted, plan_mod):
         density, _, band = fitted
-        assert covers_truth(band, density.cells_extrema(cell_edges(plan_mod)))
+        assert covers_truth(band, density, density.cells_extrema(cell_edges(plan_mod)))
 
     def test_shifted_center_fails(self, fitted, plan_mod):
         density, _, band = fitted
         shifted = replace(band, centers=band.centers + 2.5 * band.halfwidths.max())
-        assert not covers_truth(shifted, density.cells_extrema(cell_edges(plan_mod)))
+        assert not covers_truth(shifted, density, density.cells_extrema(cell_edges(plan_mod)))
 
     def test_agrees_with_dense_grid(self, fitted, plan_mod):
         density, _, band = fitted
@@ -223,7 +234,7 @@ class TestCoversTruth:
             lo = cand.centers[ks - 1] - cand.halfwidths[ks - 1]
             hi = cand.centers[ks - 1] + cand.halfwidths[ks - 1]
             dense_ok = bool(np.all((vals >= lo - 1e-12) & (vals <= hi + 1e-12)))
-            exact = covers_truth(cand, density.cells_extrema(cell_edges(plan_mod)))
+            exact = covers_truth(cand, density, density.cells_extrema(cell_edges(plan_mod)))
             # the exact check is at least as strict as the dense-grid one
             if exact:
                 assert dense_ok
@@ -233,7 +244,111 @@ class TestCoversTruth:
         data = sample(density, plan_mod.n, seed=5)
         split = split_sample(data)
         band = fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
-        assert covers_truth(band, density.cells_extrema(cell_edges(plan_mod)))
+        assert covers_truth(band, density, density.cells_extrema(cell_edges(plan_mod)))
+
+
+def _interval_band(plan, lo, hi) -> ConfidenceBand:
+    """A band whose cell intervals are [lo, hi] (arrays or scalars)."""
+    lo, hi = np.broadcast_to(lo, plan.mesh_count), np.broadcast_to(hi, plan.mesh_count)
+    j_hat = np.full(plan.mesh_count + 1, plan.j_min)
+    return ConfidenceBand(plan, j_hat, np.ones(plan.mesh_count), 0.5 * (lo + hi), 0.5 * (hi - lo))
+
+
+def _scanned_extrema(density, edges, points=2048):
+    """Min and max of the density at `points` evenly spaced points per cell."""
+    left, width = edges[:-1, None], np.diff(edges)[:, None]
+    vals = density.pdf((left + width * np.linspace(0.0, 1.0, points)).ravel()).reshape(len(edges) - 1, points)
+    return vals.min(axis=1), vals.max(axis=1)
+
+
+def _closed_form_extrema(density, edges):
+    """Range per cell of a piecewise-linear density: its values at the cell
+    edges and at the kinks inside the cell (the pre-enclosure truth)."""
+    vals = density.pdf(edges)
+    lo, hi = np.minimum(vals[:-1], vals[1:]), np.maximum(vals[:-1], vals[1:])
+    for x in density.kinks:
+        if edges[0] < x < edges[-1]:
+            k = min(np.searchsorted(edges, x, side="right") - 1, len(edges) - 2)
+            lo[k], hi[k] = min(lo[k], density.pdf(x)), max(hi[k], density.pdf(x))
+    return lo, hi
+
+
+@pytest.fixture(scope="module")
+def rough_256(rect_mod):
+    plan = derive_plan(PlanParams(n=256), rect_mod)
+    density = density_from_name("weierstrass:0.5:0.5")
+    return plan, density, density.cells_extrema(cell_edges(plan))
+
+
+@pytest.fixture(scope="module")
+def fitted_tent(plan_mod, rect_mod):
+    density = make_triangular_hypothesis(0.5)
+    split = split_sample(sample(density, plan_mod.n, seed=98))
+    return density, fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
+
+
+class TestCoversTruthRefinement:
+    def test_scan_miss_refines_to_false(self, rough_256, monkeypatch):
+        # on cells 600-604 the density rises up to 6.4e-5 above its
+        # 2048-point scan; a band 1e-6 above the scan's max must fail
+        plan, density, truth = rough_256
+        _, scan_hi = _scanned_extrema(density, cell_edges(plan)[600:606])
+        hi = np.full(plan.mesh_count, 10.0)
+        hi[600:605] = scan_hi + 1e-6
+        band = _interval_band(plan, -10.0, hi)
+        assert np.all(scan_hi <= (band.centers + band.halfwidths)[600:605])  # the scan's verdict: covered
+        calls = _count_calls(monkeypatch, AnalyticDensity, "cells_extrema")
+        assert covers_truth(band, density, truth) is False
+        assert len(calls) > 1
+
+    def test_wide_band_needs_no_refinement(self, rough_256, monkeypatch):
+        plan, density, truth = rough_256
+        calls = _count_calls(monkeypatch, AnalyticDensity, "cells_extrema")
+        assert covers_truth(_interval_band(plan, 0.0, 1.0), density, truth) is True
+        assert calls == []
+
+    def test_tangent_band_is_undecided(self, rough_256, rect_mod, monkeypatch):
+        # the density's maximum 1/4 is taken at t = 1/2, inside the mesh: a
+        # band whose top is exactly 1/4 is neither certified nor refuted
+        plan, density, _ = rough_256
+        real = harness.fit_band
+        monkeypatch.setattr(
+            harness, "fit_band",
+            lambda *args: replace(real(*args), centers=np.full(plan.mesh_count, 0.125),
+                                  halfwidths=np.full(plan.mesh_count, 0.125)),
+        )
+        report = harness.run_coverage(density, plan, rect_mod, alpha=0.1, reps=2, seed=1)
+        assert [rec["covered"] for rec in report.records] == ["undecided", "undecided"]
+        assert report.summary["coverage"] == 0.0 and report.summary["undecided"] == 2
+        assert "summary.undecided=2\n" in report.meta_text()
+
+    def test_infinite_slack_is_undecided_at_once(self, plan_mod, monkeypatch):
+        # an exponent-1 series has no finite Hoelder bound, so halving its
+        # cells cannot shrink their enclosures
+        piece = Piece(0.0, 1.0, coeffs=(1.0,), wterms=((1e-3, 0.0),))
+        density = AnalyticDensity("w1", (piece,), (0.0, 1.0), 1.01, (0.0, 1.0), wspec=WeierstrassSpec(1.0))
+        truth = density.cells_extrema(cell_edges(plan_mod))
+        assert np.all(np.isinf(truth[2]))
+        calls = _count_calls(monkeypatch, AnalyticDensity, "cells_extrema")
+        assert covers_truth(_interval_band(plan_mod, 0.0, 2.0), density, truth) is None
+        assert calls == []
+
+    @given(st.sampled_from(["peak", "tent"]), st.floats(0.05, 2.0), st.floats(-0.2, 0.2))
+    @settings(max_examples=60, deadline=None)
+    def test_polynomial_decision_unchanged(self, fitted, fitted_tent, plan_mod, name, scale, shift):
+        density, band = (fitted[0], fitted[2]) if name == "peak" else fitted_tent
+        cand = replace(band, centers=band.centers + shift * band.halfwidths, halfwidths=band.halfwidths * scale)
+        edges = cell_edges(plan_mod)
+        lo, hi = _closed_form_extrema(density, edges)
+        old = bool(np.all(cand.centers - cand.halfwidths <= lo) and np.all(hi <= cand.centers + cand.halfwidths))
+        assert covers_truth(cand, density, density.cells_extrema(edges)) is old
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
 
 
 class TestReferenceGlobalBand:

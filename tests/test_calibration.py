@@ -197,6 +197,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match="disagrees"):
             plan_from_text("n=2048\nj_min=9\n", rect)
 
+    @pytest.mark.parametrize("name", ["a_n", "b_n", "delta_n", "u_n", "m_n", "c3"])
+    def test_edited_derived_float_rejected(self, rect, name):
+        plan = derive_plan(PlanParams(n=2048), rect)
+        text = plan_to_text(plan).replace(f"{name}={getattr(plan, name)!r}\n", f"{name}=99.0\n")
+        assert f"{name}=99.0\n" in text
+        with pytest.raises(ValueError, match=f"stored {name}=99.0 disagrees"):
+            plan_from_text(text, rect)
+
     def test_beta_star_high_from_kernel_checked(self, rect):
         # derived from the kernel's order, so a stored value is checked, not used
         assert "beta_star_high=2\n" in plan_to_text(plan_from_text("n=2048\n", rect))

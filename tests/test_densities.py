@@ -9,7 +9,6 @@ from locband import densities as zoo
 from locband.band import cell_edges
 from locband.calibration import PlanParams, derive_plan
 from locband.densities import (
-    _SCAN_POINTS,
     AnalyticDensity,
     Piece,
     WeierstrassSpec,
@@ -232,22 +231,38 @@ class TestZooInvariants:
             make_perturbed(make_triangular_hypothesis(0.5), 1000, 1.0, "one")
 
 
+_ORACLE_POINTS = 2048
+
+
 def _exhaustive_extrema(density, edges):
-    """The rough scan's oracle: every one of the _SCAN_POINTS points of each
-    cell evaluated with the full series."""
-    ncell = len(edges) - 1
-    lo = np.empty(ncell)
-    hi = np.empty(ncell)
-    frac = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    block = max(1, (1 << 19) // _SCAN_POINTS)
-    for start in range(0, ncell, block):
-        stop = min(start + block, ncell)
-        left = edges[start:stop, None]
-        width = (edges[start + 1:stop + 1] - edges[start:stop])[:, None]
-        vals = density.pdf((left + width * frac[None, :]).ravel()).reshape(stop - start, _SCAN_POINTS)
-        lo[start:stop] = vals.min(axis=1)
-        hi[start:stop] = vals.max(axis=1)
+    """The enclosure's oracle: min and max over _ORACLE_POINTS evenly spaced
+    points of each piece's part of each cell, both ends included and each
+    piece evaluated with its own value, and 0 where a cell leaves the support."""
+    lo = np.full(len(edges) - 1, np.inf)
+    hi = np.full(len(edges) - 1, -np.inf)
+    frac = np.linspace(0.0, 1.0, _ORACLE_POINTS)
+    for p in density.pieces:
+        a, b = np.maximum(edges[:-1], p.lo), np.minimum(edges[1:], p.hi)
+        k = np.flatnonzero(a < b)
+        pts = a[k, None] + (b - a)[k, None] * frac[None, :]
+        pts[:, -1] = b[k]
+        vals = p.value(pts.ravel(), density.wspec).reshape(pts.shape)
+        lo[k] = np.minimum(lo[k], vals.min(axis=1))
+        hi[k] = np.maximum(hi[k], vals.max(axis=1))
+    outside = (edges[:-1] < density.support[0]) | (edges[1:] > density.support[1])
+    lo[outside] = np.minimum(lo[outside], 0.0)
+    hi[outside] = np.maximum(hi[outside], 0.0)
     return lo, hi
+
+
+def assert_encloses_scan(density, edges):
+    """The enclosure holds the scanned range, and lo and hi are attained:
+    they lie inside the scanned range, which holds the cells' ends."""
+    lo, hi, slack = density.cells_extrema(edges)
+    want_lo, want_hi = _exhaustive_extrema(density, edges)
+    assert np.all(slack >= 0.0)
+    assert np.all(lo - slack <= want_lo) and np.all(want_hi <= hi + slack)
+    assert np.all(want_lo <= lo) and np.all(hi <= want_hi)
 
 
 @st.composite
@@ -272,24 +287,36 @@ class TestCellsExtrema:
     @given(_rough_cells())
     @settings(max_examples=80, deadline=None)
     def test_rough_scan_matches_exhaustive(self, case):
-        density, edges = case
-        lo, hi = density.cells_extrema(edges)
-        want_lo, want_hi = _exhaustive_extrema(density, edges)
-        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+        # the enclosure holds the exhaustive scan's range
+        assert_encloses_scan(*case)
 
     @pytest.mark.parametrize("name", ["weierstrass:0.5:0.5", "perturbed2:0.5:256"])
     def test_rough_scan_on_plan_mesh(self, name, rect):
-        # 40 cells of the n = 256 plan's mesh around 1/2: more than one block
+        # 40 cells of the n = 256 plan's mesh around 1/2
         plan = derive_plan(PlanParams(n=256), rect)
         edges = cell_edges(plan)[plan.mesh_count // 2 - 20:plan.mesh_count // 2 + 21]
-        density = density_from_name(name)
-        lo, hi = density.cells_extrema(edges)
-        want_lo, want_hi = _exhaustive_extrema(density, edges)
-        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+        assert_encloses_scan(density_from_name(name), edges)
+
+    def test_rough_work_is_linear_in_cells(self, rect, monkeypatch):
+        # a per-cell scan would evaluate thousands of points per cell
+        plan = derive_plan(PlanParams(n=4096), rect)
+        density = density_from_name("weierstrass:0.5:0.5")
+        points = []
+        real = Piece.value
+        monkeypatch.setattr(Piece, "value", lambda self, x, spec: points.append(np.size(x)) or real(self, x, spec))
+        density.cells_extrema(cell_edges(plan))
+        assert 0 < sum(points) <= 4 * (plan.mesh_count + 1) + len(density.pieces) + 1
+
+    def test_polynomial_pieces_have_no_slack(self, rect):
+        plan = derive_plan(PlanParams(n=256), rect)
+        tent = make_triangular_hypothesis(0.5)
+        for density in (make_peak_triangular(), tent, make_perturbed(tent, 256, 1.0, "one")):
+            lo, hi, slack = density.cells_extrema(cell_edges(plan))
+            assert np.all(slack == 0.0) and np.all(lo <= hi)
 
     def test_no_cells(self):
-        lo, hi = make_weierstrass_composite(0.5, 0.5).cells_extrema(np.array([0.25]))
-        assert lo.shape == hi.shape == (0,)
+        lo, hi, slack = make_weierstrass_composite(0.5, 0.5).cells_extrema(np.array([0.25]))
+        assert lo.shape == hi.shape == slack.shape == (0,)
 
 
 class TestDensityNames:
