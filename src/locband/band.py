@@ -20,7 +20,6 @@ from .csvtext import write_csv
 from .densities import AnalyticDensity
 from .errors import OutOfDomainError
 from .estimator import SplitSample, rank_query_kde
-from .kernels import Kernel
 from .selector import fit_profile
 
 
@@ -50,31 +49,31 @@ def cell_edges(plan: CalibrationPlan) -> np.ndarray:
 
 
 def _assemble(
-    split: SplitSample, plan: CalibrationPlan, kernel: Kernel, q_n: float, j_hat: np.ndarray, h_loc: np.ndarray
+    split: SplitSample, plan: CalibrationPlan, q_n: float, j_hat: np.ndarray, h_loc: np.ndarray
 ) -> ConfidenceBand:
     """Centers from the first half at the cells' bandwidths h_loc, and
     half-widths q_n / sqrt(n~ h_loc)."""
     points = np.arange(1, plan.mesh_count + 1, dtype=float) * plan.delta_n
-    centers = rank_query_kde(split.chi1, points, h_loc, kernel)
+    centers = rank_query_kde(split.chi1, points, h_loc, plan.kernel)
     return ConfidenceBand(plan, j_hat, h_loc, centers, q_n / np.sqrt(plan.n_tilde * h_loc))
 
 
-def fit_band(split: SplitSample, plan: CalibrationPlan, kernel: Kernel, q_n: float) -> ConfidenceBand:
+def fit_band(split: SplitSample, plan: CalibrationPlan, q_n: float) -> ConfidenceBand:
     """The locally adaptive band: exponents selected on the second half of
     the split, and on cell k the undersmoothed bandwidth
     h_loc[k-1] = 2^-u_n 2^-max(j_hat[k-1], j_hat[k]) for the centers, which
     come from the first half.  q_n is band_halfwidth_quantile(plan, alpha)."""
-    j_hat = fit_profile(split, plan, kernel)
+    j_hat = fit_profile(split, plan)
     h_loc = 2.0 ** -plan.u_n * np.exp2(-np.maximum(j_hat[:-1], j_hat[1:]).astype(float))
-    return _assemble(split, plan, kernel, q_n, j_hat, h_loc)
+    return _assemble(split, plan, q_n, j_hat, h_loc)
 
 
-def reference_global_band(split: SplitSample, plan: CalibrationPlan, kernel: Kernel, q_n: float) -> ConfidenceBand:
+def reference_global_band(split: SplitSample, plan: CalibrationPlan, q_n: float) -> ConfidenceBand:
     """Non-adaptive baseline: the worst-case bandwidth h_{beta_*} 2^-u_n in
     every cell, same centers and quantile construction."""
     h_ref = optimal_bandwidth(plan, plan.beta_star_low) * 2.0 ** -plan.u_n
     j_ref = np.full(plan.mesh_count + 1, -1, dtype=np.int64)
-    return _assemble(split, plan, kernel, q_n, j_ref, np.full(plan.mesh_count, h_ref))
+    return _assemble(split, plan, q_n, j_ref, np.full(plan.mesh_count, h_ref))
 
 
 # Bisections of an undecided cell; 30 halvings of a 3e-5 cell leave ~250 ulps.

@@ -19,6 +19,7 @@ from .errors import (
     InvalidMeshError,
     InvalidProbabilityError,
 )
+from .kernels import Kernel
 
 # Selection threshold produced by scripts/calibrate_c2.py: smallest value on
 # a 0.05 grid for which the selector keeps j <= j_min + 2 at >= 95% of mesh
@@ -57,7 +58,8 @@ class PlanParams:
 
 @dataclass(frozen=True)
 class CalibrationPlan:
-    """Frozen record of every derived constant the pipeline consumes."""
+    """Frozen record of every derived constant the pipeline consumes, and of
+    the kernel they are derived from: every fit reads the kernel here."""
 
     n: int
     epsilon: float
@@ -79,6 +81,7 @@ class CalibrationPlan:
     a_n: float
     b_n: float
     c3: float
+    kernel: Kernel
     warnings: tuple[str, ...] = ()
 
     @property
@@ -125,7 +128,7 @@ def theory_constraint_violations(params: PlanParams) -> list[str]:
     return out
 
 
-def derive_plan(params: PlanParams, kernel) -> CalibrationPlan:
+def derive_plan(params: PlanParams, kernel: Kernel) -> CalibrationPlan:
     """Evaluate every derived quantity by direct formula in double precision."""
     kappa1 = params.kappa1 if params.kappa1 is not None else max(1.0 / (2.0 * params.beta_star_low), 0.5)
 
@@ -180,6 +183,7 @@ def derive_plan(params: PlanParams, kernel) -> CalibrationPlan:
         a_n=a_n,
         b_n=b_n,
         c3=math.sqrt(2.0) / kernel.tv,
+        kernel=kernel,
         warnings=tuple(plan_warnings),
     )
 
@@ -242,7 +246,7 @@ def read_key_values(lines: Iterable[str], parsers: Mapping[str, Callable[[str], 
 
 def plan_to_text(plan: CalibrationPlan) -> str:
     """One key=value line per field in _TEXT_FIELDS, floats as their shortest
-    round-trip repr; the warnings are not included."""
+    round-trip repr; the kernel and the warnings are not included."""
     lines = []
     for name in _TEXT_FIELDS:
         v = getattr(plan, name)
@@ -250,10 +254,11 @@ def plan_to_text(plan: CalibrationPlan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def plan_from_text(text: str, kernel) -> CalibrationPlan:
-    """Rebuild a plan from its key=value block and re-derive; every stored
-    derived field must match the re-derivation exactly (floats are stored as
-    their shortest round-trip repr, so exact comparison is sound)."""
+def plan_from_text(text: str, kernel: Kernel) -> CalibrationPlan:
+    """Rebuild a plan from its key=value block and re-derive it with `kernel`;
+    every stored derived field must match the re-derivation exactly (floats
+    are stored as their shortest round-trip repr, so exact comparison is
+    sound)."""
     kv = read_key_values(text.splitlines(), _TEXT_FIELDS, "plan field", "line ")
     given = {f.name for f in fields(PlanParams)}
     plan = derive_plan(PlanParams(**{k: v for k, v in kv.items() if k in given}), kernel)

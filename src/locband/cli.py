@@ -34,39 +34,39 @@ from .kernels import make_rectangular
 
 SEED_ENV = "LOCBAND_SEED"
 
-_CONFIG_KEYS = {
-    "n": int,
-    "alpha": float,
-    "reps": int,
-    "seed": int,
-    "mode": str,
-    "c2": float,
-    "lstar": float,
-    "density": str,
-    "input": str,
-    "out": str,
-    "suite": str,
+# Every setting, as (parser, default, --help text): each is a --<name> flag
+# of every command and a key of the --config file, parsed the same way.
+_SETTINGS = {
+    "n": (int, 4096, "sample size (cell count for simulate gumbel)"),
+    "alpha": (float, 0.1, None),
+    "reps": (int, 50, None),
+    "seed": (int, 20240601, f"master seed (overrides ${SEED_ENV})"),
+    "mode": (str, "practical", None),
+    "c2": (float, DEFAULT_C2, "selection threshold constant"),
+    "lstar": (float, 1.0, "smoothness budget"),
+    "density": (str, "peak", "zoo density name"),
+    "input": (str, None, "data file, one real per line"),
+    "out": (str, None, "output CSV path (stdout when omitted)"),
+    "suite": (str, None, "verification suite filter"),
 }
+_MODES = ("theory", "practical")
 
 
 def _read_config(path: str) -> dict:
+    parsers = {key: parse for key, (parse, _, _) in _SETTINGS.items()}
     with open(path, "r", encoding="utf-8") as fh:
-        return read_key_values(fh, _CONFIG_KEYS, "config key", f"{path}:")
+        return read_key_values(fh, parsers, "config key", f"{path}:")
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults < config file < LOCBAND_SEED < explicit flags."""
-    cfg = {
-        "n": 4096, "alpha": 0.1, "reps": 50, "seed": 20240601, "mode": "practical",
-        "c2": DEFAULT_C2, "lstar": 1.0, "density": "peak", "input": None,
-        "out": None, "suite": None,
-    }
+    cfg = {key: default for key, (_, default, _) in _SETTINGS.items()}
     if getattr(args, "config", None):
         cfg.update(_read_config(args.config))
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         cfg["seed"] = int(env_seed)
-    for key in _CONFIG_KEYS:
+    for key in _SETTINGS:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
@@ -89,9 +89,9 @@ _META_KEYS = {
 _SIMULATE_KINDS = ("coverage", "adaptivity", "window", "gumbel")
 
 
-def _density_and_plan(cfg: dict, key: str, kernel) -> tuple[zoo.AnalyticDensity | None, CalibrationPlan]:
+def _density_and_plan(cfg: dict, key: str) -> tuple[zoo.AnalyticDensity | None, CalibrationPlan]:
     """The zoo density, if the command or simulate kind `key` reads one, and
-    the plan derived from cfg."""
+    the plan derived from cfg with the rectangular kernel."""
     density = None
     if "density" in _META_KEYS[key]:
         try:
@@ -99,7 +99,7 @@ def _density_and_plan(cfg: dict, key: str, kernel) -> tuple[zoo.AnalyticDensity 
         except KeyError as exc:
             raise InvalidConfigurationError(exc.args[0]) from exc
     params = PlanParams(n=cfg["n"], L_star=cfg["lstar"], c2=cfg["c2"], mode=cfg["mode"])
-    return density, derive_plan(params, kernel)
+    return density, derive_plan(params, make_rectangular())
 
 
 def _sidecar(
@@ -136,8 +136,7 @@ def _emit(write_body: Callable[[TextIO], object], meta: str, out: str | None) ->
                 fh.write(meta)
 
 
-def cmd_band(args: argparse.Namespace, kernel=None) -> int:
-    kernel = kernel or make_rectangular()
+def cmd_band(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     if cfg["input"] is None:
         print("band: --input is required", file=sys.stderr)
@@ -150,16 +149,15 @@ def cmd_band(args: argparse.Namespace, kernel=None) -> int:
     cfg["n"] = int(data.size)
     split = split_sample(data)  # InsufficientDataError below 4 points: exit 2
     del data  # the fit reads only the sorted halves
-    _, plan = _density_and_plan(cfg, "band", kernel)
+    _, plan = _density_and_plan(cfg, "band")
     _warn("band", plan)
     q_n = band_halfwidth_quantile(plan, cfg["alpha"])  # refuses a bad alpha before the fit
-    band = fit_band(split, plan, kernel, q_n)
+    band = fit_band(split, plan, q_n)
     _emit(lambda fh: write_band_csv(band, fh), _sidecar(cfg, "band", plan), cfg["out"])
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace, kernel=None) -> int:
-    kernel = kernel or make_rectangular()
+def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     kind = args.kind
     if kind not in _SIMULATE_KINDS:
@@ -170,16 +168,16 @@ def cmd_simulate(args: argparse.Namespace, kernel=None) -> int:
     plan = None
     if kind == "gumbel":
         # the comparison process needs only the cell count and the kernel
-        report = harness.run_gumbel_calibration(kernel, m=cfg["n"], reps=cfg["reps"], seed=cfg["seed"])
+        report = harness.run_gumbel_calibration(make_rectangular(), m=cfg["n"], reps=cfg["reps"], seed=cfg["seed"])
     else:
-        density, plan = _density_and_plan(cfg, kind, kernel)
+        density, plan = _density_and_plan(cfg, kind)
         if kind == "coverage":
-            report = harness.run_coverage(density, plan, kernel, cfg["alpha"], cfg["reps"], cfg["seed"])
+            report = harness.run_coverage(density, plan, cfg["alpha"], cfg["reps"], cfg["seed"])
         elif kind == "window":
-            report = harness.run_window_check(density, plan, kernel, cfg["reps"], cfg["seed"])
+            report = harness.run_window_check(density, plan, cfg["reps"], cfg["seed"])
         else:
             report = harness.run_adaptivity(
-                density, [plan], kernel, cfg["alpha"], cfg["reps"], cfg["seed"], probes=(0.5, 0.9)
+                density, [plan], cfg["alpha"], cfg["reps"], cfg["seed"], probes=(0.5, 0.9)
             )
     meta = _sidecar(cfg, kind, plan, report)
     _emit(lambda fh: fh.write(report.to_csv_text()), meta, cfg["out"])
@@ -204,15 +202,14 @@ def cmd_verify(args: argparse.Namespace, kernel=None) -> int:
     return 0
 
 
-def cmd_curves(args: argparse.Namespace, kernel=None) -> int:
-    kernel = kernel or make_rectangular()
+def cmd_curves(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
-    density, plan = _density_and_plan(cfg, "curves", kernel)
+    density, plan = _density_and_plan(cfg, "curves")
     _warn("curves", plan)
     q_n = band_halfwidth_quantile(plan, cfg["alpha"])  # refuses a bad alpha before the fit
     split = split_sample(zoo.sample(density, plan.n, cfg["seed"]))
-    local = fit_band(split, plan, kernel, q_n)
-    ref = reference_global_band(split, plan, kernel, q_n)
+    local = fit_band(split, plan, q_n)
+    ref = reference_global_band(split, plan, q_n)
     d = plan.delta_n
     truth = density.pdf(np.arange(1, plan.mesh_count + 1) * d)
 
@@ -248,17 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--n", type=int, help="sample size (cell count for simulate gumbel)")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--reps", type=int)
-        p.add_argument("--seed", type=int, help=f"master seed (overrides ${SEED_ENV})")
-        p.add_argument("--mode", choices=["theory", "practical"])
-        p.add_argument("--c2", type=float, help="selection threshold constant")
-        p.add_argument("--lstar", type=float, help="smoothness budget")
-        p.add_argument("--density", help="zoo density name")
-        p.add_argument("--input", help="data file, one real per line")
-        p.add_argument("--out", help="output CSV path (stdout when omitted)")
-        p.add_argument("--suite", help="verification suite filter")
+        for key, (parse, _, text) in _SETTINGS.items():
+            p.add_argument(f"--{key}", type=parse, help=text, choices=_MODES if key == "mode" else None)
 
     p_band = sub.add_parser("band", help="fit a confidence band to a data file")
     add_common(p_band)

@@ -177,11 +177,13 @@ class BudgetEntry:
 
 @dataclass(frozen=True)
 class AnalyticDensity:
+    """A density given by its ordered, adjoining pieces, and 0 outside them.
+    Adjacent pieces must differ (make_perturbed merges equal ones), so that
+    every joint is a non-smooth point."""
+
     name: str
     pieces: tuple[Piece, ...]
-    support: tuple[float, float]
     sup_bound: float
-    kinks: tuple[float, ...]
     lipschitz_budget: tuple[BudgetEntry, ...] = ()
     wspec: Optional[WeierstrassSpec] = None
     homogeneous_exponent: Optional[float] = None  # set for unperturbed series members
@@ -198,41 +200,48 @@ class AnalyticDensity:
         object.__setattr__(self, "_cum_mass", np.concatenate([[0.0], np.cumsum(masses)]))
 
     @property
+    def support(self) -> tuple[float, float]:
+        return self.pieces[0].lo, self.pieces[-1].hi
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        """The piece edges: the support ends and every joint."""
+        return tuple(self._edges.tolist())
+
+    @property
     def is_rough(self) -> bool:
         return any(p.wterms for p in self.pieces)
 
-    def _piece_index(self, x: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self._edges, x, side="right") - 1
-        return np.clip(idx, 0, len(self.pieces) - 1)
+    def _by_piece(self, xs: np.ndarray, f) -> Optional[np.ndarray]:
+        """f(i, piece, points) on the points of xs that piece i holds, a joint
+        going to the piece on its right and a point off the support to the
+        nearest piece; None as soon as f returns None."""
+        idx = np.clip(np.searchsorted(self._edges, xs, side="right") - 1, 0, len(self.pieces) - 1)
+        out = np.empty_like(xs)
+        for i, piece in enumerate(self.pieces):
+            m = idx == i
+            if m.any():
+                v = f(i, piece, xs[m])
+                if v is None:
+                    return None
+                out[m] = v
+        return out
 
     def pdf(self, x) -> np.ndarray | float:
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(xs)
-        inside = (xs >= self.support[0]) & (xs <= self.support[1])
-        if inside.any():
-            xi = xs[inside]
-            idx = self._piece_index(xi)
-            vals = np.empty_like(xi)
-            for i, piece in enumerate(self.pieces):
-                m = idx == i
-                if m.any():
-                    vals[m] = piece.value(xi[m], self.wspec)
-            out[inside] = vals
+        lo, hi = self.support
+        inside = (xs >= lo) & (xs <= hi)
+        out[inside] = self._by_piece(xs[inside], lambda i, p, pts: p.value(pts, self.wspec))
         return float(out[0]) if np.isscalar(x) or np.asarray(x).shape == () else out
 
     def mass_below(self, x) -> np.ndarray | float:
         """Exact integral of the density over (-inf, x]."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        clipped = np.clip(xs, self.support[0], self.support[1])
-        idx = self._piece_index(clipped)
-        out = np.empty_like(clipped)
-        for i, piece in enumerate(self.pieces):
-            m = idx == i
-            if m.any():
-                partial = piece.antideriv(clipped[m], self.wspec) - piece.antideriv(
-                    np.array([piece.lo]), self.wspec
-                )
-                out[m] = self._cum_mass[i] + partial
+        def below(i, p, pts):
+            partial = p.antideriv(pts, self.wspec) - p.antideriv(np.array([p.lo]), self.wspec)
+            return self._cum_mass[i] + partial
+
+        out = self._by_piece(np.clip(np.atleast_1d(np.asarray(x, dtype=float)), *self.support), below)
         return float(out[0]) if np.isscalar(x) or np.asarray(x).shape == () else out
 
     def mass_between(self, a, b) -> np.ndarray | float:
@@ -315,9 +324,7 @@ def make_weierstrass_composite(t: float, beta: float, tol: float = DEFAULT_SERIE
     return AnalyticDensity(
         name=f"weierstrass:{beta:g}:{t:g}",
         pieces=pieces,
-        support=(lo, hi),
         sup_bound=0.25,
-        kinks=(lo, t - 2.0, t + 2.0, hi),
         lipschitz_budget=budget,
         wspec=spec,
         homogeneous_exponent=beta,
@@ -333,9 +340,7 @@ def make_triangular_hypothesis(t: float) -> AnalyticDensity:
     return AnalyticDensity(
         name=f"tent:{t:g}",
         pieces=pieces,
-        support=(t - 4.0, t + 4.0),
         sup_bound=0.25,
-        kinks=(t - 4.0, t, t + 4.0),
         lipschitz_budget=(BudgetEntry(1.0, 5.0 / 16.0, (t - 4.0, t + 4.0)),),
     )
 
@@ -349,9 +354,7 @@ def make_peak_triangular() -> AnalyticDensity:
     return AnalyticDensity(
         name="peak",
         pieces=pieces,
-        support=(0.0, 1.0),
         sup_bound=2.0,
-        kinks=(0.0, 0.5, 1.0),
         lipschitz_budget=(BudgetEntry(1.0, 6.0, (0.0, 1.0)),),
     )
 
@@ -361,9 +364,7 @@ def make_uniform(lo: float = 0.0, hi: float = 1.0) -> AnalyticDensity:
     return AnalyticDensity(
         name=f"uniform:{lo:g}:{hi:g}",
         pieces=(Piece(lo, hi, coeffs=(v,)),),
-        support=(lo, hi),
         sup_bound=v,
-        kinks=(lo, hi),
         lipschitz_budget=(BudgetEntry(math.inf, v, (lo, hi)),),
     )
 
@@ -427,7 +428,7 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
             raise ConstructionOverlapError(f"bump radius {r!r} >= 2 overlaps the construction")
         if r > 0.25:
             raise ConstructionOverlapError(f"bump radius {r!r} straddles the construction joints")
-        t = 0.5 * (base.support[0] + base.support[1])
+        t = next(c for p in base.pieces for _, c in p.wterms)  # the series centre
         a = t + 9.0 / 4.0
         spec = base.wspec
         cw = (1.0 - 2.0 ** -beta) / 12.0
@@ -453,9 +454,7 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
         return AnalyticDensity(
             name=f"perturbed{tag}:{beta:g}:{n}",
             pieces=tuple(new_pieces),
-            support=base.support,
             sup_bound=base.sup_bound + 2.0 * cw * (1.0 / (1.0 - 2.0 ** -beta)),
-            kinks=tuple(sorted(set(base.kinks) | {t - r, t + r, a - r, a + r})),
             lipschitz_budget=budget,
             wspec=spec,
             homogeneous_exponent=None,
@@ -467,7 +466,7 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
     r = g if variant == "one" else 0.5 * g
     if r >= 2.0:
         raise ConstructionOverlapError(f"bump radius {r!r} >= 2 overlaps the construction")
-    t = 0.5 * (base.support[0] + base.support[1])
+    t = base.pieces[0].hi  # the apex joint
     a = t + 9.0 / 4.0
     pieces = list(base.pieces)
     for x in (t - r, t + r, a - r, a, a + r):
@@ -490,9 +489,7 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
     return AnalyticDensity(
         name=f"tent-perturbed{tag}:{t:g}:{n}",
         pieces=tuple(new_pieces),
-        support=base.support,
         sup_bound=base.sup_bound,
-        kinks=tuple(sorted((set(base.kinks) - {t}) | {t - r, t + r, a - r, a, a + r})),
         lipschitz_budget=budget,
     )
 
@@ -607,20 +604,14 @@ def _derivative_sup(density: AnalyticDensity, k: int, window: tuple[float, float
 
 
 def _derivative_grid(density: AnalyticDensity, k: int, xs: np.ndarray) -> Optional[np.ndarray]:
-    out = np.empty_like(xs)
-    idx = density._piece_index(xs)
-    for i, p in enumerate(density.pieces):
-        m = idx == i
-        if not m.any():
-            continue
+    """The k-th derivative at xs; None if a piece that holds a point has none."""
+    def deriv(i, p, pts):
         if k == 0:
-            out[m] = p.value(xs[m], density.wspec)
-        else:
-            dc = p.deriv_coeffs(k)
-            if dc is None:
-                return None
-            out[m] = np.polynomial.polynomial.polyval(xs[m], np.asarray(dc))
-    return out
+            return p.value(pts, density.wspec)
+        dc = p.deriv_coeffs(k)
+        return None if dc is None else np.polynomial.polynomial.polyval(pts, np.asarray(dc))
+
+    return density._by_piece(xs, deriv)
 
 
 def holder_norm_estimate(

@@ -114,11 +114,7 @@ def _rank_bins(sorted_x: np.ndarray, edges: np.ndarray, side: str) -> np.ndarray
 
 
 def build_kde_table(
-    split: SplitSample,
-    plan: CalibrationPlan,
-    kernel: Kernel,
-    idx_lo: Optional[int] = None,
-    idx_hi: Optional[int] = None,
+    split: SplitSample, plan: CalibrationPlan, idx_lo: Optional[int] = None, idx_hi: Optional[int] = None
 ) -> KdeTable:
     """Precompute the rows j_min + 3..j_max the selector reads, from the
     second half of the split (the first is left for the band centers), over
@@ -137,7 +133,7 @@ def build_kde_table(
     bandwidths = [2.0 ** -j for j in range(plan.j_min + 3, plan.j_max + 1)]
     values = np.zeros((len(bandwidths), points.size))
     for row, h in zip(values, bandwidths):
-        for lo, hi, val in kernel.pieces:
+        for lo, hi, val in plan.kernel.pieces:
             # observations in [t + h*lo, t + h*hi], counted as rank_query_kde does
             bins = _rank_bins(half, points + h * hi, "right")
             bins -= _rank_bins(half, points + h * lo, "left")

@@ -94,7 +94,6 @@ def gamma_tilde(plan: CalibrationPlan) -> float:
 def run_coverage(
     density: AnalyticDensity,
     plan: CalibrationPlan,
-    kernel: Kernel,
     alpha: float,
     reps: int,
     seed: int,
@@ -106,7 +105,7 @@ def run_coverage(
     truth = density.cells_extrema(cell_edges(plan))
     for r in range(reps):
         rseed = replication_seed(seed, r)
-        band = fit_band(split_sample(sample(density, plan.n, rseed)), plan, kernel, q_n)
+        band = fit_band(split_sample(sample(density, plan.n, rseed)), plan, q_n)
         covered = covers_truth(band, density, truth)
         widths = 2.0 * band.halfwidths
         report.records.append({
@@ -133,7 +132,7 @@ def run_coverage(
 # adaptivity
 # ---------------------------------------------------------------------------
 
-def _probe_cell_exponents(density, plan, kernel, rng, probes):
+def _probe_cell_exponents(density, plan, rng, probes):
     """Selected exponents at the two mesh points flanking each probe's cell,
     from a windowed table around each probe (the rest of the mesh is never
     consulted for a width query, so it is not estimated)."""
@@ -143,7 +142,7 @@ def _probe_cell_exponents(density, plan, kernel, rng, probes):
     out = []
     for t in probes:
         k = cell_of(plan, t)
-        table = build_kde_table(split, plan, kernel, idx_lo=k - 1 - margin, idx_hi=k + margin)
+        table = build_kde_table(split, plan, idx_lo=k - 1 - margin, idx_hi=k + margin)
         out.append(int(select_at(table, plan, k - 1, k).max()))
     return out
 
@@ -151,7 +150,6 @@ def _probe_cell_exponents(density, plan, kernel, rng, probes):
 def run_adaptivity(
     density: AnalyticDensity,
     plans: Sequence[CalibrationPlan],
-    kernel: Kernel,
     alpha: float,
     reps: int,
     seed: int,
@@ -185,7 +183,7 @@ def run_adaptivity(
         hbars = [optimal_bandwidth(plan, b) for b in betas]
         for r in range(reps):
             rng = replication_rng(seed, r)
-            j_effs = _probe_cell_exponents(density, plan, kernel, rng, probes)
+            j_effs = _probe_cell_exponents(density, plan, rng, probes)
             rec = {"n": plan.n, "rep": r}
             for i, t in enumerate(probes):
                 h_loc = 2.0 ** (-plan.u_n - j_effs[i])
@@ -226,7 +224,6 @@ def run_adaptivity(
 def run_window_check(
     density: AnalyticDensity,
     plan: CalibrationPlan,
-    kernel: Kernel,
     reps: int,
     seed: int,
 ) -> ExperimentReport:
@@ -240,7 +237,7 @@ def run_window_check(
     report = ExperimentReport(name="window", params={})
     for r in range(reps):
         rseed = replication_seed(seed, r)
-        j_hat = fit_profile(split_sample(sample(density, plan.n, rseed)), plan, kernel)
+        j_hat = fit_profile(split_sample(sample(density, plan.n, rseed)), plan)
         inside = (j_hat >= lo) & (j_hat <= hi)
         report.records.append({
             "rep": r,
@@ -437,9 +434,7 @@ def weierstrass_function(beta: float, span: float = 1.0, tol: float = 1e-12) -> 
     return AnalyticDensity(
         name=f"wfun:{beta:g}",
         pieces=(zoo.Piece(-span, span, coeffs=(0.0,), wterms=((1.0, 0.0),)),),
-        support=(-span, span),
         sup_bound=1.0 / (1.0 - 2.0 ** -beta),
-        kinks=(-span, span),
         wspec=spec,
         homogeneous_exponent=beta,
     )
@@ -527,15 +522,11 @@ def _suite_wmoment(plan: CalibrationPlan, seed: int = 20240601) -> list[dict]:
 
 
 def verify_inequalities(
-    kernel: Optional[Kernel] = None,
-    suites: Optional[Iterable[str]] = None,
-    plan: Optional[CalibrationPlan] = None,
+    kernel: Optional[Kernel] = None, suites: Optional[Iterable[str]] = None
 ) -> ExperimentReport:
     """Run the deterministic inequality suite; failures are report rows,
     not exceptions."""
     kernel = kernel if kernel is not None else make_rectangular()
-    if plan is None:
-        plan = derive_plan(PlanParams(n=4096), kernel)
     wanted = set(suites) if suites is not None else None
     rows: list[dict] = []
     registry = {
@@ -544,7 +535,7 @@ def verify_inequalities(
         "a4": _suite_a4,
         "bias_lower": lambda: _suite_bias_lower(kernel),
         "bias_upper": lambda: _suite_bias_upper(kernel),
-        "wmoment": lambda: _suite_wmoment(plan),
+        "wmoment": lambda: _suite_wmoment(derive_plan(PlanParams(n=4096), kernel)),
     }
     if wanted is not None:
         unknown = wanted - set(registry)
@@ -567,27 +558,26 @@ def verify_inequalities(
 # selection-threshold calibration
 # ---------------------------------------------------------------------------
 
+# calibrate_c2's candidate thresholds: the multiples of the step up to the maximum
+_C2_STEP = 0.05
+_C2_MAX = 3.0
+
+
 def calibrate_c2(
-    kernel: Kernel,
-    n: int = 2 ** 14,
-    reps: int = 50,
-    seed: int = 20240601,
-    grid_step: float = 0.05,
-    target: float = 0.95,
-    max_c2: float = 3.0,
+    kernel: Kernel, n: int = 2 ** 14, reps: int = 50, seed: int = 20240601, target: float = 0.95
 ) -> tuple[float, dict[float, float]]:
-    """Smallest threshold on a 0.05 grid keeping the selected exponent at
-    j_min + 2 or below for at least `target` of mesh points under the
+    """Smallest threshold on the _C2_STEP grid keeping the selected exponent
+    at j_min + 2 or below for at least `target` of mesh points under the
     uniform density (tables are reused across candidate thresholds)."""
     uniform = zoo.make_uniform()
-    candidates = [round(grid_step * i, 10) for i in range(1, int(max_c2 / grid_step) + 1)]
+    candidates = [round(_C2_STEP * i, 10) for i in range(1, int(_C2_MAX / _C2_STEP) + 1)]
     plan = derive_plan(PlanParams(n=n), kernel)
     per_rep = []
     for r in range(reps):
         rseed = replication_seed(seed, r)
         data = sample(uniform, n, rseed)
         split = split_sample(data)
-        table = build_kde_table(split, plan, kernel)
+        table = build_kde_table(split, plan)
         # j_hat <= j_min + 2 iff j_min + 2 is admissible (admissible sets are
         # upward closed), i.e. iff its ball maximum is at most c2; exponents
         # with no pairs, which are never yielded, are admissible at any c2
@@ -603,4 +593,4 @@ def calibrate_c2(
     for c2 in candidates:
         if means[c2] >= target:
             return c2, means
-    raise RuntimeError(f"no threshold below {max_c2} reached target fraction {target}")
+    raise RuntimeError(f"no threshold below {_C2_MAX} reached target fraction {target}")

@@ -72,33 +72,22 @@ class Kernel:
     def norm_l1(self) -> float:
         return math.fsum(abs(v) * (hi - lo) for lo, hi, v in self.pieces)
 
-    @property
-    def norm_l2_sq(self) -> float:
-        return math.fsum(v * v * (hi - lo) for lo, hi, v in self.pieces)
-
 
 def make_rectangular() -> Kernel:
     """The rectangular kernel: 1/2 on the closed interval [-1, 1], 0 outside."""
     return Kernel("rectangular", ((-1.0, 1.0, 0.5),))
 
 
-def convolve_at(kernel: Kernel, density, h: float, s: float) -> float:
-    """Value of (K_h * p)(s) = int K(x) p(s + h x) dx.
+def convolve_grid(kernel: Kernel, density, h: float, points: np.ndarray) -> np.ndarray:
+    """Values of (K_h * p)(s) = int K(x) p(s + h x) dx at every s in `points`.
 
     Each constant piece of the kernel weighs the density's closed-form mass
-    over an interval, so the value is exact up to rounding for polynomial
+    over an interval, so the values are exact up to rounding for polynomial
     densities.  For a cosine-series member the masses are those of the
     series truncated at its WeierstrassSpec, which differs from the full
     series by at most spec.tol per unit of term scale at every point; the
     error is therefore at most norm_l1 * sum(|scale|) * spec.tol.
     """
-    if h <= 0:
-        raise InvalidIntervalError(f"bandwidth must be positive, got {h!r}")
-    return float(convolve_grid(kernel, density, h, np.array([float(s)]))[0])
-
-
-def convolve_grid(kernel: Kernel, density, h: float, points: np.ndarray) -> np.ndarray:
-    """Vectorized convolve_at over an array of evaluation points."""
     points = np.asarray(points, dtype=float)
     out = np.zeros_like(points)
     for lo, hi, val in kernel.pieces:

@@ -23,7 +23,6 @@ from .calibration import CalibrationPlan, optimal_bandwidth
 from .densities import AnalyticDensity, local_exponent_oracle
 from .errors import OffMeshError
 from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table
-from .kernels import Kernel
 
 
 def pair_ratio(table: KdeTable, plan: CalibrationPlan, m: int, mp: int) -> np.ndarray:
@@ -86,10 +85,10 @@ def select_at(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) -> n
     return j_hat
 
 
-def fit_profile(split: SplitSample, plan: CalibrationPlan, kernel: Kernel) -> np.ndarray:
+def fit_profile(split: SplitSample, plan: CalibrationPlan) -> np.ndarray:
     """Selected exponent j_hat[k] at every mesh point k delta_n of [0,1],
     k = 0..mesh_count, from the second half of the split."""
-    return select_at(build_kde_table(split, plan, kernel), plan, 0, plan.mesh_count)
+    return select_at(build_kde_table(split, plan), plan, 0, plan.mesh_count)
 
 
 def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float) -> tuple[float, int]:

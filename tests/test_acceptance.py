@@ -140,7 +140,7 @@ def test_criterion_04_gumbel_calibration(kernel):
     )
 
 
-def test_criterion_05_contrast_second_moment_sweep(kernel, plans):
+def test_criterion_05_contrast_second_moment_sweep(plans):
     t0 = time.time()
     plan = plans[2 ** 12]
     configs = H.random_admissible_configurations(10_000, plan, SEED)
@@ -172,9 +172,9 @@ def test_criterion_06_inequality_suites(kernel):
     )
 
 
-def test_criterion_07_bandwidth_window(kernel, plans):
+def test_criterion_07_bandwidth_window(plans):
     t0 = time.time()
-    rep = H.run_window_check(make_peak_triangular(), plans[2 ** 14], kernel, reps=100, seed=SEED)
+    rep = H.run_window_check(make_peak_triangular(), plans[2 ** 14], reps=100, seed=SEED)
     hit = rep.summary["hit_fraction"]
     dt = time.time() - t0
     _criterion(
@@ -184,11 +184,10 @@ def test_criterion_07_bandwidth_window(kernel, plans):
 
 
 @pytest.fixture(scope="module")
-def adaptivity_report(kernel, plans):
+def adaptivity_report(plans):
     return H.run_adaptivity(
         make_peak_triangular(),
         [plans[n] for n in (2 ** 12, 2 ** 14, 2 ** 16)],
-        kernel,
         alpha=0.1,
         reps=50,
         seed=SEED,
@@ -223,11 +222,11 @@ def test_criterion_08b_width_ratio_decreasing(adaptivity_report):
     )
 
 
-def test_criterion_09_coverage_direction(kernel, plans):
+def test_criterion_09_coverage_direction(plans):
     t0 = time.time()
     coverages = []
     for n in (2 ** 12, 2 ** 14, 2 ** 16):
-        rep = H.run_coverage(make_peak_triangular(), plans[n], kernel, alpha=0.1, reps=50, seed=SEED)
+        rep = H.run_coverage(make_peak_triangular(), plans[n], alpha=0.1, reps=50, seed=SEED)
         coverages.append(rep.summary["coverage"])
     ok = all(c2 >= c1 - 0.03 for c1, c2 in zip(coverages[:-1], coverages[1:]))
     ok &= coverages[-1] >= 0.85

@@ -16,7 +16,14 @@ from locband.band import (
     reference_global_band,
     write_band_csv,
 )
-from locband.calibration import PlanParams, band_halfwidth_quantile, derive_plan, optimal_bandwidth
+from locband.calibration import (
+    PlanParams,
+    band_halfwidth_quantile,
+    derive_plan,
+    optimal_bandwidth,
+    plan_from_text,
+    plan_to_text,
+)
 from locband.csvtext import CSV_CHUNK
 from locband.densities import (
     AnalyticDensity,
@@ -72,10 +79,10 @@ def assert_streams_oracle(band) -> None:
 
 
 @pytest.fixture(scope="module")
-def fitted(plan_mod, rect_mod):
+def fitted(plan_mod):
     density = make_peak_triangular()
     split = split_sample(sample(density, plan_mod.n, seed=99))
-    return density, split, fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
+    return density, split, fit_band(split, plan_mod, band_halfwidth_quantile(plan_mod, 0.1))
 
 
 @pytest.fixture(scope="module")
@@ -112,23 +119,23 @@ class TestBuildBand:
             direct = kde_at(split.chi1, k * plan_mod.delta_n, band.h_loc[k - 1], rect_mod)
             assert band.centers[k - 1] == pytest.approx(direct, abs=1e-12)
 
-    def test_profile_reads_only_second_half(self, fitted, plan_mod, rect_mod):
+    def test_profile_reads_only_second_half(self, fitted, plan_mod):
         # the selection depends only on the second half, so replacing the
         # first changes nothing and replacing the second changes it
         density, split, band = fitted
         q_n = band_halfwidth_quantile(plan_mod, 0.1)
         other = split_sample(sample(density, plan_mod.n, seed=101))
-        same = fit_band(replace(split, chi1=other.chi1), plan_mod, rect_mod, q_n)
+        same = fit_band(replace(split, chi1=other.chi1), plan_mod, q_n)
         assert np.array_equal(same.j_hat, band.j_hat)
         assert np.array_equal(same.h_loc, band.h_loc)
-        moved = fit_band(replace(split, chi2=other.chi2), plan_mod, rect_mod, q_n)
+        moved = fit_band(replace(split, chi2=other.chi2), plan_mod, q_n)
         assert not np.array_equal(moved.j_hat, band.j_hat)
         assert not np.array_equal(moved.h_loc, band.h_loc)
 
-    def test_alpha_monotonicity(self, fitted, plan_mod, rect_mod):
+    def test_alpha_monotonicity(self, fitted, plan_mod):
         _, split, _ = fitted
-        hw1 = fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.01)).halfwidths
-        hw2 = fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.10)).halfwidths
+        hw1 = fit_band(split, plan_mod, band_halfwidth_quantile(plan_mod, 0.01)).halfwidths
+        hw2 = fit_band(split, plan_mod, band_halfwidth_quantile(plan_mod, 0.10)).halfwidths
         assert np.all(hw1 >= hw2)
 
 
@@ -160,10 +167,10 @@ class TestFitBand:
         data[far] = rng.uniform(-1.0, 2.0, size=far.sum())
         split = split_sample(data)
         q_n = band_halfwidth_quantile(plan, alpha)
-        band = fit_band(split, plan, rect, q_n)
+        band = fit_band(split, plan, q_n)
         N = plan.mesh_count
 
-        assert np.array_equal(band.j_hat, select_at(build_kde_table(split, plan, rect), plan, 0, N))
+        assert np.array_equal(band.j_hat, select_at(build_kde_table(split, plan), plan, 0, N))
         h_loc = 2.0 ** -plan.u_n * np.exp2(-np.maximum(band.j_hat[:-1], band.j_hat[1:]).astype(float))
         assert np.array_equal(band.h_loc, h_loc)
         assert np.array_equal(band.halfwidths, q_n / np.sqrt(plan.n_tilde * h_loc))
@@ -171,13 +178,45 @@ class TestFitBand:
         assert np.array_equal(band.centers, rank_query_kde(split.chi1, mesh, h_loc, rect))
 
         other = np.sort(rng.uniform(-0.5, 1.5, size=split.n_tilde))
-        assert np.array_equal(fit_band(replace(split, chi1=other), plan, rect, q_n).j_hat, band.j_hat)
+        assert np.array_equal(fit_band(replace(split, chi1=other), plan, q_n).j_hat, band.j_hat)
         moved = [
-            fit_band(replace(split, chi2=_grid_or_spike(split.n_tilde, spike)), plan, rect, q_n).j_hat
+            fit_band(replace(split, chi2=_grid_or_spike(split.n_tilde, spike)), plan, q_n).j_hat
             for spike in (False, True)
         ]
         assert not np.array_equal(moved[0], moved[1])
         assert not all(np.array_equal(j_hat, band.j_hat) for j_hat in moved)
+
+
+class TestPlanCarriesKernel:
+    """Every fit reads its kernel from the plan.  The asymmetric test kernel
+    counts unlike the rectangular one, so a fit that used any other kernel
+    would differ."""
+
+    @pytest.fixture(scope="class")
+    def broken(self):
+        from test_harness import broken_order_kernel
+
+        kernel = broken_order_kernel()
+        plan = derive_plan(PlanParams(n=2 ** 12), kernel)
+        return kernel, plan, split_sample(sample(make_peak_triangular(), plan.n, seed=5))
+
+    def test_band_centers(self, broken):
+        kernel, plan, split = broken
+        band = fit_band(split, plan, band_halfwidth_quantile(plan, 0.1))
+        mesh = np.arange(1, plan.mesh_count + 1, dtype=float) * plan.delta_n
+        assert np.array_equal(band.centers, rank_query_kde(split.chi1, mesh, band.h_loc, kernel))
+        assert not np.array_equal(band.centers, rank_query_kde(split.chi1, mesh, band.h_loc, make_rectangular()))
+
+    def test_table_rows(self, broken):
+        kernel, plan, split = broken
+        table = build_kde_table(split, plan)
+        points = np.arange(table.idx_lo, table.idx_hi + 1, dtype=float) * plan.delta_n
+        for j in range(plan.j_min + 3, plan.j_max + 1):
+            assert np.array_equal(table.row(j), rank_query_kde(split.chi2, points, 2.0 ** -j, kernel))
+
+    def test_text_round_trip(self, broken):
+        kernel, plan, _ = broken
+        assert plan_from_text(plan_to_text(plan), kernel).kernel == kernel
 
 
 class TestOneCellPlan:
@@ -187,7 +226,7 @@ class TestOneCellPlan:
         tiny = replace(plan_mod, mesh_count=1, delta_n=1.0)
         data = sample(make_peak_triangular(), tiny.n, seed=1)
         split = split_sample(data)
-        band = fit_band(split, tiny, rect_mod, band_halfwidth_quantile(tiny, 0.1))
+        band = fit_band(split, tiny, band_halfwidth_quantile(tiny, 0.1))
         assert band.j_hat.shape == (2,)
         assert band.centers.shape == (1,)
         h = 2.0 ** (-band.j_hat.max() - tiny.u_n)
@@ -239,11 +278,11 @@ class TestCoversTruth:
             if exact:
                 assert dense_ok
 
-    def test_uniform_truth(self, plan_mod, rect_mod):
+    def test_uniform_truth(self, plan_mod):
         density = make_uniform()
         data = sample(density, plan_mod.n, seed=5)
         split = split_sample(data)
-        band = fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
+        band = fit_band(split, plan_mod, band_halfwidth_quantile(plan_mod, 0.1))
         assert covers_truth(band, density, density.cells_extrema(cell_edges(plan_mod)))
 
 
@@ -281,10 +320,10 @@ def rough_256(rect_mod):
 
 
 @pytest.fixture(scope="module")
-def fitted_tent(plan_mod, rect_mod):
+def fitted_tent(plan_mod):
     density = make_triangular_hypothesis(0.5)
     split = split_sample(sample(density, plan_mod.n, seed=98))
-    return density, fit_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
+    return density, fit_band(split, plan_mod, band_halfwidth_quantile(plan_mod, 0.1))
 
 
 class TestCoversTruthRefinement:
@@ -307,7 +346,7 @@ class TestCoversTruthRefinement:
         assert covers_truth(_interval_band(plan, 0.0, 1.0), density, truth) is True
         assert calls == []
 
-    def test_tangent_band_is_undecided(self, rough_256, rect_mod, monkeypatch):
+    def test_tangent_band_is_undecided(self, rough_256, monkeypatch):
         # the density's maximum 1/4 is taken at t = 1/2, inside the mesh: a
         # band whose top is exactly 1/4 is neither certified nor refuted
         plan, density, _ = rough_256
@@ -317,7 +356,7 @@ class TestCoversTruthRefinement:
             lambda *args: replace(real(*args), centers=np.full(plan.mesh_count, 0.125),
                                   halfwidths=np.full(plan.mesh_count, 0.125)),
         )
-        report = harness.run_coverage(density, plan, rect_mod, alpha=0.1, reps=2, seed=1)
+        report = harness.run_coverage(density, plan, alpha=0.1, reps=2, seed=1)
         assert [rec["covered"] for rec in report.records] == ["undecided", "undecided"]
         assert report.summary["coverage"] == 0.0 and report.summary["undecided"] == 2
         assert "summary.undecided=2\n" in report.meta_text()
@@ -326,7 +365,7 @@ class TestCoversTruthRefinement:
         # an exponent-1 series has no finite Hoelder bound, so halving its
         # cells cannot shrink their enclosures
         piece = Piece(0.0, 1.0, coeffs=(1.0,), wterms=((1e-3, 0.0),))
-        density = AnalyticDensity("w1", (piece,), (0.0, 1.0), 1.01, (0.0, 1.0), wspec=WeierstrassSpec(1.0))
+        density = AnalyticDensity("w1", (piece,), 1.01, wspec=WeierstrassSpec(1.0))
         truth = density.cells_extrema(cell_edges(plan_mod))
         assert np.all(np.isinf(truth[2]))
         calls = _count_calls(monkeypatch, AnalyticDensity, "cells_extrema")
@@ -352,20 +391,20 @@ def _count_calls(monkeypatch, owner, name):
 
 
 class TestReferenceGlobalBand:
-    def test_constant_halfwidth(self, fitted, plan_mod, rect_mod):
+    def test_constant_halfwidth(self, fitted, plan_mod):
         _, split, _ = fitted
-        ref = reference_global_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
+        ref = reference_global_band(split, plan_mod, band_halfwidth_quantile(plan_mod, 0.1))
         assert np.ptp(ref.halfwidths) == 0.0
         h_ref = optimal_bandwidth(plan_mod, plan_mod.beta_star_low) * 2.0 ** -plan_mod.u_n
         assert ref.h_loc[0] == pytest.approx(h_ref)
         assert np.all(ref.j_hat == -1) and ref.j_hat.shape == (plan_mod.mesh_count + 1,)
 
-    def test_width_matches_local_where_exponent_matches(self, fitted, plan_mod, rect_mod):
+    def test_width_matches_local_where_exponent_matches(self, fitted, plan_mod):
         # same formula: if a cell's local bandwidth equals the reference
         # bandwidth the widths coincide; verified via the width law
         _, split, band = fitted
         q_n = band_halfwidth_quantile(plan_mod, 0.1)
-        ref = reference_global_band(split, plan_mod, rect_mod, q_n)
+        ref = reference_global_band(split, plan_mod, q_n)
         for b in (band, ref):
             assert np.array_equal(b.halfwidths, q_n / np.sqrt(plan_mod.n_tilde * b.h_loc))
 
@@ -377,8 +416,8 @@ class TestReferenceGlobalBand:
             data = sample(density, plan.n, seed=1000 + rep)
             split = split_sample(data)
             q_n = band_halfwidth_quantile(plan, 0.1)
-            band = fit_band(split, plan, rect_mod, q_n)
-            ref = reference_global_band(split, plan, rect_mod, q_n)
+            band = fit_band(split, plan, q_n)
+            ref = reference_global_band(split, plan, q_n)
             k = cell_of(plan, 0.9)
             wins += band.halfwidths[k - 1] <= ref.halfwidths[k - 1]
         assert wins >= 9
@@ -400,13 +439,13 @@ class TestBandCsv:
     def test_matches_oracle_on_peak_64k(self, rect_mod):
         plan = derive_plan(PlanParams(n=2 ** 16), rect_mod)
         split = split_sample(sample(make_peak_triangular(), plan.n, seed=3))
-        band = fit_band(split, plan, rect_mod, band_halfwidth_quantile(plan, 0.1))
+        band = fit_band(split, plan, band_halfwidth_quantile(plan, 0.1))
         assert plan.mesh_count % CSV_CHUNK != 0
         assert_streams_oracle(band)
 
-    def test_matches_oracle_on_reference_band(self, fitted, plan_mod, rect_mod):
+    def test_matches_oracle_on_reference_band(self, fitted, plan_mod):
         _, split, _ = fitted
-        ref = reference_global_band(split, plan_mod, rect_mod, band_halfwidth_quantile(plan_mod, 0.1))
+        ref = reference_global_band(split, plan_mod, band_halfwidth_quantile(plan_mod, 0.1))
         assert_streams_oracle(ref)
 
     @pytest.mark.parametrize("mesh_count", [2 * CSV_CHUNK, 2 * CSV_CHUNK + 1])

@@ -46,6 +46,7 @@ ZOO = [
     make_perturbed(make_weierstrass_composite(0.5, 0.5), 1000, 0.5, "two"),
     make_perturbed(make_triangular_hypothesis(0.5), 1000, 1.0, "one"),
     make_perturbed(make_triangular_hypothesis(0.5), 1000, 1.0, "two"),
+    make_perturbed(make_triangular_hypothesis(0.3), 1000, 1.0, "one"),
 ]
 
 
@@ -369,9 +370,7 @@ class TestSampling:
         bad = AnalyticDensity(
             name="corrupt",
             pieces=(Piece(0.0, 1.0, coeffs=(1.0,)),),
-            support=(0.0, 1.0),
             sup_bound=0.5,  # deliberately below the true sup
-            kinks=(0.0, 1.0),
         )
         with pytest.raises(CorruptDensityError):
             sample(bad, 10, seed=0)
@@ -401,6 +400,14 @@ class TestLocalExponentOracle:
         w = make_weierstrass_composite(0.5, 0.5)
         for t in (0.0, 0.31, 1.0):
             assert local_exponent_oracle(w, t, plan_1k) == 0.5
+
+    def test_off_centre_tent_perturbation(self, plan_16k):
+        # the flat ball sits at the base's own apex, which is no longer a kink
+        off = make_perturbed(make_triangular_hypothesis(0.3), 1000, 1.0, "one")
+        centred = make_perturbed(make_triangular_hypothesis(0.5), 1000, 1.0, "one")
+        assert local_exponent_oracle(off, 0.3, plan_16k) == pytest.approx(
+            local_exponent_oracle(centred, 0.5, plan_16k), abs=1e-12
+        )
 
     def test_perturbed_rough_unavailable(self, plan_1k):
         p1 = make_perturbed(make_weierstrass_composite(0.5, 0.5), 1000, 0.5, "one")

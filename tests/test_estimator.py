@@ -168,7 +168,7 @@ class TestKdeTable:
     def test_matches_kde_at(self, rect, plan_16k):
         data = sample(make_peak_triangular(), plan_16k.n, seed=5)
         split = split_sample(data)
-        table = build_kde_table(split, plan_16k, rect)
+        table = build_kde_table(split, plan_16k)
         points = np.arange(table.idx_lo, table.idx_hi + 1, dtype=float) * plan_16k.delta_n
         rng = np.random.default_rng(1)
         for _ in range(100):
@@ -187,14 +187,14 @@ class TestKdeTable:
         # full and windowed tables: every built row is rank_query_kde's, bit for bit
         split = split_sample(sample(make_peak_triangular(), plan_16k.n, seed=9))
         for lo, hi in ((None, None), (40, 41 + 2 * ball_offset(plan_16k, plan_16k.j_min)), (-3, -3)):
-            table = build_kde_table(split, plan_16k, rect, idx_lo=lo, idx_hi=hi)
+            table = build_kde_table(split, plan_16k, idx_lo=lo, idx_hi=hi)
             points = np.arange(table.idx_lo, table.idx_hi + 1, dtype=float) * plan_16k.delta_n
             assert table.values.shape == (plan_16k.j_max - plan_16k.j_min - 2, points.size)
             for j in range(plan_16k.j_min + 3, plan_16k.j_max + 1):
                 assert np.array_equal(table.row(j), rank_query_kde(split.chi2, points, 2.0 ** -j, rect))
 
-    def test_unbuilt_rows_raise(self, rect, plan_16k):
-        table = build_kde_table(split_sample(np.linspace(0.0, 1.0, 64)), plan_16k, rect)
+    def test_unbuilt_rows_raise(self, plan_16k):
+        table = build_kde_table(split_sample(np.linspace(0.0, 1.0, 64)), plan_16k)
         for j in (plan_16k.j_min, plan_16k.j_min + 2, plan_16k.j_max + 1):
             with pytest.raises(InvalidExponentError, match=f"row {j} was not built"):
                 table.row(j)
@@ -204,36 +204,36 @@ class TestKdeTable:
         # j_max - j_min <= 2: no pair is ever compared, so no row is read
         plan = derive_plan(PlanParams(n=n), rect)
         assert (plan.j_min, plan.j_max) == (3, j_max)
-        table = build_kde_table(split_sample(np.linspace(0.1, 0.9, n)), plan, rect)
+        table = build_kde_table(split_sample(np.linspace(0.1, 0.9, n)), plan)
         assert table.values.shape == (0, table.idx_hi - table.idx_lo + 1)
         for j in range(plan.j_min, plan.j_max + 1):
             with pytest.raises(InvalidExponentError):
                 table.row(j)
 
-    def test_nonnegative(self, rect, plan_16k):
+    def test_nonnegative(self, plan_16k):
         data = sample(make_peak_triangular(), plan_16k.n, seed=6)
-        table = build_kde_table(split_sample(data), plan_16k, rect)
+        table = build_kde_table(split_sample(data), plan_16k)
         assert table.values.min() >= 0.0
 
-    def test_empty_cells_zero(self, rect, plan_16k):
+    def test_empty_cells_zero(self, plan_16k):
         # data concentrated near 1: left-margin cells see nothing
         data = np.full(plan_16k.n, 0.99) + np.linspace(0, 0.001, plan_16k.n)
-        table = build_kde_table(split_sample(data), plan_16k, rect)
+        table = build_kde_table(split_sample(data), plan_16k)
         assert table.row(plan_16k.j_max)[0] == 0.0
 
-    def test_covers_margin(self, rect, plan_16k):
+    def test_covers_margin(self, plan_16k):
         data = sample(make_peak_triangular(), plan_16k.n, seed=7)
-        table = build_kde_table(split_sample(data), plan_16k, rect)
+        table = build_kde_table(split_sample(data), plan_16k)
         need = ball_offset(plan_16k, plan_16k.j_min)
         assert table.idx_lo <= -need
         assert table.idx_hi >= plan_16k.mesh_count + need
 
-    def test_mass_consistency(self, rect, plan_16k):
+    def test_mass_consistency(self, plan_16k):
         # summing the finest-bandwidth row over the unit-interval mesh
         # approximates the sample mass near [0,1]
         data = sample(make_peak_triangular(), plan_16k.n, seed=8)
         split = split_sample(data)
-        table = build_kde_table(split, plan_16k, rect)
+        table = build_kde_table(split, plan_16k)
         j = plan_16k.j_max
         row = table.row(j)
         sel = slice(-table.idx_lo, plan_16k.mesh_count - table.idx_lo)

@@ -29,16 +29,16 @@ class TestReports:
         assert len(set(a)) == 10
         assert H.replication_seed(8, 0) != a[0]
 
-    def test_report_bytes_deterministic(self, rect, plan_1k):
+    def test_report_bytes_deterministic(self, plan_1k):
         peak = make_peak_triangular()
-        r1 = H.run_coverage(peak, plan_1k, rect, alpha=0.2, reps=3, seed=5)
-        r2 = H.run_coverage(peak, plan_1k, rect, alpha=0.2, reps=3, seed=5)
+        r1 = H.run_coverage(peak, plan_1k, alpha=0.2, reps=3, seed=5)
+        r2 = H.run_coverage(peak, plan_1k, alpha=0.2, reps=3, seed=5)
         assert r1.to_csv_text() == r2.to_csv_text()
         assert r1.meta_text() == r2.meta_text()
 
-    def test_summary_recomputable_from_records(self, rect, plan_1k):
+    def test_summary_recomputable_from_records(self, plan_1k):
         peak = make_peak_triangular()
-        rep = H.run_coverage(peak, plan_1k, rect, alpha=0.2, reps=4, seed=5)
+        rep = H.run_coverage(peak, plan_1k, alpha=0.2, reps=4, seed=5)
         assert rep.summary["coverage"] == sum(r["covered"] for r in rep.records) / 4
 
     def test_write_csv_and_meta(self, tmp_path):
@@ -52,19 +52,19 @@ class TestReports:
 
 
 class TestCoverage:
-    def test_nested_alpha(self, rect, plan_1k):
+    def test_nested_alpha(self, plan_1k):
         peak = make_peak_triangular()
-        strict = H.run_coverage(peak, plan_1k, rect, alpha=0.01, reps=5, seed=3)
-        loose = H.run_coverage(peak, plan_1k, rect, alpha=0.50, reps=5, seed=3)
+        strict = H.run_coverage(peak, plan_1k, alpha=0.01, reps=5, seed=3)
+        loose = H.run_coverage(peak, plan_1k, alpha=0.50, reps=5, seed=3)
         assert strict.summary["coverage"] >= loose.summary["coverage"]
 
-    def test_width_law_on_records(self, rect, plan_1k):
-        rep = H.run_coverage(make_peak_triangular(), plan_1k, rect, alpha=0.1, reps=2, seed=4)
+    def test_width_law_on_records(self, plan_1k):
+        rep = H.run_coverage(make_peak_triangular(), plan_1k, alpha=0.1, reps=2, seed=4)
         for rec in rep.records:
             assert rec["width_min"] > 0.0
             assert rec["width_min"] <= rec["width_mean"] <= rec["width_max"]
 
-    def test_truth_range_computed_once(self, rect, plan_1k, monkeypatch):
+    def test_truth_range_computed_once(self, plan_1k, monkeypatch):
         peak = make_peak_triangular()
         calls = []
         scan = type(peak).cells_extrema
@@ -74,15 +74,15 @@ class TestCoverage:
             return scan(self, edges, *args, **kwargs)
 
         monkeypatch.setattr(type(peak), "cells_extrema", counted)
-        H.run_coverage(peak, plan_1k, rect, alpha=0.1, reps=3, seed=4)
+        H.run_coverage(peak, plan_1k, alpha=0.1, reps=3, seed=4)
         assert calls == [plan_1k.mesh_count + 1]
 
 
 class TestWindowCheck:
-    def test_saturated_selector_limit(self, rect, plan_1k):
+    def test_saturated_selector_limit(self, plan_1k):
         peak = make_peak_triangular()
         plan = replace(plan_1k, c2=1e6)
-        rep = H.run_window_check(peak, plan, rect, reps=2, seed=9)
+        rep = H.run_window_check(peak, plan, reps=2, seed=9)
         N = plan.mesh_count
         inside = 0
         for k in range(N + 1):
@@ -93,8 +93,9 @@ class TestWindowCheck:
 
 class TestGumbelCalibration:
     def test_variance_identity(self, rect):
-        c15 = rect.tv / math.sqrt(rect.norm_l2_sq)
-        assert c15 ** 2 * rect.norm_l2_sq / 2.0 == pytest.approx(rect.tv ** 2 / 2.0, abs=1e-12)
+        norm_l2_sq = math.fsum(v * v * (hi - lo) for lo, hi, v in rect.pieces)
+        c15 = rect.tv / math.sqrt(norm_l2_sq)
+        assert c15 ** 2 * norm_l2_sq / 2.0 == pytest.approx(rect.tv ** 2 / 2.0, abs=1e-12)
 
     def test_location_identity(self, rect):
         # shifting the centering by c shifts every statistic by a_n * c
@@ -184,9 +185,9 @@ class TestVerifySuite:
 
 
 class TestAdaptivityHarness:
-    def test_smoke_summary(self, rect, plan_1k):
+    def test_smoke_summary(self, plan_1k):
         peak = make_peak_triangular()
-        rep = H.run_adaptivity(peak, [plan_1k], rect, alpha=0.1, reps=3, seed=13, probes=(0.5, 0.9))
+        rep = H.run_adaptivity(peak, [plan_1k], alpha=0.1, reps=3, seed=13, probes=(0.5, 0.9))
         n = plan_1k.n
         assert f"ratio_n{n}" in rep.summary
         assert rep.summary[f"ratio_n{n}"] > 0.0
@@ -202,7 +203,7 @@ class TestAdaptivityHarness:
         for n in (2 ** 12, 2 ** 14):
             plan = derive_plan(PlanParams(n=n), rect)
             rep = H.run_adaptivity(
-                uniform, [plan], rect, alpha=0.1, reps=5, seed=29, probes=(0.3, 0.7)
+                uniform, [plan], alpha=0.1, reps=5, seed=29, probes=(0.3, 0.7)
             )
             from locband.calibration import band_halfwidth_quantile
 

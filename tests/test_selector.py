@@ -47,10 +47,10 @@ def admissible_set(t: float, table: KdeTable, plan) -> set[int]:
 
 
 @pytest.fixture(scope="module")
-def peak_table(rect_module, plan_module):
+def peak_table(plan_module):
     data = sample(make_peak_triangular(), plan_module.n, seed=17)
     split = split_sample(data)
-    return split, build_kde_table(split, plan_module, rect_module)
+    return split, build_kde_table(split, plan_module)
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ class TestAdmissibleSet:
             assert plan_module.j_max in s
             assert all(j + 1 in s for j in s if j < plan_module.j_max)
 
-    def test_small_grid_all_admissible(self, rect_module, peak_table, plan_module):
+    def test_small_grid_all_admissible(self, peak_table, plan_module):
         # with at most 3 exponents no pair m > m' > j+2 exists, and the
         # table holds no row
         _, table = peak_table
@@ -109,7 +109,7 @@ class TestAdmissibleSet:
         rest = 10.0 + rng.random(n - n // 4)
         data = np.concatenate([half[: n // 2], cluster, rest])[: n // 2 * 2]
         split = split_sample(data)
-        table = build_kde_table(split, plan, rect_module)
+        table = build_kde_table(split, plan)
         s = admissible_set(0.5, table, plan)
         assert plan.j_min not in s
         k = round(0.5 * plan.mesh_count)
@@ -187,18 +187,18 @@ class TestSelectionRoutine:
 
 
 class TestSelectProfile:
-    def test_matches_scalar_path(self, peak_table, plan_module, rect_module):
+    def test_matches_scalar_path(self, peak_table, plan_module):
         split, table = peak_table
-        j_hat = fit_profile(split, plan_module, rect_module)
+        j_hat = fit_profile(split, plan_module)
         rng = np.random.default_rng(2)
         ks = rng.integers(0, plan_module.mesh_count + 1, size=50)
         for k in ks:
             assert j_hat[k] == select_at(table, plan_module, k, k)[0]
             assert j_hat[k] == min(admissible_set(k * plan_module.delta_n, table, plan_module))
 
-    def test_bounds_and_h_loc(self, peak_table, plan_module, rect_module):
+    def test_bounds_and_h_loc(self, peak_table, plan_module):
         split, _ = peak_table
-        band = fit_band(split, plan_module, rect_module, q_n=1.0)
+        band = fit_band(split, plan_module, q_n=1.0)
         assert band.j_hat.shape == (plan_module.mesh_count + 1,)
         assert band.j_hat.min() >= plan_module.j_min
         assert band.j_hat.max() <= plan_module.j_max
