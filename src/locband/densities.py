@@ -17,6 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .calibration import CalibrationPlan, optimal_bandwidth
 from .errors import (
     ConstructionOverlapError,
     CorruptDensityError,
@@ -27,6 +28,7 @@ from .errors import (
     QuadratureError,
     UnboundedConstantError,
 )
+from .kernels import sup_abs_bias
 
 DEFAULT_SERIES_TOL = 1e-12
 
@@ -145,10 +147,7 @@ class Piece:
         return out
 
     def antideriv(self, x: np.ndarray, spec: Optional[WeierstrassSpec]) -> np.ndarray:
-        acoef = np.zeros(len(self.coeffs) + 1)
-        for i, c in enumerate(self.coeffs):
-            acoef[i + 1] = c / (i + 1)
-        out = np.polynomial.polynomial.polyval(x, acoef)
+        out = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyint(self.coeffs))
         for scale, center in self.wterms:
             out = out + scale * weierstrass_antideriv(spec, x - center)
         return out
@@ -158,12 +157,7 @@ class Piece:
         None if the piece carries series terms (nowhere differentiable)."""
         if self.wterms and k >= 1:
             return None
-        c = list(self.coeffs)
-        for _ in range(k):
-            c = [i * c[i] for i in range(1, len(c))]
-            if not c:
-                c = [0.0]
-        return tuple(c)
+        return tuple(np.polynomial.polynomial.polyder(self.coeffs, k).tolist())
 
 
 @dataclass(frozen=True)
@@ -189,6 +183,11 @@ class AnalyticDensity:
     homogeneous_exponent: Optional[float] = None  # set for unperturbed series members
 
     def __post_init__(self):
+        for i, (left, right) in enumerate(zip(self.pieces[:-1], self.pieces[1:])):
+            if left.hi != right.lo:
+                raise ValueError(
+                    f"pieces must adjoin: piece {i} ends at {left.hi!r}, piece {i + 1} starts at {right.lo!r}"
+                )
         edges = [p.lo for p in self.pieces] + [self.pieces[-1].hi]
         if any(b <= a for a, b in zip(edges[:-1], edges[1:])):
             raise ValueError("pieces must be ordered and non-degenerate")
@@ -291,7 +290,7 @@ class AnalyticDensity:
             if p.wterms:
                 half = 0.5 * np.diff(xs[s:e])
                 weight = sum(abs(c) for c, _ in p.wterms) * holder_quotient_bound(self.wspec.beta)
-                dpoly = [i * c for i, c in enumerate(p.coeffs)][1:] or [0.0]
+                dpoly = np.polynomial.polynomial.polyder(p.coeffs)
                 slack[s:e - 1] = (weight * half ** self.wspec.beta + _poly_sup_on(dpoly, p.lo, p.hi) * half
                                   + self.value_error)
         first = np.searchsorted(xs, edges[:-1])
@@ -404,7 +403,7 @@ def shrink_factor(beta: float) -> float:
 
 
 def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> AnalyticDensity:
-    """Add the canceling bump pair (+q at t+9/4, -q at t) to a composite or
+    """Add the canceling bump pair (+q at a = t+9/4, -q at t) to a composite or
     tent base; the ball around the base center comes out exactly constant.
 
     Variant "one" uses the bump radius (1/4) n^{-1/(2 beta+1)}; variant
@@ -418,55 +417,48 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
     g = perturbation_radius(n, beta)
     tag = "1" if variant == "one" else "2"
 
+    # each base gives its centre t, radius r and radius limit, the ball's
+    # constant value, and bump(p, a): piece p of the bump at a with the bump added
     if base.wspec is not None:
         if base.homogeneous_exponent is None or abs(beta - base.wspec.beta) > 1e-12:
             raise InvalidExponentError(
                 f"exponent {beta!r} does not match the base construction {base.wspec.beta!r}"
             )
-        r = g if variant == "one" else shrink_factor(beta) * g
-        if r >= 2.0:
-            raise ConstructionOverlapError(f"bump radius {r!r} >= 2 overlaps the construction")
-        if r > 0.25:
-            raise ConstructionOverlapError(f"bump radius {r!r} straddles the construction joints")
+        # the limit keeps the bump at a = t + 9/4 clear of the joint at t + 2
+        r, limit = (g if variant == "one" else shrink_factor(beta) * g), 0.25
         t = next(c for p in base.pieces for _, c in p.wterms)  # the series centre
-        a = t + 9.0 / 4.0
-        spec = base.wspec
         cw = (1.0 - 2.0 ** -beta) / 12.0
-        w_at_r = float(weierstrass_eval(spec, r))
-        pieces = list(base.pieces)
-        for x in (t - r, t + r, a - r, a + r):
-            pieces = _split_piece(pieces, x)
-        new_pieces = []
-        for p in pieces:
-            mid = 0.5 * (p.lo + p.hi)
-            if t - r <= mid <= t + r:
-                # base 1/6 + cw W(x-t) minus bump cw (W(x-t) - W(r)): constant
-                new_pieces.append(Piece(p.lo, p.hi, coeffs=(1.0 / 6.0 + cw * w_at_r,)))
-            elif a - r <= mid <= a + r:
-                coeffs = list(p.coeffs)
-                coeffs[0] = coeffs[0] - cw * w_at_r
-                new_pieces.append(Piece(p.lo, p.hi, coeffs=tuple(coeffs), wterms=p.wterms + ((cw, a),)))
-            else:
-                new_pieces.append(p)
-        new_pieces = _merge_pieces(new_pieces)
-        ball_value = 1.0 / 6.0 + cw * w_at_r
-        budget = base.lipschitz_budget + (BudgetEntry(math.inf, ball_value, (t - r, t + r)),)
-        return AnalyticDensity(
-            name=f"perturbed{tag}:{beta:g}:{n}",
-            pieces=tuple(new_pieces),
-            sup_bound=base.sup_bound + 2.0 * cw * (1.0 / (1.0 - 2.0 ** -beta)),
-            lipschitz_budget=budget,
-            wspec=spec,
-            homogeneous_exponent=None,
-        )
+        w_at_r = float(weierstrass_eval(base.wspec, r))
+        # base 1/6 + cw W(x-t) minus bump cw (W(x-t) - W(r)): constant
+        ball = 1.0 / 6.0 + cw * w_at_r
 
-    # tent base: bump (1/16)(r - |x-a|)_+, variant "two" halves the radius
-    if abs(beta - 1.0) > 1e-12:
-        raise InvalidExponentError(f"tent perturbations require beta = 1, got {beta!r}")
-    r = g if variant == "one" else 0.5 * g
+        def bump(p, a):
+            coeffs = (p.coeffs[0] - cw * w_at_r,) + p.coeffs[1:]
+            return replace(p, coeffs=coeffs, wterms=p.wterms + ((cw, a),))
+
+        name = f"perturbed{tag}:{beta:g}:{n}"
+        sup_bound = base.sup_bound + 2.0 * cw * (1.0 / (1.0 - 2.0 ** -beta))
+    else:
+        # tent base: bump (1/16)(r - |x-a|)_+, variant "two" halves the radius
+        if abs(beta - 1.0) > 1e-12:
+            raise InvalidExponentError(f"tent perturbations require beta = 1, got {beta!r}")
+        r, limit = (g if variant == "one" else 0.5 * g), 2.0
+        t = base.pieces[0].hi  # the apex joint
+        ball = 0.25 - r / 16.0  # subtracting (1/16)(r - |x-t|) flattens the kink exactly
+
+        def bump(p, a):
+            c0, c1 = (p.coeffs + (0.0, 0.0))[:2]
+            if 0.5 * (p.lo + p.hi) <= a:
+                return Piece(p.lo, p.hi, coeffs=(c0 + (r - a) / 16.0, c1 + 1.0 / 16.0))
+            return Piece(p.lo, p.hi, coeffs=(c0 + (r + a) / 16.0, c1 - 1.0 / 16.0))
+
+        name = f"tent-perturbed{tag}:{t:g}:{n}"
+        sup_bound = base.sup_bound
     if r >= 2.0:
         raise ConstructionOverlapError(f"bump radius {r!r} >= 2 overlaps the construction")
-    t = base.pieces[0].hi  # the apex joint
+    if r > limit:
+        raise ConstructionOverlapError(f"bump radius {r!r} straddles the construction joints")
+
     a = t + 9.0 / 4.0
     pieces = list(base.pieces)
     for x in (t - r, t + r, a - r, a, a + r):
@@ -474,23 +466,17 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
     new_pieces = []
     for p in pieces:
         mid = 0.5 * (p.lo + p.hi)
-        c = list(p.coeffs) + [0.0] * (2 - len(p.coeffs))
         if t - r <= mid <= t + r:
-            # subtract (1/16)(r - |x-t|): flattens the kink exactly
-            new_pieces.append(Piece(p.lo, p.hi, coeffs=(0.25 - r / 16.0,)))
-        elif a - r <= mid <= a:
-            new_pieces.append(Piece(p.lo, p.hi, coeffs=(c[0] + (r - a) / 16.0, c[1] + 1.0 / 16.0)))
-        elif a <= mid <= a + r:
-            new_pieces.append(Piece(p.lo, p.hi, coeffs=(c[0] + (r + a) / 16.0, c[1] - 1.0 / 16.0)))
-        else:
-            new_pieces.append(p)
-    new_pieces = _merge_pieces(new_pieces)
-    budget = base.lipschitz_budget + (BudgetEntry(math.inf, 0.25 - r / 16.0, (t - r, t + r)),)
+            p = Piece(p.lo, p.hi, coeffs=(ball,))
+        elif a - r <= mid <= a + r:
+            p = bump(p, a)
+        new_pieces.append(p)
     return AnalyticDensity(
-        name=f"tent-perturbed{tag}:{t:g}:{n}",
-        pieces=tuple(new_pieces),
-        sup_bound=base.sup_bound,
-        lipschitz_budget=budget,
+        name=name,
+        pieces=tuple(_merge_pieces(new_pieces)),
+        sup_bound=sup_bound,
+        lipschitz_budget=base.lipschitz_budget + (BudgetEntry(math.inf, ball, (t - r, t + r)),),
+        wspec=base.wspec,
     )
 
 
@@ -567,7 +553,7 @@ def _strict_floor(b: float) -> int:
 
 def _stationary_points(coeffs: Sequence[float], lo: float, hi: float) -> list[float]:
     """Real zeros of the polynomial's derivative strictly inside (lo, hi)."""
-    d = [i * coeffs[i] for i in range(1, len(coeffs))]
+    d = np.polynomial.polynomial.polyder(coeffs).tolist()
     if len(d) == 2 and d[1] != 0.0:
         roots = [-d[0] / d[1]]
     elif len(d) > 2:
@@ -614,12 +600,12 @@ def _derivative_grid(density: AnalyticDensity, k: int, xs: np.ndarray) -> Option
     return density._by_piece(xs, deriv)
 
 
+# points of the uniform grid whose pairs give holder_norm_estimate's quotient
+_NORM_GRID_POINTS = 512
+
+
 def holder_norm_estimate(
-    density: AnalyticDensity,
-    beta: float,
-    beta_star: int,
-    window: tuple[float, float],
-    grid_points: int = 512,
+    density: AnalyticDensity, beta: float, beta_star: int, window: tuple[float, float]
 ) -> float:
     """Grid estimate of the order-capped Hoelder norm on the window.
 
@@ -640,7 +626,7 @@ def holder_norm_estimate(
         if math.isinf(s):
             return math.inf
         total += s
-    xs = np.linspace(wlo, whi, grid_points)
+    xs = np.linspace(wlo, whi, _NORM_GRID_POINTS)
     dvals = _derivative_grid(density, kstar, xs)
     if dvals is None:
         return math.inf
@@ -649,7 +635,7 @@ def holder_norm_estimate(
         return total if float(np.ptp(dvals)) <= 1e-12 else math.inf
     diff = np.abs(dvals[:, None] - dvals[None, :])
     dist = np.abs(xs[:, None] - xs[None, :])
-    iu = np.triu_indices(grid_points, k=1)
+    iu = np.triu_indices(_NORM_GRID_POINTS, k=1)
     quot = diff[iu] / dist[iu] ** (beta - kstar)
     return total + float(quot.max())
 
@@ -678,7 +664,7 @@ def certified_norm_bound(
 # local regularity oracle and admissibility
 # ---------------------------------------------------------------------------
 
-def local_exponent_oracle(density: AnalyticDensity, t: float, plan) -> float:
+def local_exponent_oracle(density: AnalyticDensity, t: float, plan: CalibrationPlan) -> float:
     """Sample-size-dependent local smoothness exponent at t.
 
     For piecewise-polynomial members this is geometric: with d the distance
@@ -697,15 +683,13 @@ def local_exponent_oracle(density: AnalyticDensity, t: float, plan) -> float:
         )
     kinks = np.asarray(density.kinks, dtype=float)
     d = float(np.abs(kinks - t).min())
-    h_inf = 2.0 ** -plan.j_min
+    h_inf = optimal_bandwidth(plan, math.inf)
     if d >= h_inf:
         return math.inf
-    rate = math.log(plan.n_tilde) / plan.n_tilde
-    h1 = h_inf * rate ** (1.0 / 3.0)
-    if d <= h1:
+    if d <= optimal_bandwidth(plan, 1.0):
         return 1.0
-    # solve 2^-j_min rate^{1/(2 beta + 1)} = d
-    beta = 0.5 * (math.log(rate) / math.log(d / h_inf) - 1.0)
+    # solve optimal_bandwidth(plan, beta) = 2^-j_min rate^{1/(2 beta + 1)} = d
+    beta = 0.5 * (math.log(plan.log_n_tilde / plan.n_tilde) / math.log(d / h_inf) - 1.0)
     return min(beta, float(plan.beta_star_high))
 
 
@@ -723,23 +707,16 @@ def dyadic_ladder(u: float, j_max: int) -> list[float]:
 
 
 def admissibility_check(
-    density: AnalyticDensity,
-    plan,
-    kernel,
-    t: float,
-    h: float,
-    beta: float,
-    grid_points: int = 512,
+    density: AnalyticDensity, plan: CalibrationPlan, t: float, h: float, beta: float
 ) -> bool:
     """Check the two-sided local self-similarity condition at (t, h, beta).
 
     True iff for u = h or u = 2h the order-capped norm on B(t, u) stays
     within the budget and the kernel bias on B(t, u-g) stays above
     g^beta / log n for every dyadic g <= u/8 down to the grid floor
-    2^-j_max (a finite truncation of the full dyadic ladder).
+    2^-j_max (a finite truncation of the full dyadic ladder).  The bias
+    is that of the plan's kernel.
     """
-    from .kernels import sup_abs_bias  # local import to avoid a cycle
-
     j = -math.log2(h)
     if abs(j - round(j)) > 1e-9 or round(j) < plan.j_min:
         raise InvalidExponentError(f"bandwidth {h!r} is not dyadic with exponent >= j_min")
@@ -752,15 +729,13 @@ def admissibility_check(
     for u in (h, 2.0 * h):
         bound = certified_norm_bound(density, beta, plan.beta_star_high, (t - u, t + u))
         if bound is None:
-            bound = holder_norm_estimate(
-                density, beta, plan.beta_star_high, (t - u, t + u), grid_points
-            )
+            bound = holder_norm_estimate(density, beta, plan.beta_star_high, (t - u, t + u))
         if bound > plan.L_star:
             continue
         ok = True
         if beta != math.inf:
             for g in dyadic_ladder(u, plan.j_max):
-                bias = sup_abs_bias(kernel, density, g, (t - (u - g), t + (u - g)))
+                bias = sup_abs_bias(plan.kernel, density, g, (t - (u - g), t + (u - g)))
                 if bias < g ** beta / logn:
                     ok = False
                     break

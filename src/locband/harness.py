@@ -449,7 +449,7 @@ def _suite_bias_lower(kernel: Kernel) -> list[dict]:
         w = weierstrass_function(beta)
         worst = math.inf
         for g in BIAS_G_LADDER:
-            got = sup_abs_bias(kernel, w, g, (-(h - g), h - g), grid_step=g / 64.0)
+            got = sup_abs_bias(kernel, w, g, (-(h - g), h - g))
             worst = min(worst, got - BIAS_LOWER_CONSTANT * g ** beta)
         rows.append({
             "item": "bias_lower",
@@ -472,7 +472,7 @@ def _suite_bias_upper(kernel: Kernel) -> list[dict]:
         budget = comp.lipschitz_budget[0].bound
         worst = math.inf
         for g in BIAS_G_LADDER:
-            got = sup_abs_bias(kernel, comp, g, (-(h - g), h - g), grid_step=g / 64.0)
+            got = sup_abs_bias(kernel, comp, g, (-(h - g), h - g))
             worst = min(worst, budget * kernel.norm_l1 * g ** beta - got)
         rows.append({
             "item": "bias_upper",
@@ -484,9 +484,9 @@ def _suite_bias_upper(kernel: Kernel) -> list[dict]:
     tent = zoo.make_triangular_hypothesis(0.5)
     worst = 0.0
     for g in BIAS_G_LADDER:
-        worst = max(worst, sup_abs_bias(kernel, uni, g, (-(h - g), h - g), grid_step=g / 64.0))
+        worst = max(worst, sup_abs_bias(kernel, uni, g, (-(h - g), h - g)))
         # window on one tent flank: affine there, an order-1 kernel reproduces it
-        worst = max(worst, sup_abs_bias(kernel, tent, g, (1.5, 1.75), grid_step=g / 64.0))
+        worst = max(worst, sup_abs_bias(kernel, tent, g, (1.5, 1.75)))
     rows.append({
         "item": "bias_upper",
         "check": "affine pieces have zero bias",

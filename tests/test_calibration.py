@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,18 @@ from locband.errors import (
     InvalidMeshError,
     InvalidProbabilityError,
 )
+
+
+@pytest.mark.parametrize("field, value, error, message", [
+    ("n", 3, ValueError, "sample size must be >= 4, got 3"),
+    ("epsilon", 1.0, ValueError, "epsilon must lie in (0,1), got 1.0"),
+    ("epsilon", 0.0, ValueError, "epsilon must lie in (0,1), got 0.0"),
+    ("beta_star_low", 1.0, InvalidExponentError, "beta_star_low must lie in (0,1), got 1.0"),
+    ("mode", "bogus", ValueError, "mode must be 'theory' or 'practical', got 'bogus'"),
+])
+def test_plan_params_out_of_range(field, value, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        PlanParams(**{"n": 2048, field: value})
 
 
 class TestDerivePlan:
@@ -192,6 +205,13 @@ class TestSerialization:
     def test_unknown_field_rejected(self, rect):
         with pytest.raises(ValueError, match="unknown plan field"):
             plan_from_text("n=2048\nbogus=1\n", rect)
+
+    def test_line_without_equals_rejected(self, rect):
+        with pytest.raises(ValueError, match=re.escape("line 2: expected key=value, got 'j_min 3'") + "$"):
+            plan_from_text("n=2048\nj_min 3\n", rect)
+
+    def test_blank_and_comment_lines_skipped(self, rect, plan_1k):
+        assert plan_from_text("# a sidecar's plan\n\n  \nn=2048\n#j_min=9\n", rect) == plan_1k
 
     def test_inconsistent_derived_rejected(self, rect):
         with pytest.raises(ValueError, match="disagrees"):

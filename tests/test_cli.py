@@ -270,6 +270,15 @@ class TestConfigAndEnv:
         assert not (tmp_path / "out.csv.meta").exists()
 
 
+@pytest.mark.parametrize("argv, code, stream, text", [
+    (("band", "--help"), 0, "out", "usage: locband band"),
+    (("band", "--bogus"), 2, "err", "unrecognized arguments: --bogus"),
+], ids=["help", "unknown-flag"])
+def test_parser_exit_becomes_return_code(argv, code, stream, text, capsys):
+    assert run_cli(*argv) == code
+    assert text in getattr(capsys.readouterr(), stream)
+
+
 @pytest.mark.parametrize("reps", ["0", "-3"])
 @pytest.mark.parametrize("kind", ["coverage", "window", "adaptivity", "gumbel"])
 def test_reps_below_one_exit_2(kind, reps, capsys):

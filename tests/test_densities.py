@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locband import densities as zoo
+from locband import harness
 from locband.band import cell_edges
 from locband.calibration import PlanParams, derive_plan
 from locband.densities import (
@@ -232,6 +235,50 @@ class TestZooInvariants:
             make_perturbed(make_triangular_hypothesis(0.5), 1000, 1.0, "one")
 
 
+# (base, variant, n): SHA-256 of repr((name, pieces, sup_bound,
+# lipschitz_budget)) of the perturbation, so that every joint, coefficient
+# and bound of the bump pair is pinned
+PERTURBED_DIGESTS = {
+    ("weierstrass:0.5:0.5", "one", 256): "0a0b557298647c521e1fdb0ac7423e166b0bcf12d3d0a66045e6ed9f7b45b26d",
+    ("weierstrass:0.5:0.5", "one", 10 ** 6): "b94206fd32ad641bcbed21aee989e05213f060f994fdfd7168b6147013a41a11",
+    ("weierstrass:0.5:0.5", "two", 256): "d2ff077c706c2cc0c88de01082f09b0732865c7bf2514cf6dcdf05c105817024",
+    ("weierstrass:0.5:0.5", "two", 10 ** 6): "c0493c79f32dfb220a13a9d888504b09bc3b441e286b2debd894b4db4c5f6a92",
+    ("tent:0.5", "one", 256): "98108691911389fa3bffda09bdbb14c4f344a1789baf32acdbf1a6e40592d55b",
+    ("tent:0.5", "one", 10 ** 6): "6b7e4ae22f7ca3b526a722ae17d7dd39dfe6a96060c7546c8b0d52c887042738",
+    ("tent:0.5", "two", 256): "5dbdbb10e06e15f33f5d50fea6574608a2ed8283b70249aba3e5686e2ff7c318",
+    ("tent:0.5", "two", 10 ** 6): "78594a065a74d3207e38610fbc5dfde9d014fe892513ce5ee8820da0722aa72c",
+    ("tent:0.3", "one", 256): "f823e4f47a4455d7270a7a54b3ce5191607b9fa5a1faef3fbc0efd56a79f8bfe",
+    ("tent:0.3", "one", 10 ** 6): "3b8687fffa98904e87ab6aa25b4bdcd426db8bc935b990a52362ed4ab74504a9",
+    ("tent:0.3", "two", 256): "2e1c8f6ce0f29e2177ba74db07909547cbc7b8641a9a8dcf9477be733d626404",
+    ("tent:0.3", "two", 10 ** 6): "cead0fa780e2d0406363aefc82b225128b6780636ec9a36f6c4cb3cfb9b9d433",
+}
+
+
+@pytest.mark.parametrize("key", sorted(PERTURBED_DIGESTS), ids=str)
+def test_perturbed_pieces_pinned(key):
+    base_name, variant, n = key
+    base = density_from_name(base_name)
+    d = make_perturbed(base, n, base.wspec.beta if base.wspec else 1.0, variant)
+    got = hashlib.sha256(repr((d.name, d.pieces, d.sup_bound, d.lipschitz_budget)).encode()).hexdigest()
+    assert got == PERTURBED_DIGESTS[key]
+
+
+class TestPieceJoints:
+    @pytest.mark.parametrize("pieces, message", [
+        ((Piece(0.0, 0.3, (1.0,)), Piece(0.3, 0.4, (1.0,)), Piece(0.5, 1.0, (1.0,))),
+         "piece 1 ends at 0.4, piece 2 starts at 0.5"),
+        ((Piece(0.0, 0.6, (1.0,)), Piece(0.5, 1.0, (1.0,))), "piece 0 ends at 0.6, piece 1 starts at 0.5"),
+    ], ids=["gap", "overlap"])
+    def test_pieces_must_adjoin(self, pieces, message):
+        with pytest.raises(ValueError, match=f"pieces must adjoin: {message}$"):
+            AnalyticDensity("bad", pieces, sup_bound=1.0)
+
+    @pytest.mark.parametrize("density", ZOO + [harness.weierstrass_function(0.5)], ids=lambda d: d.name)
+    def test_zoo_rebuilds(self, density):
+        # replace re-runs the construction checks on the same pieces
+        assert replace(density) == density
+
+
 _ORACLE_POINTS = 2048
 
 
@@ -448,36 +495,32 @@ class TestHolderNormEstimate:
 
 
 class TestAdmissibility:
-    def test_constant_piece_infinite_exponent(self, rect, plan_1k):
+    def test_constant_piece_infinite_exponent(self, plan_1k):
         u = make_uniform(-1.0, 2.0)  # value 1/3, constant over [0,1] windows
-        assert admissibility_check(u, plan_1k, rect, t=0.5, h=0.125, beta=math.inf)
+        assert admissibility_check(u, plan_1k, t=0.5, h=0.125, beta=math.inf)
 
-    def test_affine_piece_finite_exponent_fails(self, rect, plan_1k):
+    def test_affine_piece_finite_exponent_fails(self, plan_1k):
         # order-1 kernel reproduces affine pieces: zero bias < g^beta / log n
         p = make_triangular_hypothesis(-3.0)  # [0,1] sits on one affine flank
-        assert not admissibility_check(p, plan_1k, rect, t=0.5, h=0.125, beta=1.0)
+        assert not admissibility_check(p, plan_1k, t=0.5, h=0.125, beta=1.0)
 
-    def test_rough_composite_admissible_at_large_n(self, rect, plan_1k):
-        from dataclasses import replace
-
+    def test_rough_composite_admissible_at_large_n(self, plan_1k):
         # the bias floor 1/log n needs an astronomically large n; the dyadic
         # ladder is truncated at j_max as in any desk-scale run
         plan = replace(plan_1k, n=10 ** 70, j_max=9, beta_star_low=0.4)
         w = make_weierstrass_composite(0.5, 0.5)
-        assert admissibility_check(w, plan, rect, t=0.5, h=0.125, beta=0.5)
+        assert admissibility_check(w, plan, t=0.5, h=0.125, beta=0.5)
 
-    def test_rough_composite_rejected_at_desk_scale_n(self, rect, plan_1k):
-        from dataclasses import replace
-
+    def test_rough_composite_rejected_at_desk_scale_n(self, plan_1k):
         plan = replace(plan_1k, beta_star_low=0.4)
         w = make_weierstrass_composite(0.5, 0.5)
-        assert not admissibility_check(w, plan, rect, t=0.5, h=0.125, beta=0.5)
+        assert not admissibility_check(w, plan, t=0.5, h=0.125, beta=0.5)
 
-    def test_invalid_exponent(self, rect, plan_1k):
+    def test_invalid_exponent(self, plan_1k):
         with pytest.raises(InvalidExponentError):
-            admissibility_check(make_uniform(), plan_1k, rect, t=0.5, h=0.125, beta=5.0)
+            admissibility_check(make_uniform(), plan_1k, t=0.5, h=0.125, beta=5.0)
         with pytest.raises(InvalidExponentError):
-            admissibility_check(make_uniform(), plan_1k, rect, t=0.5, h=0.1, beta=1.0)
+            admissibility_check(make_uniform(), plan_1k, t=0.5, h=0.1, beta=1.0)
 
 
 class TestKLDivergence:

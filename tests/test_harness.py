@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import locband
 from locband import harness as H
 from locband.calibration import PlanParams, derive_plan, normalizers
 from locband.cli import main
@@ -230,3 +235,15 @@ class TestCalibrateC2:
 
         c2, _ = H.calibrate_c2(rect)
         assert c2 == DEFAULT_C2 == 0.65
+
+    def test_script_runs(self):
+        # the script that produced DEFAULT_C2, on a small run, so that its
+        # call into calibrate_c2 keeps matching the signature
+        root = Path(__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "calibrate_c2.py"), "--n", "4096", "--reps", "2"],
+            env={**os.environ, "PYTHONPATH": str(Path(locband.__file__).resolve().parent.parent)},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "\ncalibrated c2 = " in done.stdout

@@ -53,6 +53,13 @@ PINNED = {
         "7c25fd97a9239a84d7f12ec9d4be699380be4a7d81c6df83ec92593654dd5a55",
         "fa837d2be8a2c7e979759cf7349c1a43003a20dddb11b3ade83d365a6d8af634",
     ),
+    # the only run here on a perturbed density: its truth column pins the pdf
+    # of the bump pair at every mesh point
+    "curves-perturbed": (
+        ("curves", "--density", "perturbed2:0.5:4096", "--n", "4096", "--seed", "17"),
+        "f0ae7bcec8f85f8c96947f805577b9325aae430bc6b471ec598f0c4cbadf4c4b",
+        "e53b93f7d5096f77c3899f4eb83c36f3a0c25530025f39328c0582ea55fd4df0",
+    ),
     # the only run here whose truth range comes from the rough-density scan (394 cells)
     "coverage-rough": (
         ("simulate", "coverage", "--density", "weierstrass:0.5:0.5", "--n", "64", "--reps", "2", "--seed", "16"),
