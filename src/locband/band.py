@@ -48,24 +48,32 @@ def cell_edges(plan: CalibrationPlan) -> np.ndarray:
     return np.arange(plan.mesh_count + 1, dtype=float) * plan.delta_n
 
 
+def cell_bandwidths(plan: CalibrationPlan, j_hat: np.ndarray) -> np.ndarray:
+    """The undersmoothed bandwidth 2^-u_n 2^-max(j_hat[k-1], j_hat[k]) of
+    each cell whose two flanking mesh points' exponents j_hat holds."""
+    return 2.0 ** -plan.u_n * np.exp2(-np.maximum(j_hat[:-1], j_hat[1:]).astype(float))
+
+
+def halfwidths(plan: CalibrationPlan, q_n: float, h_loc: np.ndarray) -> np.ndarray:
+    """Half-widths q_n / sqrt(n~ h_loc) of cells with bandwidths h_loc."""
+    return q_n / np.sqrt(plan.n_tilde * h_loc)
+
+
 def _assemble(
     split: SplitSample, plan: CalibrationPlan, q_n: float, j_hat: np.ndarray, h_loc: np.ndarray
 ) -> ConfidenceBand:
-    """Centers from the first half at the cells' bandwidths h_loc, and
-    half-widths q_n / sqrt(n~ h_loc)."""
+    """Centers from the first half at the cells' bandwidths h_loc."""
     points = np.arange(1, plan.mesh_count + 1, dtype=float) * plan.delta_n
     centers = rank_query_kde(split.chi1, points, h_loc, plan.kernel)
-    return ConfidenceBand(plan, j_hat, h_loc, centers, q_n / np.sqrt(plan.n_tilde * h_loc))
+    return ConfidenceBand(plan, j_hat, h_loc, centers, halfwidths(plan, q_n, h_loc))
 
 
 def fit_band(split: SplitSample, plan: CalibrationPlan, q_n: float) -> ConfidenceBand:
     """The locally adaptive band: exponents selected on the second half of
-    the split, and on cell k the undersmoothed bandwidth
-    h_loc[k-1] = 2^-u_n 2^-max(j_hat[k-1], j_hat[k]) for the centers, which
+    the split, and the cells' bandwidths from them for the centers, which
     come from the first half.  q_n is band_halfwidth_quantile(plan, alpha)."""
     j_hat = fit_profile(split, plan)
-    h_loc = 2.0 ** -plan.u_n * np.exp2(-np.maximum(j_hat[:-1], j_hat[1:]).astype(float))
-    return _assemble(split, plan, q_n, j_hat, h_loc)
+    return _assemble(split, plan, q_n, j_hat, cell_bandwidths(plan, j_hat))
 
 
 def reference_global_band(split: SplitSample, plan: CalibrationPlan, q_n: float) -> ConfidenceBand:

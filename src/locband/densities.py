@@ -213,10 +213,11 @@ class AnalyticDensity:
 
     def _by_piece(self, xs: np.ndarray, f) -> Optional[np.ndarray]:
         """f(i, piece, points) on the points of xs that piece i holds, a joint
-        going to the piece on its right and a point off the support to the
-        nearest piece; None as soon as f returns None."""
+        going to the piece on its right and the support's right end to the
+        last piece; 0 off the support; None as soon as f returns None."""
         idx = np.clip(np.searchsorted(self._edges, xs, side="right") - 1, 0, len(self.pieces) - 1)
-        out = np.empty_like(xs)
+        idx[~((xs >= self._edges[0]) & (xs <= self._edges[-1]))] = -1
+        out = np.zeros_like(xs)
         for i, piece in enumerate(self.pieces):
             m = idx == i
             if m.any():
@@ -227,11 +228,7 @@ class AnalyticDensity:
         return out
 
     def pdf(self, x) -> np.ndarray | float:
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros_like(xs)
-        lo, hi = self.support
-        inside = (xs >= lo) & (xs <= hi)
-        out[inside] = self._by_piece(xs[inside], lambda i, p, pts: p.value(pts, self.wspec))
+        out = self._by_piece(np.atleast_1d(np.asarray(x, dtype=float)), lambda i, p, pts: p.value(pts, self.wspec))
         return float(out[0]) if np.isscalar(x) or np.asarray(x).shape == () else out
 
     def mass_below(self, x) -> np.ndarray | float:
@@ -440,6 +437,8 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
         sup_bound = base.sup_bound + 2.0 * cw * (1.0 / (1.0 - 2.0 ** -beta))
     else:
         # tent base: bump (1/16)(r - |x-a|)_+, variant "two" halves the radius
+        if base != make_triangular_hypothesis(base.pieces[0].hi):
+            raise ValueError(f"base {base.name} is neither the series composite nor a tent")
         if abs(beta - 1.0) > 1e-12:
             raise InvalidExponentError(f"tent perturbations require beta = 1, got {beta!r}")
         r, limit = (g if variant == "one" else 0.5 * g), 2.0
@@ -590,7 +589,8 @@ def _derivative_sup(density: AnalyticDensity, k: int, window: tuple[float, float
 
 
 def _derivative_grid(density: AnalyticDensity, k: int, xs: np.ndarray) -> Optional[np.ndarray]:
-    """The k-th derivative at xs; None if a piece that holds a point has none."""
+    """The k-th derivative at xs, 0 off the support; None if a piece that
+    holds a point has none."""
     def deriv(i, p, pts):
         if k == 0:
             return p.value(pts, density.wspec)
@@ -619,6 +619,10 @@ def holder_norm_estimate(
         raise ValueError(f"degenerate window {window!r}")
     if beta != math.inf and beta <= 0.0:
         raise InvalidExponentError(f"exponent must be positive, got {beta!r}")
+    lo, hi = density.support
+    # off the support the density is 0, so a window past an end where it is not jumps there
+    if (wlo < lo and abs(density.pdf(lo)) > 1e-12) or (whi > hi and abs(density.pdf(hi)) > 1e-12):
+        return math.inf
     kstar = beta_star - 1 if beta == math.inf else _strict_floor(min(beta, float(beta_star)))
     total = 0.0
     for k in range(kstar + 1):

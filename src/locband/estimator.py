@@ -113,21 +113,16 @@ def _rank_bins(sorted_x: np.ndarray, edges: np.ndarray, side: str) -> np.ndarray
     return bins
 
 
-def build_kde_table(
-    split: SplitSample, plan: CalibrationPlan, idx_lo: Optional[int] = None, idx_hi: Optional[int] = None
-) -> KdeTable:
+def build_kde_table(split: SplitSample, plan: CalibrationPlan, k_lo: int = 0, k_hi: Optional[int] = None) -> KdeTable:
     """Precompute the rows j_min + 3..j_max the selector reads, from the
     second half of the split (the first is left for the band centers), over
-    the mesh of [0,1] plus the selector margin by default.  A row over N
-    indices costs O(n~ + N) per kernel piece and equals rank_query_kde's bit
-    for bit: it counts against the same float edges."""
+    the mesh indices k_lo..k_hi (the whole mesh by default) plus the selector
+    margin.  A row over N indices costs O(n~ + N) per kernel piece and equals
+    rank_query_kde's bit for bit: it counts against the same float edges."""
     if plan.j_max < plan.j_min:
         raise InvalidBandwidthError("empty bandwidth grid")
     margin = ball_offset(plan, plan.j_min)
-    if idx_lo is None:
-        idx_lo = -margin
-    if idx_hi is None:
-        idx_hi = plan.mesh_count + margin
+    idx_lo, idx_hi = k_lo - margin, (plan.mesh_count if k_hi is None else k_hi) + margin
     half = split.chi2
     points = np.arange(idx_lo, idx_hi + 1, dtype=float) * plan.delta_n
     bandwidths = [2.0 ** -j for j in range(plan.j_min + 3, plan.j_max + 1)]

@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import densities as zoo
-from .band import cell_edges, cell_of, covers_truth, fit_band
+from .band import cell_bandwidths, cell_edges, cell_of, covers_truth, fit_band, halfwidths
 from .calibration import (
     CalibrationPlan,
     PlanParams,
@@ -26,9 +26,9 @@ from .calibration import (
 )
 from .densities import AnalyticDensity, local_exponent_oracle, sample
 from .errors import InvalidConfigurationError
-from .estimator import ball_offset, build_kde_table, split_sample
+from .estimator import build_kde_table, split_sample
 from .kernels import Kernel, make_rectangular, sup_abs_bias
-from .selector import _ball_maxima, fit_profile, select_at, theoretical_window
+from .selector import _ball_maxima, fit_profile, theoretical_window
 
 
 # ---------------------------------------------------------------------------
@@ -134,17 +134,10 @@ def run_coverage(
 
 def _probe_cell_exponents(density, plan, rng, probes):
     """Selected exponents at the two mesh points flanking each probe's cell,
-    from a windowed table around each probe (the rest of the mesh is never
-    consulted for a width query, so it is not estimated)."""
-    data = sample(density, plan.n, int(rng.integers(0, 2 ** 63 - 1)))
-    split = split_sample(data)
-    margin = ball_offset(plan, plan.j_min)
-    out = []
-    for t in probes:
-        k = cell_of(plan, t)
-        table = build_kde_table(split, plan, idx_lo=k - 1 - margin, idx_hi=k + margin)
-        out.append(int(select_at(table, plan, k - 1, k).max()))
-    return out
+    each pair from a table around its cell alone (a width query never
+    consults the rest of the mesh, so it is not estimated)."""
+    split = split_sample(sample(density, plan.n, int(rng.integers(0, 2 ** 63 - 1))))
+    return [fit_profile(split, plan, cell_of(plan, t) - 1, cell_of(plan, t)) for t in probes]
 
 
 def run_adaptivity(
@@ -183,13 +176,12 @@ def run_adaptivity(
         hbars = [optimal_bandwidth(plan, b) for b in betas]
         for r in range(reps):
             rng = replication_rng(seed, r)
-            j_effs = _probe_cell_exponents(density, plan, rng, probes)
             rec = {"n": plan.n, "rep": r}
-            for i, t in enumerate(probes):
-                h_loc = 2.0 ** (-plan.u_n - j_effs[i])
-                width = 2.0 * q_n / math.sqrt(plan.n_tilde * h_loc)
+            for i, j_pair in enumerate(_probe_cell_exponents(density, plan, rng, probes)):
+                h_loc = cell_bandwidths(plan, j_pair)[0]
+                width = 2.0 * halfwidths(plan, q_n, h_loc)
                 expo = 0.5 if betas[i] == math.inf else betas[i] / (2.0 * betas[i] + 1.0)
-                rec[f"j_eff_{i}"] = j_effs[i]
+                rec[f"j_eff_{i}"] = int(j_pair.max())
                 rec[f"width_{i}"] = width
                 rec[f"beta_{i}"] = betas[i]
                 rec[f"norm_width_{i}"] = width * rate ** -expo

@@ -16,6 +16,7 @@ and a run is decided at the first j where none of its points is admissible.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -85,10 +86,11 @@ def select_at(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) -> n
     return j_hat
 
 
-def fit_profile(split: SplitSample, plan: CalibrationPlan) -> np.ndarray:
-    """Selected exponent j_hat[k] at every mesh point k delta_n of [0,1],
-    k = 0..mesh_count, from the second half of the split."""
-    return select_at(build_kde_table(split, plan), plan, 0, plan.mesh_count)
+def fit_profile(split: SplitSample, plan: CalibrationPlan, k_lo: int = 0, k_hi: Optional[int] = None) -> np.ndarray:
+    """Selected exponent j_hat at the mesh points k delta_n, k = k_lo..k_hi
+    (the whole mesh 0..mesh_count by default), from the second half of the split."""
+    k_hi = plan.mesh_count if k_hi is None else k_hi
+    return select_at(build_kde_table(split, plan, k_lo, k_hi), plan, k_lo, k_hi)
 
 
 def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float) -> tuple[float, int]:

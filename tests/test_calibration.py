@@ -230,3 +230,17 @@ class TestSerialization:
         assert "beta_star_high=2\n" in plan_to_text(plan_from_text("n=2048\n", rect))
         with pytest.raises(ValueError, match="stored beta_star_high=3 disagrees"):
             plan_from_text("n=2048\nbeta_star_high=3\n", rect)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda rect: normalizers(0.1, 0.0), InvalidMeshError, "total variation must be positive, got 0.0"),
+    (lambda rect: derive_plan(PlanParams(n=2048, c1=0.0), rect), InvalidConstantsError,
+     "practical mode still requires positive c1, kappa1, kappa2"),
+    (lambda rect: derive_plan(PlanParams(n=2048, kappa1=-1.0), rect), InvalidConstantsError,
+     "practical mode still requires positive c1, kappa1, kappa2"),
+    (lambda rect: derive_plan(PlanParams(n=2048, kappa2=0.0), rect), InvalidConstantsError,
+     "practical mode still requires positive c1, kappa1, kappa2"),
+])
+def test_input_checks(call, error, message, rect):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(rect)

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from locband.errors import (
     CorruptDensityError,
     DivergenceInfiniteError,
     InvalidExponentError,
+    InvalidToleranceError,
     OracleUnavailableError,
     UnboundedConstantError,
 )
@@ -234,6 +237,22 @@ class TestZooInvariants:
         with pytest.raises(ConstructionOverlapError):
             make_perturbed(make_triangular_hypothesis(0.5), 1000, 1.0, "one")
 
+    @pytest.mark.parametrize("variant", ["one", "two"])
+    @pytest.mark.parametrize("base", [
+        make_peak_triangular(),  # once a "tent" perturbation of mass 0.823 (0.909 for variant two)
+        make_uniform(),  # mass 0.959 (0.980)
+        make_perturbed(make_triangular_hypothesis(0.5), 100, 1.0, "one"),
+    ], ids=lambda d: d.name)
+    def test_perturbed_refuses_other_bases(self, base, variant):
+        message = f"base {base.name} is neither the series composite nor a tent"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make_perturbed(base, 100, 1.0, variant)
+
+    @pytest.mark.parametrize("t", [0.5, 0.3, 0.1, 0.77, -1.25, 3.0, 0.1 + 0.2])
+    def test_perturbed_accepts_every_tent(self, t):
+        d = make_perturbed(make_triangular_hypothesis(t), 100, 1.0, "two")
+        assert d.mass_between(*d.support) == pytest.approx(1.0, abs=1e-12)
+
 
 # (base, variant, n): SHA-256 of repr((name, pieces, sup_bound,
 # lipschitz_budget)) of the perturbation, so that every joint, coefficient
@@ -361,6 +380,23 @@ class TestCellsExtrema:
         for density in (make_peak_triangular(), tent, make_perturbed(tent, 256, 1.0, "one")):
             lo, hi, slack = density.cells_extrema(cell_edges(plan))
             assert np.all(slack == 0.0) and np.all(lo <= hi)
+
+    def test_quadratic_peak_inside_a_cell(self):
+        # 6x(1 - x) is stationary at 1/2, inside the middle cell and at no edge
+        density = AnalyticDensity("beta22", (Piece(0.0, 1.0, coeffs=(0.0, 6.0, -6.0)),), 1.5)
+        lo, hi, slack = density.cells_extrema(np.array([0.0, 0.3, 0.7, 1.0]))
+        assert hi[1] == 1.5 and np.all(slack == 0.0)
+
+    def test_cubic_enclosure_holds_fine_scan(self):
+        # two stationary points, (3 -+ sqrt 3)/6, each inside one of the three cells
+        density = AnalyticDensity("cubic", (Piece(0.0, 1.0, coeffs=(0.25, 3.0, -9.0, 6.0)),), 1.0)
+        edges = np.array([0.0, 0.1, 0.5, 1.0])
+        lo, hi, _ = density.cells_extrema(edges)
+        xs = np.linspace(0.0, 1.0, 100_001)
+        cell = np.minimum(np.searchsorted(edges, xs, side="right") - 1, 2)
+        v = density.pdf(xs)
+        for k in range(3):
+            assert lo[k] <= v[cell == k].min() and v[cell == k].max() <= hi[k]
 
     def test_no_cells(self):
         lo, hi, slack = make_weierstrass_composite(0.5, 0.5).cells_extrema(np.array([0.25]))
@@ -493,6 +529,14 @@ class TestHolderNormEstimate:
         p = make_peak_triangular()
         assert holder_norm_estimate(p, math.inf, 2, (0.4, 0.6)) == math.inf
 
+    def test_zero_off_the_support(self):
+        # the density is 0 past a support end, not its end piece extended
+        u, p = make_uniform(), make_peak_triangular()
+        for beta in (math.inf, 0.5):
+            assert holder_norm_estimate(u, beta, 2, (0.775, 1.025)) == math.inf  # jump at 1
+        assert holder_norm_estimate(p, math.inf, 2, (-0.1, 0.1)) == math.inf  # p' jumps from 0 to 4
+        assert holder_norm_estimate(p, 1.0, 2, (-0.1, 0.1)) == pytest.approx(0.4 + 4.0, abs=1e-9)
+
 
 class TestAdmissibility:
     def test_constant_piece_infinite_exponent(self, plan_1k):
@@ -515,6 +559,16 @@ class TestAdmissibility:
         plan = replace(plan_1k, beta_star_low=0.4)
         w = make_weierstrass_composite(0.5, 0.5)
         assert not admissibility_check(w, plan, t=0.5, h=0.125, beta=0.5)
+
+    def test_estimate_sees_support_end(self, plan_1k):
+        # no stored budget covers B(0.9, 0.125): the estimate meets the jump at 1
+        assert not admissibility_check(make_uniform(), plan_1k, t=0.9, h=0.125, beta=math.inf)
+
+    def test_norm_above_l_star(self, plan_1k, monkeypatch):
+        # the peak's budget 6 exceeds L* = 1 on both balls, so no bias is computed
+        monkeypatch.setattr(zoo, "sup_abs_bias", lambda *args: pytest.fail("bias computed"))
+        assert plan_1k.L_star == 1.0
+        assert not admissibility_check(make_peak_triangular(), plan_1k, t=0.5, h=0.125, beta=1.0)
 
     def test_invalid_exponent(self, plan_1k):
         with pytest.raises(InvalidExponentError):
@@ -557,3 +611,38 @@ class TestKLDivergence:
         lw = lw_constant(beta)
         c8 = 48.0 * lw ** 2 * 4.0 ** -(2 * beta + 1) * 2.0 ** (2 * beta) * ((1 - 2.0 ** -beta) / 12.0) ** 2
         assert 0.0 <= n * val <= c8
+
+
+def _with_radius(r, call):
+    def run():
+        with mock.patch.object(zoo, "perturbation_radius", lambda n, beta: r):
+            call()
+    return run
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: WeierstrassSpec(0.5, tol=0.0), InvalidToleranceError, "truncation tolerance must be positive, got 0.0"),
+    (lambda: holder_quotient_bound(0.0), InvalidExponentError, "exponent must be positive, got 0.0"),
+    (lambda: lw_constant(-1.0), InvalidExponentError, "exponent must be positive, got -1.0"),
+    (lambda: AnalyticDensity("bad", (Piece(1.0, 0.0),), 1.0), ValueError, "pieces must be ordered and non-degenerate"),
+    (lambda: make_perturbed(make_triangular_hypothesis(0.5), 1000, 1.0, "three"), ValueError,
+     "variant must be 'one' or 'two', got 'three'"),
+    (lambda: make_perturbed(make_triangular_hypothesis(0.5), 3, 1.0, "one"), ValueError,
+     "sample size must be >= 4, got 3"),
+    (lambda: make_perturbed(make_weierstrass_composite(0.5, 0.5), 1000, 0.3, "one"), InvalidExponentError,
+     "exponent 0.3 does not match the base construction 0.5"),
+    (lambda: make_perturbed(make_triangular_hypothesis(0.5), 1000, 0.5, "one"), InvalidExponentError,
+     "tent perturbations require beta = 1, got 0.5"),
+    (_with_radius(0.5, lambda: make_perturbed(make_weierstrass_composite(0.5, 0.5), 1000, 0.5, "one")),
+     ConstructionOverlapError, "bump radius 0.5 straddles the construction joints"),
+    (lambda: sample(make_peak_triangular(), 0, 1), ValueError, "sample count must be >= 1, got 0"),
+    (lambda: holder_norm_estimate(make_peak_triangular(), 1.0, 2, (0.5, 0.5)), ValueError,
+     "degenerate window (0.5, 0.5)"),
+    (lambda: holder_norm_estimate(make_peak_triangular(), -1.0, 2, (0.2, 0.4)), InvalidExponentError,
+     "exponent must be positive, got -1.0"),
+    (lambda: kl_divergence(make_peak_triangular(), make_peak_triangular(), tol=0.0), InvalidToleranceError,
+     "tolerance must be positive, got 0.0"),
+])
+def test_input_checks(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -184,10 +186,14 @@ class TestKdeTable:
             assert got == pytest.approx(direct, abs=1e-12)
 
     def test_rows_equal_rank_queries(self, rect, plan_16k):
-        # full and windowed tables: every built row is rank_query_kde's, bit for bit
+        # tables for the whole mesh and for runs of it: each spans its run plus
+        # the selector margin, and every built row is rank_query_kde's, bit for bit
         split = split_sample(sample(make_peak_triangular(), plan_16k.n, seed=9))
-        for lo, hi in ((None, None), (40, 41 + 2 * ball_offset(plan_16k, plan_16k.j_min)), (-3, -3)):
-            table = build_kde_table(split, plan_16k, idx_lo=lo, idx_hi=hi)
+        margin, N = ball_offset(plan_16k, plan_16k.j_min), plan_16k.mesh_count
+        for run in ((), (40, 41), (N, N), (-3, -3)):
+            table = build_kde_table(split, plan_16k, *run)
+            k_lo, k_hi = run or (0, N)
+            assert (table.idx_lo, table.idx_hi) == (k_lo - margin, k_hi + margin)
             points = np.arange(table.idx_lo, table.idx_hi + 1, dtype=float) * plan_16k.delta_n
             assert table.values.shape == (plan_16k.j_max - plan_16k.j_min - 2, points.size)
             for j in range(plan_16k.j_min + 3, plan_16k.j_max + 1):
@@ -314,3 +320,13 @@ class TestParseEquivalence:
                 got = parse_data_file(str(path))
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda rect, plan: kde_at(np.empty(0), 0.5, 0.1, rect), InsufficientDataError, "empty subsample"),
+    (lambda rect, plan: build_kde_table(split_sample(np.linspace(0.0, 1.0, 64)), replace(plan, j_max=plan.j_min - 1)),
+     InvalidBandwidthError, "empty bandwidth grid"),
+])
+def test_input_checks(call, error, message, rect, plan_16k):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(rect, plan_16k)

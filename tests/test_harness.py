@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -12,12 +13,14 @@ from hypothesis import strategies as st
 
 import locband
 from locband import harness as H
-from locband.calibration import PlanParams, derive_plan, normalizers
+from locband.band import cell_of, fit_band
+from locband.calibration import PlanParams, band_halfwidth_quantile, derive_plan, normalizers
 from locband.cli import main
-from locband.densities import make_peak_triangular, make_uniform
+from locband.densities import make_peak_triangular, make_uniform, sample
 from locband.errors import InvalidConfigurationError
+from locband.estimator import split_sample
 from locband.kernels import Kernel
-from locband.selector import theoretical_window
+from locband.selector import fit_profile, theoretical_window
 
 
 def broken_order_kernel():
@@ -210,13 +213,29 @@ class TestAdaptivityHarness:
             rep = H.run_adaptivity(
                 uniform, [plan], alpha=0.1, reps=5, seed=29, probes=(0.3, 0.7)
             )
-            from locband.calibration import band_halfwidth_quantile
-
             q_n = band_halfwidth_quantile(plan, 0.1)
             logf = math.log(plan.n_tilde) ** (plan.c1 * math.log(2.0) / 2.0)
             for rec in rep.records:
                 norm = rec["width_1"] * math.sqrt(plan.n_tilde) / (q_n * logf)
                 assert norm <= 2.0 * 2.0 ** ((plan.j_min + 3) / 2.0)
+
+    @pytest.mark.parametrize("n", [512, 4096])
+    def test_widths_are_the_bands(self, rect, n):
+        # each probe's exponents come from a table around its cell alone, yet
+        # equal the full profile's, and its width is the band's, bit for bit
+        peak, probes, seed = make_peak_triangular(), (0.5, 0.9), 19
+        plan = derive_plan(PlanParams(n=n), rect)
+        q_n = band_halfwidth_quantile(plan, 0.1)
+        rep = H.run_adaptivity(peak, [plan], alpha=0.1, reps=3, seed=seed, probes=probes)
+        for rec in rep.records:
+            rng = H.replication_rng(seed, rec["rep"])
+            split = split_sample(sample(peak, plan.n, int(rng.integers(0, 2 ** 63 - 1))))
+            full, band = fit_profile(split, plan), fit_band(split, plan, q_n)
+            for i, t in enumerate(probes):
+                k = cell_of(plan, t)
+                assert np.array_equal(fit_profile(split, plan, k - 1, k), full[k - 1:k + 1])
+                assert rec[f"j_eff_{i}"] == full[k - 1:k + 1].max()
+                assert rec[f"width_{i}"] == 2.0 * band.halfwidths[k - 1]
 
 
 class TestCalibrateC2:
@@ -247,3 +266,21 @@ class TestCalibrateC2:
         )
         assert done.returncode == 0, done.stderr
         assert "\ncalibrated c2 = " in done.stdout
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda rect, plan: H.run_adaptivity(make_peak_triangular(), [plan], 0.1, 1, 1, probes=(0.5,)), ValueError,
+     "need at least a kink probe and a smooth probe"),
+    (lambda rect, plan: H.tilde_w_second_moment(0.1, 0.1, 1, 2, 0.01, 1.5), InvalidConfigurationError,
+     "z must lie in [0,1], got 1.5"),
+    (lambda rect, plan: H.tilde_w_second_moment(0.0, 0.1, 1, 2, 0.01, 0.5), InvalidConfigurationError,
+     "bandwidths and mesh width must be positive"),
+    (lambda rect, plan: H.tilde_w_second_moment_mc(0.1, 0.1, 1, 2, 0.01, 0.5), InvalidConfigurationError,
+     "negative time argument for the Brownian motion"),
+    # no fraction of mesh points exceeds 1
+    (lambda rect, plan: H.calibrate_c2(rect, n=2 ** 10, reps=1, seed=2, target=1.5), RuntimeError,
+     "no threshold below 3.0 reached target fraction 1.5"),
+])
+def test_input_checks(call, error, message, rect, plan_1k):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(rect, plan_1k)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -200,3 +201,14 @@ class TestSupAbsBias:
         got = sup_abs_bias(rect, peak, g, (0.4, 0.6), grid_step=0.2 / 512.0)
         # running mean of the tent at its mode drops by slope * g / 2
         assert got == pytest.approx(2.0 * g, rel=1e-9)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda rect: sup_abs_bias(rect, make_peak_triangular(), 0.0, (0.2, 0.8)), InvalidIntervalError,
+     "bandwidth must be positive, got 0.0"),
+    (lambda rect: sup_abs_bias(rect, make_peak_triangular(), -0.125, (0.2, 0.8)), InvalidIntervalError,
+     "bandwidth must be positive, got -0.125"),
+])
+def test_input_checks(call, error, message, rect):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(rect)

@@ -43,6 +43,12 @@ PINNED = {
         "367d201ceed7745e1b9a51ea5db7aedab942673caf59dd418dfbdd768b097472",
         "4ba8d9022d0197044715b78ee516937e0d0b05571f360a3ad60640233145b386",
     ),
+    # the probes' cells at the smallest n whose bandwidth exponents are j = 3..5
+    "adaptivity-512": (
+        ("simulate", "adaptivity", "--density", "peak", "--n", "512", "--reps", "4", "--seed", "19"),
+        "402055c5d417413610d7ef0930677b5ce5e2d9f4ef522127b2cb20f7f0261f6a",
+        "2c589c426e52ba4286bec8d294a9dd047a8b9ab9d18e5ad0f08819c08ddb2909",
+    ),
     "gumbel": (
         ("simulate", "gumbel", "--n", "64", "--reps", "20", "--seed", "14"),
         "e093f470738a18af0ea0608037d71db492ceab31d4f14c6c37121fac0eb05b42",
