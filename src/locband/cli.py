@@ -51,9 +51,28 @@ _SETTINGS = {
 }
 _MODES = ("theory", "practical")
 
+# The settings whose parsed value can still be out of range, as (test, what
+# the value must be).  A flag is checked where its value is read; a --config
+# file is checked whole, line by line as it is read, so that the message
+# names the file and the line.
+_RANGES = {
+    "alpha": (lambda v: 0.0 < v < 1.0, "alpha must lie in (0,1)"),
+    "reps": (lambda v: v >= 1, "reps must be >= 1"),
+    "mode": (lambda v: v in _MODES, "mode must be 'theory' or 'practical'"),
+}
+
+
+def _checked(key: str, value):
+    """value, unless it lies outside the range _RANGES gives key."""
+    test, rule = _RANGES.get(key, (None, None))
+    if test is not None and not test(value):
+        raise InvalidConfigurationError(f"{rule}, got {value!r}")
+    return value
+
 
 def _read_config(path: str) -> dict:
-    parsers = {key: parse for key, (parse, _, _) in _SETTINGS.items()}
+    parsers = {key: lambda v, key=key, parse=parse: _checked(key, parse(v))
+               for key, (parse, _, _) in _SETTINGS.items()}
     with open(path, "r", encoding="utf-8") as fh:
         return read_key_values(fh, parsers, "config key", f"{path}:")
 
@@ -163,8 +182,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if kind not in _SIMULATE_KINDS:
         print(f"simulate: unknown kind {kind!r} ({'|'.join(_SIMULATE_KINDS)})", file=sys.stderr)
         return 2
-    if cfg["reps"] < 1:
-        raise InvalidConfigurationError(f"reps must be >= 1, got {cfg['reps']!r}")
+    _checked("reps", cfg["reps"])
     plan = None
     if kind == "gumbel":
         # the comparison process needs only the cell count and the kernel

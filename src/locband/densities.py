@@ -1,6 +1,6 @@
 """Closed-form test densities: rough cosine-series members, tent and peak
-triangles, their locally flattened perturbations, plus the smoothness,
-admissibility and divergence oracles the experiments check against.
+triangles, their locally flattened perturbations, plus the smoothness and
+divergence oracles the experiments check against.
 
 Every density is piecewise: each piece is a polynomial plus optionally a
 lacunary cosine series sum_{k>=0} 2^{-k beta} cos(2^k pi (x - c)).  Values,
@@ -28,7 +28,6 @@ from .errors import (
     QuadratureError,
     UnboundedConstantError,
 )
-from .kernels import sup_abs_bias
 
 DEFAULT_SERIES_TOL = 1e-12
 
@@ -192,6 +191,11 @@ class AnalyticDensity:
         if any(b <= a for a, b in zip(edges[:-1], edges[1:])):
             raise ValueError("pieces must be ordered and non-degenerate")
         object.__setattr__(self, "_edges", np.asarray(edges))
+        # row k holds every piece's x^k coefficient, 0 past its degree
+        poly = np.zeros((max(len(p.coeffs) for p in self.pieces), len(self.pieces)))
+        for i, p in enumerate(self.pieces):
+            poly[:len(p.coeffs), i] = p.coeffs
+        object.__setattr__(self, "_poly", poly)
         masses = [
             float(p.antideriv(np.array([p.hi]), self.wspec)[0] - p.antideriv(np.array([p.lo]), self.wspec)[0])
             for p in self.pieces
@@ -211,12 +215,18 @@ class AnalyticDensity:
     def is_rough(self) -> bool:
         return any(p.wterms for p in self.pieces)
 
-    def _by_piece(self, xs: np.ndarray, f) -> Optional[np.ndarray]:
-        """f(i, piece, points) on the points of xs that piece i holds, a joint
-        going to the piece on its right and the support's right end to the
-        last piece; 0 off the support; None as soon as f returns None."""
-        idx = np.clip(np.searchsorted(self._edges, xs, side="right") - 1, 0, len(self.pieces) - 1)
+    def _piece_index(self, xs: np.ndarray) -> np.ndarray:
+        """The index of the piece that holds each point of xs, a joint going
+        to the piece on its right and the support's right end to the last
+        piece; -1 off the support."""
+        idx = np.searchsorted(self._edges[1:-1], xs, side="right")  # the joints at or left of each point
         idx[~((xs >= self._edges[0]) & (xs <= self._edges[-1]))] = -1
+        return idx
+
+    def _by_piece(self, xs: np.ndarray, f) -> Optional[np.ndarray]:
+        """f(i, piece, points) on the points of xs that piece i holds (see
+        _piece_index); 0 off the support; None as soon as f returns None."""
+        idx = self._piece_index(xs)
         out = np.zeros_like(xs)
         for i, piece in enumerate(self.pieces):
             m = idx == i
@@ -228,7 +238,25 @@ class AnalyticDensity:
         return out
 
     def pdf(self, x) -> np.ndarray | float:
-        out = self._by_piece(np.atleast_1d(np.asarray(x, dtype=float)), lambda i, p, pts: p.value(pts, self.wspec))
+        """Piece.value of the piece that holds each point (see _piece_index),
+        0 off the support.  Each point's coefficients are gathered by its piece
+        index into one Horner pass in polyval's order, and the series terms are
+        added on the points of rough pieces alone, so every value is Piece.value's
+        bit for bit."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        idx = self._piece_index(xs)
+        out = self._poly[-1].take(idx) + xs * 0.0
+        for row in self._poly[-2::-1]:
+            out *= xs
+            out += row.take(idx)
+        for i, piece in enumerate(self.pieces):
+            if piece.wterms:
+                on = idx == i
+                pts, v = xs[on], out[on]
+                for scale, center in piece.wterms:
+                    v = v + scale * weierstrass_eval(self.wspec, pts - center)
+                out[on] = v
+        out[idx < 0] = 0.0
         return float(out[0]) if np.isscalar(x) or np.asarray(x).shape == () else out
 
     def mass_below(self, x) -> np.ndarray | float:
@@ -644,28 +672,8 @@ def holder_norm_estimate(
     return total + float(quot.max())
 
 
-def certified_norm_bound(
-    density: AnalyticDensity, beta: float, beta_star: int, window: tuple[float, float]
-) -> Optional[float]:
-    """Stored-budget bound for the order-capped norm on the window, if any.
-
-    Norm monotonicity in the exponent (windows of length <= 1) lets an
-    entry at a larger exponent certify all smaller ones.
-    """
-    wlo, whi = window
-    best = None
-    for entry in density.lipschitz_budget:
-        if entry.window[0] <= wlo and whi <= entry.window[1]:
-            applies = entry.beta == beta or (
-                beta != math.inf and beta <= entry.beta and (whi - wlo) <= 1.0
-            )
-            if applies and (best is None or entry.bound < best):
-                best = entry.bound
-    return best
-
-
 # ---------------------------------------------------------------------------
-# local regularity oracle and admissibility
+# local regularity oracle
 # ---------------------------------------------------------------------------
 
 def local_exponent_oracle(density: AnalyticDensity, t: float, plan: CalibrationPlan) -> float:
@@ -695,57 +703,6 @@ def local_exponent_oracle(density: AnalyticDensity, t: float, plan: CalibrationP
     # solve optimal_bandwidth(plan, beta) = 2^-j_min rate^{1/(2 beta + 1)} = d
     beta = 0.5 * (math.log(plan.log_n_tilde / plan.n_tilde) / math.log(d / h_inf) - 1.0)
     return min(beta, float(plan.beta_star_high))
-
-
-def dyadic_ladder(u: float, j_max: int) -> list[float]:
-    """Dyadic g with g <= u/8 and g >= 2^-j_max, largest first."""
-    out = []
-    j = max(0, math.ceil(math.log2(8.0 / u) - 1e-9))
-    while 2.0 ** -j >= 2.0 ** -j_max - 1e-300:
-        if 2.0 ** -j <= u / 8.0 + 1e-15:
-            out.append(2.0 ** -j)
-        j += 1
-        if j > j_max:
-            break
-    return out
-
-
-def admissibility_check(
-    density: AnalyticDensity, plan: CalibrationPlan, t: float, h: float, beta: float
-) -> bool:
-    """Check the two-sided local self-similarity condition at (t, h, beta).
-
-    True iff for u = h or u = 2h the order-capped norm on B(t, u) stays
-    within the budget and the kernel bias on B(t, u-g) stays above
-    g^beta / log n for every dyadic g <= u/8 down to the grid floor
-    2^-j_max (a finite truncation of the full dyadic ladder).  The bias
-    is that of the plan's kernel.
-    """
-    j = -math.log2(h)
-    if abs(j - round(j)) > 1e-9 or round(j) < plan.j_min:
-        raise InvalidExponentError(f"bandwidth {h!r} is not dyadic with exponent >= j_min")
-    valid = beta == math.inf or (plan.beta_star_low - 1e-12 <= beta <= plan.beta_star_high + 1e-12)
-    if not valid:
-        raise InvalidExponentError(
-            f"exponent {beta!r} outside [{plan.beta_star_low}, {plan.beta_star_high}] u {{inf}}"
-        )
-    logn = math.log(plan.n)
-    for u in (h, 2.0 * h):
-        bound = certified_norm_bound(density, beta, plan.beta_star_high, (t - u, t + u))
-        if bound is None:
-            bound = holder_norm_estimate(density, beta, plan.beta_star_high, (t - u, t + u))
-        if bound > plan.L_star:
-            continue
-        ok = True
-        if beta != math.inf:
-            for g in dyadic_ladder(u, plan.j_max):
-                bias = sup_abs_bias(plan.kernel, density, g, (t - (u - g), t + (u - g)))
-                if bias < g ** beta / logn:
-                    ok = False
-                    break
-        if ok:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

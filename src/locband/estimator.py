@@ -1,21 +1,23 @@
 """Sample splitting and kernel density estimation.
 
-The selector consumes a table of the bandwidth rows it reads over an extended
-mesh (the mesh points of [0,1] plus the margin its ball maxima reach into),
-each row filled by an O(n~ + N) counting pass.
+The selector consumes a table of the bandwidth rows it reads over a run of
+mesh points plus the margin its ball maxima reach into, each column filled by
+an O(n~ + N) counting pass.  A table built from a sample can widen, column by
+column, up to the whole selector margin, so a fit counts only the columns its
+balls reach.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Optional
 
 import numpy as np
 
 from .calibration import CalibrationPlan
-from .errors import InsufficientDataError, InvalidBandwidthError, InvalidExponentError
+from .errors import InsufficientDataError, InvalidBandwidthError, InvalidExponentError, OffMeshError
 from .kernels import Kernel
 
 # Lines per chunk of parse_data_file.
@@ -66,20 +68,58 @@ def rank_query_kde(sorted_half: np.ndarray, points: np.ndarray, h: float | np.nd
 
 
 @dataclass(frozen=True)
+class _Store:
+    """What lets a table widen: the sorted half its columns count, and the
+    buffer over mesh indices lo.. (its run plus the selector margin) that
+    its values are a view of."""
+
+    half: np.ndarray
+    buffer: np.ndarray
+    lo: int
+
+
+@dataclass(frozen=True)
 class KdeTable:
     """Estimates p_hat(i * delta_n, j) for mesh indices idx_lo..idx_hi and
-    j = j_min + 3..j_max, the only rows the selector's pairs m > m' >= j + 3 read."""
+    j = j_min + 3..j_max, the only rows the selector's pairs m > m' >= j + 3 read.
+    A table built from a sample can widen up to its run plus the selector
+    margin; one without a store cannot widen."""
 
     plan: CalibrationPlan
     idx_lo: int
     idx_hi: int
     values: np.ndarray  # shape (max(j_max - j_min - 2, 0), idx_hi - idx_lo + 1)
+    store: Optional[_Store] = None
 
     def row(self, j: int) -> np.ndarray:
         first = self.plan.j_min + 3
         if not first <= j <= self.plan.j_max:
             raise InvalidExponentError(f"the table holds rows j = {first}..{self.plan.j_max}; row {j} was not built")
         return self.values[j - first]
+
+    @property
+    def capacity(self) -> tuple[int, int]:
+        """The first and last mesh index the table can span."""
+        if self.store is None:
+            return self.idx_lo, self.idx_hi
+        return self.store.lo, self.store.lo + self.store.buffer.shape[1] - 1
+
+    def widened(self, idx_lo: int, idx_hi: int) -> KdeTable:
+        """The table over idx_lo..idx_hi, which holds its span and lies in its
+        capacity; only the new edge columns are counted, each against its own
+        float edges, so they equal a whole build's bit for bit."""
+        if (idx_lo, idx_hi) == (self.idx_lo, self.idx_hi):
+            return self
+        cap_lo, cap_hi = self.capacity
+        if not (cap_lo <= idx_lo <= self.idx_lo and self.idx_hi <= idx_hi <= cap_hi):
+            raise OffMeshError(
+                f"a table over {self.idx_lo}..{self.idx_hi} cannot widen to {idx_lo}..{idx_hi} "
+                f"(its capacity is {cap_lo}..{cap_hi})"
+            )
+        buffer, lo = self.store.buffer, self.store.lo
+        _count_columns(buffer[:, idx_lo - lo:self.idx_lo - lo], self.store.half, self.plan, idx_lo)
+        _count_columns(buffer[:, self.idx_hi + 1 - lo:idx_hi + 1 - lo], self.store.half, self.plan, self.idx_hi + 1)
+        return replace(self, idx_lo=idx_lo, idx_hi=idx_hi, values=buffer[:, idx_lo - lo:idx_hi + 1 - lo])
 
 
 def ball_offset(plan: CalibrationPlan, j: int) -> int:
@@ -113,28 +153,40 @@ def _rank_bins(sorted_x: np.ndarray, edges: np.ndarray, side: str) -> np.ndarray
     return bins
 
 
-def build_kde_table(split: SplitSample, plan: CalibrationPlan, k_lo: int = 0, k_hi: Optional[int] = None) -> KdeTable:
-    """Precompute the rows j_min + 3..j_max the selector reads, from the
-    second half of the split (the first is left for the band centers), over
-    the mesh indices k_lo..k_hi (the whole mesh by default) plus the selector
-    margin.  A row over N indices costs O(n~ + N) per kernel piece and equals
-    rank_query_kde's bit for bit: it counts against the same float edges."""
-    if plan.j_max < plan.j_min:
-        raise InvalidBandwidthError("empty bandwidth grid")
-    margin = ball_offset(plan, plan.j_min)
-    idx_lo, idx_hi = k_lo - margin, (plan.mesh_count if k_hi is None else k_hi) + margin
-    half = split.chi2
-    points = np.arange(idx_lo, idx_hi + 1, dtype=float) * plan.delta_n
-    bandwidths = [2.0 ** -j for j in range(plan.j_min + 3, plan.j_max + 1)]
-    values = np.zeros((len(bandwidths), points.size))
-    for row, h in zip(values, bandwidths):
+def _count_columns(out: np.ndarray, half: np.ndarray, plan: CalibrationPlan, first: int) -> None:
+    """Fill out[r, i] with the estimate of row j_min + 3 + r at mesh index
+    first + i.  A row over N indices costs O(n~ + N) per kernel piece and
+    equals rank_query_kde's bit for bit: it counts against the same float edges."""
+    if not out.shape[1]:
+        return
+    points = np.arange(first, first + out.shape[1], dtype=float) * plan.delta_n
+    out[...] = 0.0
+    for row, j in zip(out, range(plan.j_min + 3, plan.j_max + 1)):
+        h = 2.0 ** -j
         for lo, hi, val in plan.kernel.pieces:
             # observations in [t + h*lo, t + h*hi], counted as rank_query_kde does
             bins = _rank_bins(half, points + h * hi, "right")
             bins -= _rank_bins(half, points + h * lo, "left")
             row += val * np.cumsum(bins)
         row /= half.size * h
-    return KdeTable(plan=plan, idx_lo=idx_lo, idx_hi=idx_hi, values=values)
+
+
+def build_kde_table(
+    split: SplitSample, plan: CalibrationPlan, k_lo: int = 0, k_hi: Optional[int] = None, j_reach: Optional[int] = None
+) -> KdeTable:
+    """The rows j_min + 3..j_max the selector reads, from the second half of
+    the split (the first is left for the band centers), over the mesh indices
+    k_lo..k_hi (the whole mesh by default) plus the ball at exponent j_reach
+    (at j_min, the whole selector margin, by default).  The table can widen
+    to the whole margin."""
+    if plan.j_max < plan.j_min:
+        raise InvalidBandwidthError("empty bandwidth grid")
+    k_hi = plan.mesh_count if k_hi is None else k_hi
+    margin = ball_offset(plan, plan.j_min)
+    reach = ball_offset(plan, plan.j_min if j_reach is None else max(j_reach, plan.j_min))
+    buffer = np.empty((max(plan.j_max - plan.j_min - 2, 0), k_hi - k_lo + 1 + 2 * margin))
+    empty = KdeTable(plan, k_lo, k_lo - 1, buffer[:, margin:margin], _Store(split.chi2, buffer, k_lo - margin))
+    return empty.widened(k_lo - reach, k_hi + reach)
 
 
 def parse_data_file(path: str) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Piecewise-constant kernels, plus convolution and bias oracles.
 
 Everything downstream (bandwidth selection thresholds, band normalizers,
-admissibility checks) consumes the kernel's order, total variation and
-norms, which are exact finite sums over its constant pieces.
+the bias checks of the verify suite) consumes the kernel's order, total
+variation and norms, which are exact finite sums over its constant pieces.
 """
 
 from __future__ import annotations

@@ -11,6 +11,12 @@ pair ratio once into a running maximum, and yields for each j the ball
 maximum of that running maximum at every point of a run of mesh indices.
 The ball maxima grow as j decreases, so admissible sets are upward closed
 and a run is decided at the first j where none of its points is admissible.
+
+The table grows with the fold: a fit counts the run plus the ball of the
+first exponent yielded, and a ball that leaves the table widens it, a few
+exponents ahead, by its new edge columns alone, onto which the pairs already
+folded are folded.  The admissibility of j reads ball(j) only, so a run that
+is decided early never counts the columns of the coarser balls.
 """
 
 from __future__ import annotations
@@ -26,13 +32,23 @@ from .errors import OffMeshError
 from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table
 
 
-def pair_ratio(table: KdeTable, plan: CalibrationPlan, m: int, mp: int) -> np.ndarray:
-    """|p_hat_m - p_hat_m'| / sqrt(log n~ / (n~ 2^-m)) at every index of the
-    table; the pair passes at a point iff this is at most c2."""
-    d = table.row(m) - table.row(mp)
+def pair_ratio(table: KdeTable, plan: CalibrationPlan, m: int, mp: int, cols: slice = slice(None)) -> np.ndarray:
+    """|p_hat_m - p_hat_m'| / sqrt(log n~ / (n~ 2^-m)) at the table columns
+    cols (all by default); the pair passes at a point iff this is at most c2."""
+    d = table.row(m)[cols] - table.row(mp)[cols]
     np.abs(d, out=d)
     d /= math.sqrt(plan.log_n_tilde / (plan.n_tilde * 2.0 ** -m))
     return d
+
+
+def _fold(running: Optional[np.ndarray], table: KdeTable, plan: CalibrationPlan, mps, cols: slice = slice(None)):
+    """running raised to the ratio of every pair m > m' with m' in mps at the
+    table columns cols; None starts from the first ratio."""
+    for mp in mps:
+        for m in range(mp + 1, plan.j_max + 1):
+            r = pair_ratio(table, plan, m, mp, cols)
+            running = r if running is None else np.maximum(running, r, out=running)
+    return running
 
 
 def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
@@ -50,33 +66,44 @@ def _sliding_max(x: np.ndarray, w: int) -> np.ndarray:
     return np.maximum(out, prefix[w - 1:w - 1 + count], out=out)
 
 
+# exponents past the ball it must cover that a table widens to, clamped at j_min
+_LOOKAHEAD = 2
+
+
 def _ball_maxima(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int):
     """Yield (j, G) for j = j_max - 4 down to j_min, where G[i] is the
     largest pair ratio over m > m' >= j + 3 on the open ball around mesh
     index k_lo + i; j is admissible there iff G[i] <= c2.
 
-    Exponents j >= j_max - 3 have no pairs and are never yielded.  The table
-    must cover the run plus the ball at j_min.
+    Exponents j >= j_max - 3 have no pairs and are never yielded.  The
+    table's capacity must hold the run plus the ball at j_min; a ball that
+    leaves the table widens it.
     """
     margin = ball_offset(plan, plan.j_min)
-    if k_lo - margin < table.idx_lo or k_hi + margin > table.idx_hi:
+    cap_lo, cap_hi = table.capacity
+    if k_lo - margin < cap_lo or k_hi + margin > cap_hi:
         raise OffMeshError(
             f"table does not cover mesh indices {k_lo}..{k_hi} plus the selector margin {margin}"
         )
     running = None
     for mp in range(plan.j_max - 1, plan.j_min + 2, -1):
-        for m in range(mp + 1, plan.j_max + 1):
-            r = pair_ratio(table, plan, m, mp)
-            running = r if running is None else np.maximum(running, r, out=running)
+        running = _fold(running, table, plan, [mp])
         j = mp - 3
         a = ball_offset(plan, j)
+        if k_lo - a < table.idx_lo or k_hi + a > table.idx_hi:
+            reach = ball_offset(plan, max(j - _LOOKAHEAD, plan.j_min))
+            wide = table.widened(k_lo - reach, k_hi + reach)
+            folded = range(plan.j_max - 1, mp - 1, -1)
+            left = _fold(None, wide, plan, folded, slice(0, table.idx_lo - wide.idx_lo))
+            right = _fold(None, wide, plan, folded, slice(table.idx_hi + 1 - wide.idx_lo, None))
+            running, table = np.concatenate([left, running, right]), wide
         window = running[k_lo - a - table.idx_lo:k_hi + a + 1 - table.idx_lo]
         yield j, _sliding_max(window, 2 * a + 1)
 
 
 def select_at(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) -> np.ndarray:
-    """Smallest admissible exponent at each mesh index k_lo..k_hi; the table
-    must cover them plus the selector margin."""
+    """Smallest admissible exponent at each mesh index k_lo..k_hi; the
+    table's capacity must hold them plus the selector margin."""
     j_hat = np.full(k_hi - k_lo + 1, max(plan.j_min, plan.j_max - 3), dtype=np.int64)
     for j, ball_max in _ball_maxima(table, plan, k_lo, k_hi):
         ok = ball_max <= plan.c2
@@ -88,9 +115,10 @@ def select_at(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) -> n
 
 def fit_profile(split: SplitSample, plan: CalibrationPlan, k_lo: int = 0, k_hi: Optional[int] = None) -> np.ndarray:
     """Selected exponent j_hat at the mesh points k delta_n, k = k_lo..k_hi
-    (the whole mesh 0..mesh_count by default), from the second half of the split."""
+    (the whole mesh 0..mesh_count by default), from the second half of the
+    split; the table starts at the ball of the first exponent yielded."""
     k_hi = plan.mesh_count if k_hi is None else k_hi
-    return select_at(build_kde_table(split, plan, k_lo, k_hi), plan, k_lo, k_hi)
+    return select_at(build_kde_table(split, plan, k_lo, k_hi, plan.j_max - 4), plan, k_lo, k_hi)
 
 
 def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float) -> tuple[float, int]:

@@ -239,6 +239,25 @@ class TestConfigAndEnv:
         assert run_cli("simulate", "gumbel", "--config", str(cfg)) == 2
         assert "run.cfg:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("mode=bogus", "mode=bogus: mode must be 'theory' or 'practical', got 'bogus'"),
+        ("reps=0", "reps=0: reps must be >= 1, got 0"),
+        ("alpha=1.5", "alpha=1.5: alpha must lie in (0,1), got 1.5"),
+    ], ids=["mode", "reps", "alpha"])
+    def test_out_of_range_config_value_names_line(self, tmp_path, capsys, line, message):
+        # each value converts, so only its range refuses it, at its own line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\nseed=3\n{line}\n")
+        assert run_cli("simulate", "coverage", "--config", str(cfg), "--n", "512") == 2
+        assert capsys.readouterr().err == f"simulate: {cfg}:3: {message}\n"
+
+    def test_config_checked_whole(self, tmp_path, capsys):
+        # band reads no reps, but the file is checked as a whole
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("reps=0\n")
+        assert run_cli("band", "--config", str(cfg), "--input", "whatever") == 2
+        assert capsys.readouterr().err == f"band: {cfg}:1: reps=0: reps must be >= 1, got 0\n"
+
     def test_env_seed_and_flag_priority(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LOCBAND_SEED", "999")
         out = tmp_path / "gum.csv"

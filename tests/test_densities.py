@@ -17,7 +17,6 @@ from locband.densities import (
     AnalyticDensity,
     Piece,
     WeierstrassSpec,
-    admissibility_check,
     density_from_name,
     holder_norm_estimate,
     holder_quotient_bound,
@@ -459,6 +458,64 @@ class TestSampling:
             sample(bad, 10, seed=0)
 
 
+# (density, m, seed): SHA-256 of the bytes of sample(density, m, seed)
+SAMPLE_DIGESTS = {
+    ("peak", 1 << 18, 1): "fdf88a72488de052608731bed0a04246ad4a0951eeab7daa03bd1b2ee9683632",
+    ("peak", 1 << 18, 2): "0f49d27969c82f1172db8ab0158b6e21d16d1b7d425c1fa0c4698ef88761f1d6",
+    ("peak", 1 << 18, 3): "63f47603d3f25591b3c97b733a88f3e98bcfdb762eeb5d4140f2682c9996ac83",
+    ("tent:0.5", 1 << 18, 1): "326c5f467300450e18f6cc05b50cb4bc78a2e665146e76f0424929876ae7aedf",
+    ("tent:0.5", 1 << 18, 2): "f1c19af183b80412672e356867b96f571e6140277ff85a25bff74249e35475dc",
+    ("tent:0.5", 1 << 18, 3): "88a29e22f001fe7d2bdc53980f9b55d3e524d08064c1d2679cf83e61868b4791",
+    ("tent:0.3", 1 << 18, 1): "41d9fd767087ea8ea4dc3eb26f3d20d82f5b980f7dbf9f3165dbb8e2837a434f",
+    ("tent:0.3", 1 << 18, 2): "c31753c89ca8643446db0ae17e638ccee845511c294929c026472d772f1607a4",
+    ("tent:0.3", 1 << 18, 3): "53f2741dd63aaf6e76b26ed38c1570ee9a0119f12a2f5b96530cce28f77c5c7c",
+    ("perturbed1:0.5:4096", 1 << 12, 1): "1d2490e88d77e8fd28b7dbd9705c12ffbda967a17c1d9de150b0d531ec7f1927",
+    ("perturbed1:0.5:4096", 1 << 12, 2): "50746fd7dbf5b18c49acf47226e8d6e61f1d2809d7532135eb0fc97c21b53e9b",
+    ("weierstrass:0.5:0.5", 1 << 12, 1): "c0e0b6752f5f04fdb6736c6a6126bca6367c94960bb2957e76642b5c5855d0b5",
+    ("weierstrass:0.5:0.5", 1 << 12, 2): "776785dfce60bd5863d785c6e863c75d4261434e4bf10c025e56b48061b89ab0",
+}
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLE_DIGESTS), ids=str)
+def test_sample_draws_pinned(key):
+    name, m, seed = key
+    draws = sample(density_from_name(name), m, seed)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[key]
+
+
+def _piece_value_oracle(density, x):
+    """The density at x from Piece.value on a one-point array: a joint belongs
+    to the piece on its right, the support's right end to the last piece."""
+    lo, hi = density.support
+    if not lo <= x <= hi:
+        return 0.0
+    piece = [p for p in density.pieces if p.lo <= x][-1]
+    return float(piece.value(np.array([x]), density.wspec)[0])
+
+
+@st.composite
+def _pdf_points(draw):
+    density = draw(st.sampled_from(ZOO + [harness.weierstrass_function(0.5)]))
+    lo, hi = density.support
+    edge = st.sampled_from(density.kinks)
+    near = st.builds(lambda e, s: float(np.nextafter(e, e + s)), edge, st.sampled_from([-math.inf, math.inf]))
+    outside = st.one_of(st.floats(lo - 10.0, lo, exclude_max=True), st.floats(hi, hi + 10.0, exclude_min=True))
+    point = st.one_of(edge, near, outside, st.floats(lo, hi))
+    return density, draw(st.lists(point, min_size=1, max_size=40))
+
+
+@given(_pdf_points())
+@settings(max_examples=150, deadline=None)
+def test_pdf_is_piece_value(case):
+    # every point's piece, joints, support ends and points off the support
+    # included, and every bit of its value
+    density, xs = case
+    got = density.pdf(np.array(xs))
+    want = np.array([_piece_value_oracle(density, x) for x in xs])
+    assert got.tobytes() == want.tobytes()
+    assert [density.pdf(x) for x in xs] == want.tolist()
+
+
 class TestLocalExponentOracle:
     def test_peak_at_kink(self, plan_1k):
         assert local_exponent_oracle(make_peak_triangular(), 0.5, plan_1k) == 1.0
@@ -536,45 +593,6 @@ class TestHolderNormEstimate:
             assert holder_norm_estimate(u, beta, 2, (0.775, 1.025)) == math.inf  # jump at 1
         assert holder_norm_estimate(p, math.inf, 2, (-0.1, 0.1)) == math.inf  # p' jumps from 0 to 4
         assert holder_norm_estimate(p, 1.0, 2, (-0.1, 0.1)) == pytest.approx(0.4 + 4.0, abs=1e-9)
-
-
-class TestAdmissibility:
-    def test_constant_piece_infinite_exponent(self, plan_1k):
-        u = make_uniform(-1.0, 2.0)  # value 1/3, constant over [0,1] windows
-        assert admissibility_check(u, plan_1k, t=0.5, h=0.125, beta=math.inf)
-
-    def test_affine_piece_finite_exponent_fails(self, plan_1k):
-        # order-1 kernel reproduces affine pieces: zero bias < g^beta / log n
-        p = make_triangular_hypothesis(-3.0)  # [0,1] sits on one affine flank
-        assert not admissibility_check(p, plan_1k, t=0.5, h=0.125, beta=1.0)
-
-    def test_rough_composite_admissible_at_large_n(self, plan_1k):
-        # the bias floor 1/log n needs an astronomically large n; the dyadic
-        # ladder is truncated at j_max as in any desk-scale run
-        plan = replace(plan_1k, n=10 ** 70, j_max=9, beta_star_low=0.4)
-        w = make_weierstrass_composite(0.5, 0.5)
-        assert admissibility_check(w, plan, t=0.5, h=0.125, beta=0.5)
-
-    def test_rough_composite_rejected_at_desk_scale_n(self, plan_1k):
-        plan = replace(plan_1k, beta_star_low=0.4)
-        w = make_weierstrass_composite(0.5, 0.5)
-        assert not admissibility_check(w, plan, t=0.5, h=0.125, beta=0.5)
-
-    def test_estimate_sees_support_end(self, plan_1k):
-        # no stored budget covers B(0.9, 0.125): the estimate meets the jump at 1
-        assert not admissibility_check(make_uniform(), plan_1k, t=0.9, h=0.125, beta=math.inf)
-
-    def test_norm_above_l_star(self, plan_1k, monkeypatch):
-        # the peak's budget 6 exceeds L* = 1 on both balls, so no bias is computed
-        monkeypatch.setattr(zoo, "sup_abs_bias", lambda *args: pytest.fail("bias computed"))
-        assert plan_1k.L_star == 1.0
-        assert not admissibility_check(make_peak_triangular(), plan_1k, t=0.5, h=0.125, beta=1.0)
-
-    def test_invalid_exponent(self, plan_1k):
-        with pytest.raises(InvalidExponentError):
-            admissibility_check(make_uniform(), plan_1k, t=0.5, h=0.125, beta=5.0)
-        with pytest.raises(InvalidExponentError):
-            admissibility_check(make_uniform(), plan_1k, t=0.5, h=0.1, beta=1.0)
 
 
 class TestKLDivergence:

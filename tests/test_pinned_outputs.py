@@ -49,6 +49,12 @@ PINNED = {
         "402055c5d417413610d7ef0930677b5ce5e2d9f4ef522127b2cb20f7f0261f6a",
         "2c589c426e52ba4286bec8d294a9dd047a8b9ab9d18e5ad0f08819c08ddb2909",
     ),
+    # the kink probe's fold stops at j = 6 (j_hat = 7); the smooth probe's reaches j_min = 3
+    "adaptivity-64k": (
+        ("simulate", "adaptivity", "--density", "peak", "--n", "65536", "--reps", "3", "--seed", "5"),
+        "6175ca25ba285dca8f7e83b4629caf0bbf4057fa219fbbc73eeb115a824a80aa",
+        "b86b88bece9c3fc8e4ef5747b4c96e3dd608fb46b794c6cdaeafb4e50c823a9f",
+    ),
     "gumbel": (
         ("simulate", "gumbel", "--n", "64", "--reps", "20", "--seed", "14"),
         "e093f470738a18af0ea0608037d71db492ceab31d4f14c6c37121fac0eb05b42",

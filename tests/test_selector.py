@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from locband import selector
 from locband.band import fit_band
-from locband.calibration import PlanParams, derive_plan, optimal_bandwidth
+from locband.calibration import DEFAULT_C2, PlanParams, derive_plan, optimal_bandwidth
 from locband.densities import (
     local_exponent_oracle,
     make_peak_triangular,
@@ -17,6 +17,7 @@ from locband.densities import (
 )
 from locband.errors import OffMeshError
 from locband.estimator import KdeTable, ball_offset, build_kde_table, split_sample
+from locband.kernels import make_rectangular
 from locband.selector import (
     _ball_maxima,
     _sliding_max,
@@ -55,8 +56,6 @@ def peak_table(plan_module):
 
 @pytest.fixture(scope="module")
 def rect_module():
-    from locband.kernels import make_rectangular
-
     return make_rectangular()
 
 
@@ -261,6 +260,92 @@ class TestSlidingMax:
             ]
             assert np.array_equal(before, np.maximum.reduce(ratios))
         assert len(windows) == plan_module.j_max - 3 - plan_module.j_min
+
+
+@st.composite
+def _fits(draw):
+    """(split, plan, k_lo, k_hi): n from 4 to 2^14 (the zero-row plans at
+    n = 4 and 256 among them), data from the peak, mostly outside [0,1] or
+    constant, and a run of one point, a probe pair, the whole mesh or any."""
+    # pairs exist from n = 2^11 on
+    n = draw(st.one_of(st.sampled_from([4, 256]), st.integers(4, 2 ** 11), st.integers(2 ** 11, 2 ** 14)),
+             label="n")
+    c2 = draw(st.sampled_from([DEFAULT_C2, 0.3, 3.0]), label="c2")
+    plan = derive_plan(PlanParams(n=n, c2=c2), make_rectangular())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    data = draw(st.sampled_from([
+        lambda: sample(make_peak_triangular(), n, int(rng.integers(0, 2 ** 32))),
+        lambda: np.where(rng.random(n) < 0.9, 5.0 + rng.random(n), rng.random(n)),
+        lambda: np.full(n, float(rng.choice([0.0, 0.5, 1.0]))),
+    ]), label="data")()
+    N = plan.mesh_count
+    k = draw(st.integers(1, N), label="k")
+    any_run = tuple(sorted(rng.integers(0, N + 1, size=2)))
+    run = draw(st.sampled_from([(k, k), (k - 1, k), (0, N), any_run]), label="run")
+    return split_sample(data), plan, int(run[0]), int(run[1])
+
+
+class TestGrowingTable:
+    @given(_fits(), st.integers(0, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_whole_margin_fold(self, case, j_reach):
+        # the whole-margin table and its fold are the oracle of the growing
+        # ones: the same exponents, and a table grown to the margin holds
+        # every bit of the whole build
+        split, plan, k_lo, k_hi = case
+        whole = build_kde_table(split, plan, k_lo, k_hi)
+        assert fit_profile(split, plan, k_lo, k_hi).tolist() == select_at(whole, plan, k_lo, k_hi).tolist()
+        grown = build_kde_table(split, plan, k_lo, k_hi, j_reach)
+        for j in range(max(j_reach, plan.j_min), plan.j_min - 1, -1):
+            grown = grown.widened(k_lo - ball_offset(plan, j), k_hi + ball_offset(plan, j))
+        assert (grown.idx_lo, grown.idx_hi) == (whole.idx_lo, whole.idx_hi)
+        assert grown.values.tobytes() == whole.values.tobytes()
+
+    @given(_fits())
+    @settings(max_examples=100, deadline=None)
+    def test_windows_fold_every_pair(self, case):
+        # each window the fold of a growing table hands to the sliding maximum,
+        # edge columns added by a widening included, is the maximum over every
+        # pair m > m' >= j + 3 of the whole table's ratios
+        split, plan, k_lo, k_hi = case
+        whole = build_kde_table(split, plan, k_lo, k_hi)
+        windows = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(selector, "_sliding_max", lambda x, w: windows.append(x.copy()) or _sliding_max(x, w))
+            list(_ball_maxima(build_kde_table(split, plan, k_lo, k_hi, plan.j_max - 4), plan, k_lo, k_hi))
+        assert len(windows) == max(plan.j_max - 3 - plan.j_min, 0)
+        for j, window in zip(range(plan.j_max - 4, plan.j_min - 1, -1), windows):
+            a = ball_offset(plan, j)
+            cols = slice(k_lo - a - whole.idx_lo, k_hi + a + 1 - whole.idx_lo)
+            ratios = [pair_ratio(whole, plan, m, mp, cols)
+                      for mp in range(j + 3, plan.j_max) for m in range(mp + 1, plan.j_max + 1)]
+            assert window.tobytes() == np.maximum.reduce(ratios).tobytes()
+
+    def test_kink_probe_counts_only_its_balls(self, plan_module, monkeypatch):
+        # the peak's kink probe is decided above j_min, so its table never
+        # reaches the whole margin; a probe near 0 reaches it
+        split = split_sample(sample(make_peak_triangular(), plan_module.n, seed=3))
+        widened, spans = KdeTable.widened, []
+        monkeypatch.setattr(KdeTable, "widened", lambda t, lo, hi: spans.append(hi - lo) or widened(t, lo, hi))
+        k = round(0.5 * plan_module.mesh_count)
+        margin = ball_offset(plan_module, plan_module.j_min)
+        kink = fit_profile(split, plan_module, k - 1, k)
+        assert max(spans) < 1 + 2 * margin and kink.min() > plan_module.j_min + 1
+        spans.clear()
+        fit_profile(split, plan_module, 1, 2)
+        assert max(spans) == 1 + 2 * margin
+
+    def test_cannot_widen_past_capacity(self, peak_table, plan_module):
+        # a table built without a sample spans its capacity, as does a
+        # whole-margin build; neither widens, nor does any table narrow
+        _, table = peak_table
+        fixed = KdeTable(plan=plan_module, idx_lo=table.idx_lo, idx_hi=table.idx_hi, values=table.values)
+        assert fixed.capacity == (table.idx_lo, table.idx_hi) == table.capacity
+        assert fixed.widened(table.idx_lo, table.idx_hi) is fixed
+        for t in (fixed, table):
+            for lo, hi in ((t.idx_lo - 1, t.idx_hi), (t.idx_lo, t.idx_hi + 1), (t.idx_lo + 1, t.idx_hi)):
+                with pytest.raises(OffMeshError, match="cannot widen"):
+                    t.widened(lo, hi)
 
 
 class TestTheoreticalWindow:
