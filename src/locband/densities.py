@@ -628,6 +628,30 @@ def _derivative_grid(density: AnalyticDensity, k: int, xs: np.ndarray) -> Option
     return density._by_piece(xs, deriv)
 
 
+def _derivative_jumps(density: AnalyticDensity, kstar: int, window: tuple[float, float]) -> bool:
+    """Whether a derivative of order <= kstar jumps at a piece edge that the
+    window holds with points on both of its sides (a joint belongs to the
+    piece on its right, the support's right end to the last piece), read
+    from the polynomial pieces' closed forms and 0 off the support.  Edges
+    beside a series piece are left to the grid."""
+    wlo, whi = window
+    last = len(density.pieces)
+    for i, t in enumerate(density.kinks):
+        if not (wlo <= t < whi if i == last else wlo < t <= whi):
+            continue
+        sides = [density.pieces[j] if 0 <= j < last else None for j in (i - 1, i)]
+        if any(p is not None and p.wterms for p in sides):
+            continue
+        for k in range(kstar + 1):
+            left, right = (
+                0.0 if p is None else np.polynomial.polynomial.polyval(t, np.asarray(p.deriv_coeffs(k)))
+                for p in sides
+            )
+            if abs(left - right) > 1e-12:
+                return True
+    return False
+
+
 # points of the uniform grid whose pairs give holder_norm_estimate's quotient
 _NORM_GRID_POINTS = 512
 
@@ -639,8 +663,10 @@ def holder_norm_estimate(
 
     Derivative sup norms come from closed forms of the pieces; the quotient
     uses all pairs of a uniform grid, so the result is a certified lower
-    bound of the true norm (and equals +inf whenever the norm provably is,
-    e.g. differentiation order >= 1 requested on a rough piece).
+    bound of the true norm (and equals +inf whenever the norm provably is:
+    differentiation order >= 1 requested on a rough piece, or a derivative
+    of order <= k* that jumps inside the window, such as the slope at a kink
+    once beta > 1).
     """
     wlo, whi = window
     if not wlo < whi:
@@ -658,6 +684,8 @@ def holder_norm_estimate(
         if math.isinf(s):
             return math.inf
         total += s
+    if _derivative_jumps(density, kstar, window):
+        return math.inf
     xs = np.linspace(wlo, whi, _NORM_GRID_POINTS)
     dvals = _derivative_grid(density, kstar, xs)
     if dvals is None:

@@ -3,12 +3,17 @@
 Replication r of an experiment with master seed s draws from a generator
 keyed by SeedSequence(entropy=s, spawn_key=(r,)), so records are
 reproducible from (seed, r) alone and reordering replications cannot change
-any summary.
+any summary.  That is what lets the coverage, adaptivity and window
+experiments run their replications on forked worker processes, one per
+usable CPU, once a run draws at least _POOL_MIN_POINTS sample points in all:
+the records come back in replication order and are the serial run's, byte
+for byte.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -82,6 +87,54 @@ def replication_rng(master_seed: int, rep: int) -> np.random.Generator:
     )
 
 
+# fewest sample points in a run (reps * n) that go to a worker pool: starting
+# and stopping one costs 10-20 ms on a 2-CPU host, more than a whole smaller run
+_POOL_MIN_POINTS = 1 << 16
+
+# the replication a pool worker runs, set in each worker as it starts; a
+# forked worker inherits it with everything it captures, so nothing is pickled
+_worker_rep = None
+
+
+def _set_worker_rep(fn) -> None:
+    global _worker_rep
+    _worker_rep = fn
+
+
+def _run_worker_rep(r: int):
+    return _worker_rep(r)
+
+
+def _each_rep(fn: Callable[[int], dict], reps: int, n: int) -> list[dict]:
+    """[fn(r) for r in range(reps)], on one forked worker per usable CPU.
+
+    Only the records travel back, in replication order; a replication that
+    raises re-raises its exception here, the lowest-numbered one first as in
+    a serial run.  Runs serially below _POOL_MIN_POINTS sample points, with
+    a single replication or usable CPU, without the fork start method, and
+    inside a daemonic process (which may not have children).
+    """
+    workers = min(reps, len(os.sched_getaffinity(0)))
+    if reps * n < _POOL_MIN_POINTS or workers < 2:
+        return [fn(r) for r in range(reps)]
+    import multiprocessing  # not imported by the commands that never get here
+
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return [fn(r) for r in range(reps)]
+    pool = multiprocessing.get_context("fork").Pool(workers, _set_worker_rep, (fn,))
+    try:
+        records = list(pool.imap(_run_worker_rep, range(reps), chunksize=1))
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        # reaped workers leave their peak RSS with the parent's children
+        pool.join()
+    return records
+
+
 def gamma_tilde(plan: CalibrationPlan) -> float:
     """Adaptivity log-exponent (c1 log 2 - 1)/2 implied by the plan's c1."""
     return 0.5 * (plan.c1 * math.log(2.0) - 1.0)
@@ -103,12 +156,13 @@ def run_coverage(
     q_n = band_halfwidth_quantile(plan, alpha)  # refuses a bad alpha before the truth scan
     # the density's range per cell depends only on the density and the mesh
     truth = density.cells_extrema(cell_edges(plan))
-    for r in range(reps):
+
+    def one(r):
         rseed = replication_seed(seed, r)
         band = fit_band(split_sample(sample(density, plan.n, rseed)), plan, q_n)
         covered = covers_truth(band, density, truth)
         widths = 2.0 * band.halfwidths
-        report.records.append({
+        return {
             "rep": r,
             "rep_seed": rseed,
             "covered": "undecided" if covered is None else covered,
@@ -117,7 +171,9 @@ def run_coverage(
             "width_max": float(widths.max()),
             "j_hat_min": int(band.j_hat.min()),
             "j_hat_max": int(band.j_hat.max()),
-        })
+        }
+
+    report.records.extend(_each_rep(one, reps, plan.n))
     covered = [rec["covered"] for rec in report.records]
     report.summary = {
         "coverage": covered.count(True) / reps,
@@ -174,7 +230,8 @@ def run_adaptivity(
         rate = plan.log_n_tilde / plan.n_tilde
         betas = [local_exponent_oracle(density, t, plan) for t in probes]
         hbars = [optimal_bandwidth(plan, b) for b in betas]
-        for r in range(reps):
+
+        def one(r):
             rng = replication_rng(seed, r)
             rec = {"n": plan.n, "rep": r}
             for i, j_pair in enumerate(_probe_cell_exponents(density, plan, rng, probes)):
@@ -186,7 +243,9 @@ def run_adaptivity(
                 rec[f"beta_{i}"] = betas[i]
                 rec[f"norm_width_{i}"] = width * rate ** -expo
                 rec[f"window_ratio_{i}"] = hbars[i] / h_loc * 2.0 ** -plan.u_n
-            report.records.append(rec)
+            return rec
+
+        report.records.extend(_each_rep(one, reps, plan.n))
         recs = [rec for rec in report.records if rec["n"] == plan.n]
         npr = len(probes)
         report.summary[f"bare_threshold_n{plan.n}"] = bare
@@ -227,17 +286,20 @@ def run_window_check(
     for k in range(N + 1):
         lo[k], hi[k] = theoretical_window(density, plan, k * plan.delta_n)
     report = ExperimentReport(name="window", params={})
-    for r in range(reps):
+
+    def one(r):
         rseed = replication_seed(seed, r)
         j_hat = fit_profile(split_sample(sample(density, plan.n, rseed)), plan)
         inside = (j_hat >= lo) & (j_hat <= hi)
-        report.records.append({
+        return {
             "rep": r,
             "rep_seed": rseed,
             "hit_fraction": float(inside.mean()),
             "low_misses": int((j_hat < lo).sum()),
             "high_misses": int((j_hat > hi).sum()),
-        })
+        }
+
+    report.records.extend(_each_rep(one, reps, plan.n))
     report.summary = {
         "hit_fraction": float(np.mean([rec["hit_fraction"] for rec in report.records])),
         "mesh_count": N,
@@ -402,8 +464,9 @@ def _suite_a4() -> list[dict]:
     rows = []
     for density, window, ladder in cases:
         ests = [zoo.holder_norm_estimate(density, b, 2, window) for b in ladder]
+        # equal estimates step by 0, also two infinite ones (inf - inf is nan)
         worst = max(
-            (e1 - e2 for e1, e2 in zip(ests[:-1], ests[1:])), default=0.0
+            (0.0 if e1 == e2 else e1 - e2 for e1, e2 in zip(ests[:-1], ests[1:])), default=0.0
         )
         rows.append({
             "item": "a4",

@@ -388,3 +388,19 @@ def test_cli_import_leaves_scipy_out():
     code = "import sys, locband.cli; print('scipy' in sys.modules)"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_commands_below_the_pool_threshold_leave_multiprocessing_out(data_file, tmp_path):
+    # only a simulate run large enough for a worker pool imports it
+    env = {**os.environ, "PYTHONPATH": str(Path(locband.__file__).resolve().parent.parent)}
+    code = (
+        "import sys\n"
+        "from locband.cli import main\n"
+        "for argv in (['band', '--input', sys.argv[1]], ['curves', '--n', '512'], ['verify', '--suite', 'a2'],\n"
+        "             ['simulate', 'coverage', '--density', 'peak', '--n', '512', '--reps', '2']):\n"
+        "    assert main(argv + ['--out', sys.argv[2]]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code, data_file, str(tmp_path / "out.csv")],
+                          env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -586,6 +586,20 @@ class TestHolderNormEstimate:
         p = make_peak_triangular()
         assert holder_norm_estimate(p, math.inf, 2, (0.4, 0.6)) == math.inf
 
+    @pytest.mark.parametrize("beta", [1.5, 2.0])
+    def test_slope_jump_inside_window(self, beta):
+        # the slope jumps at the apex 0.5, so the norm is infinite once k* = 1
+        for density in (make_peak_triangular(), make_triangular_hypothesis(0.5)):
+            assert holder_norm_estimate(density, beta, 2, (0.4, 0.6)) == math.inf
+            assert math.isfinite(holder_norm_estimate(density, 1.0, 2, (0.4, 0.6)))
+
+    def test_joint_on_the_window_edge(self):
+        # the apex belongs to the right piece: a window that starts there holds
+        # one slope, one that ends there holds both
+        p = make_peak_triangular()
+        assert holder_norm_estimate(p, 1.5, 2, (0.5, 0.7)) == pytest.approx(2.0 + 4.0, abs=1e-9)
+        assert holder_norm_estimate(p, 1.5, 2, (0.3, 0.5)) == math.inf
+
     def test_zero_off_the_support(self):
         # the density is 0 past a support end, not its end piece extended
         u, p = make_uniform(), make_peak_triangular()

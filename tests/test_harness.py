@@ -1,8 +1,10 @@
 import math
+import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locband
+from locband import densities as zoo
 from locband import harness as H
 from locband.band import cell_of, fit_band
 from locband.calibration import PlanParams, band_halfwidth_quantile, derive_plan, normalizers
 from locband.cli import main
-from locband.densities import make_peak_triangular, make_uniform, sample
-from locband.errors import InvalidConfigurationError
+from locband.densities import make_peak_triangular, make_triangular_hypothesis, make_uniform, sample
+from locband.errors import CorruptDensityError, InvalidConfigurationError
 from locband.estimator import split_sample
 from locband.kernels import Kernel
 from locband.selector import fit_profile, theoretical_window
@@ -182,6 +185,14 @@ class TestVerifySuite:
             assert rep.summary["all_passed"], rep.records
             assert all(r["item"] == suite for r in rep.records)
 
+    def test_a4_infinite_estimates_are_nondecreasing(self, rect):
+        # peak and the tent have a kink in their windows, so their estimates
+        # at beta = 1.5 and 2 are both infinite: a step of 0, not nan
+        rows = H.verify_inequalities(kernel=rect, suites=["a4"]).records
+        margins = {row["check"].rsplit(" ", 1)[1]: row["margin"] for row in rows}
+        assert all(row["passed"] for row in rows)
+        assert margins["peak"] == margins["tent:0.5"] == 0.0
+
     def test_unknown_suite(self, rect):
         with pytest.raises(ValueError):
             H.verify_inequalities(kernel=rect, suites=["a9"])
@@ -236,6 +247,116 @@ class TestAdaptivityHarness:
                 assert np.array_equal(fit_profile(split, plan, k - 1, k), full[k - 1:k + 1])
                 assert rec[f"j_eff_{i}"] == full[k - 1:k + 1].max()
                 assert rec[f"width_{i}"] == 2.0 * band.halfwidths[k - 1]
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(H.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _pooled(monkeypatch):
+    # every run goes to a pool of two workers, whatever its size or host
+    monkeypatch.setattr(H, "_POOL_MIN_POINTS", 0)
+    _cpus(monkeypatch, 2)
+
+
+def _corrupt_peak():
+    # peak reaches 4, so every replication's first batch of proposals raises
+    return replace(make_peak_triangular(), sup_bound=1.0)
+
+
+_EXPERIMENTS = {
+    "coverage": lambda plan, reps: H.run_coverage(make_peak_triangular(), plan, 0.1, reps, 21),
+    "adaptivity": lambda plan, reps: H.run_adaptivity(
+        make_peak_triangular(), [plan], 0.1, reps, 23, probes=(0.5, 0.9)),
+    "window": lambda plan, reps: H.run_window_check(make_triangular_hypothesis(0.5), plan, reps, 22),
+}
+
+
+class TestReplicationPool:
+    @pytest.mark.parametrize("reps", [1, 2, 3, 5])
+    @pytest.mark.parametrize("kind", sorted(_EXPERIMENTS))
+    def test_pooled_report_is_the_serial_bytes(self, kind, reps, plan_1k, monkeypatch):
+        _pooled(monkeypatch)
+        pooled = _EXPERIMENTS[kind](plan_1k, reps)
+        _cpus(monkeypatch, 1)
+        serial = _EXPERIMENTS[kind](plan_1k, reps)
+        assert pooled.to_csv_text() == serial.to_csv_text()
+        assert pooled.meta_text() == serial.meta_text()
+        assert multiprocessing.active_children() == []
+
+    def test_workers_run_the_replications_in_order(self, monkeypatch):
+        _pooled(monkeypatch)
+        got = H._each_rep(lambda r: (r, os.getpid()), 5, 1)
+        assert [r for r, _ in got] == list(range(5))
+        assert os.getpid() not in {pid for _, pid in got}
+
+    def test_serial_below_threshold_or_on_one_cpu(self, monkeypatch):
+        def rep_pids(reps, n):
+            return set(H._each_rep(lambda r: os.getpid(), reps, n))
+
+        _cpus(monkeypatch, 2)
+        assert rep_pids(2, H._POOL_MIN_POINTS // 2 - 1) == {os.getpid()}
+        assert os.getpid() not in rep_pids(2, H._POOL_MIN_POINTS // 2)
+        assert rep_pids(1, H._POOL_MIN_POINTS) == {os.getpid()}
+        _cpus(monkeypatch, 1)
+        assert rep_pids(4, H._POOL_MIN_POINTS) == {os.getpid()}
+
+    def test_lowest_failing_replication_raises(self, monkeypatch):
+        # replication 2 fails first in time; a serial run would raise at 1
+        def fn(r):
+            if r == 1:
+                time.sleep(0.2)
+            if r >= 1:
+                raise ValueError(f"replication {r}")
+            return r
+
+        _pooled(monkeypatch)
+        with pytest.raises(ValueError, match="^replication 1$"):
+            H._each_rep(fn, 4, 1)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_is_the_serial_error(self, plan_1k, monkeypatch):
+        _pooled(monkeypatch)
+        with pytest.raises(CorruptDensityError) as pooled:
+            H.run_coverage(_corrupt_peak(), plan_1k, 0.1, 3, 21)
+        _cpus(monkeypatch, 1)
+        with pytest.raises(CorruptDensityError) as serial:
+            H.run_coverage(_corrupt_peak(), plan_1k, 0.1, 3, 21)
+        assert type(pooled.value) is type(serial.value)
+        assert str(pooled.value) == str(serial.value)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_error_through_the_cli(self, monkeypatch, capsys):
+        monkeypatch.setattr(zoo, "density_from_name", lambda name: _corrupt_peak())
+        argv = ["simulate", "coverage", "--density", "peak", "--n", "2048", "--reps", "3", "--seed", "21"]
+        _pooled(monkeypatch)
+        pooled = main(argv), capsys.readouterr().err
+        _cpus(monkeypatch, 1)
+        serial = main(argv), capsys.readouterr().err
+        assert pooled == serial
+        assert pooled[0] == 2 and "exceeds its sup bound" in pooled[1]
+        assert multiprocessing.active_children() == []
+
+    def test_daemonic_caller_runs_serially(self, plan_1k, monkeypatch):
+        # a daemonic process may not start a pool; the run must not fail there
+        _pooled(monkeypatch)
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def child():
+            try:
+                send.send(H.run_coverage(make_peak_triangular(), plan_1k, 0.1, 3, 21).to_csv_text())
+            except BaseException as exc:
+                send.send(repr(exc))
+
+        proc = ctx.Process(target=child, daemon=True)
+        proc.start()
+        assert recv.poll(60)
+        got = recv.recv()
+        proc.join(60)
+        assert not proc.is_alive()
+        _cpus(monkeypatch, 1)
+        assert got == H.run_coverage(make_peak_triangular(), plan_1k, 0.1, 3, 21).to_csv_text()
 
 
 class TestCalibrateC2:

@@ -55,6 +55,18 @@ PINNED = {
         "6175ca25ba285dca8f7e83b4629caf0bbf4057fa219fbbc73eeb115a824a80aa",
         "b86b88bece9c3fc8e4ef5747b4c96e3dd608fb46b794c6cdaeafb4e50c823a9f",
     ),
+    # 2^17 and 2^16 sample points in all: replications run on a worker pool
+    # wherever more than one CPU is usable
+    "coverage-16k": (
+        ("simulate", "coverage", "--density", "peak", "--n", "16384", "--reps", "8", "--seed", "21"),
+        "aa79da9ff5385f8241fe181840c9908f7e4e33be822953dddfda7344c001e878",
+        "b173facdb52f9348489ad553a8727fd570508bdbcd5163eb7a8779f30a4e1f6c",
+    ),
+    "window-16k": (
+        ("simulate", "window", "--density", "tent:0.5", "--n", "16384", "--reps", "4", "--seed", "22"),
+        "410aa9eb46945a190ce8e08fc3cd35a031898c1cb5a722dca010eea5434f0199",
+        "50a9125083fefd183e2a91ba669add58931c0efcf0a1b4c53385575ae44c3c13",
+    ),
     "gumbel": (
         ("simulate", "gumbel", "--n", "64", "--reps", "20", "--seed", "14"),
         "e093f470738a18af0ea0608037d71db492ceab31d4f14c6c37121fac0eb05b42",
