@@ -128,12 +128,10 @@ def write_band_csv(band: ConfidenceBand, fh: TextIO) -> None:
     d = band.plan.delta_n
     j_left, j_right = band.j_hat[:-1], band.j_hat[1:]
 
-    def prefixes():
-        t_lo = f"{0 * d:.12g}"
-        for k in range(1, band.plan.mesh_count + 1):
-            t_hi = f"{k * d:.12g}"  # and row k + 1's t_lo
-            yield f"{k},{t_lo},{t_hi},"
-            t_lo = t_hi
+    def prefixes(start: int, stop: int) -> list[str]:
+        # rows start..stop - 1 are cells k = start + 1..stop; a cell's t_lo is the last one's t_hi
+        t = [f"{k * d:.12g}" for k in range(start, stop + 1)]
+        return [f"{k},{t_lo},{t_hi}," for k, t_lo, t_hi in zip(range(start + 1, stop + 1), t, t[1:])]
 
     def tail(i: int) -> str:
         c, hw = band.centers[i], band.halfwidths[i]
@@ -145,7 +143,7 @@ def write_band_csv(band: ConfidenceBand, fh: TextIO) -> None:
     write_csv(
         fh,
         "k,t_lo,t_hi,center,lo,hi,h_loc,j_hat_left,j_hat_right\n",
-        prefixes(),
+        prefixes,
         (band.centers, band.halfwidths, band.h_loc, j_left, j_right),
         tail,
     )

@@ -27,7 +27,7 @@ from .calibration import (
     plan_to_text,
     read_key_values,
 )
-from .csvtext import CSV_CHUNK, write_csv
+from .csvtext import write_csv
 from .errors import EmptyBandwidthGridError, InvalidConfigurationError, InvalidConstantsError, LocbandError
 from .estimator import parse_data_file, split_sample
 from .kernels import make_rectangular
@@ -231,10 +231,8 @@ def cmd_curves(args: argparse.Namespace) -> int:
     d = plan.delta_n
     truth = density.pdf(np.arange(1, plan.mesh_count + 1) * d)
 
-    def prefixes():
-        for start in range(0, plan.mesh_count, CSV_CHUNK):
-            for k, v in enumerate(truth[start:start + CSV_CHUNK].tolist(), start + 1):
-                yield f"{k},{k * d:.12g},{v:.12g},"
+    def prefixes(start: int, stop: int) -> list[str]:
+        return [f"{k},{k * d:.12g},{v:.12g}," for k, v in enumerate(truth[start:stop].tolist(), start + 1)]
 
     def tail(i: int) -> str:
         c, hw = local.centers[i], local.halfwidths[i]
@@ -245,7 +243,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
         write_csv(
             fh,
             "k,t,truth,local_center,local_lo,local_hi,global_lo,global_hi\n",
-            prefixes(),
+            prefixes,
             (local.centers, local.halfwidths, ref.centers, ref.halfwidths),
             tail,
         )

@@ -9,7 +9,9 @@ balls reach.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Optional
@@ -18,10 +20,14 @@ import numpy as np
 
 from .calibration import CalibrationPlan
 from .errors import InsufficientDataError, InvalidBandwidthError, InvalidExponentError, OffMeshError
+from .forked import fork_map, workers
 from .kernels import Kernel
 
 # Lines per chunk of parse_data_file.
 PARSE_CHUNK = 1 << 16
+# Bytes of a typical data line, such as "0.12345678901234567\n": a file's
+# size in lines, as fork_map counts work, is its size in bytes over this.
+_LINE_BYTES = 20
 
 
 @dataclass(frozen=True)
@@ -195,18 +201,63 @@ def parse_data_file(path: str) -> np.ndarray:
     Lines are read in chunks; numpy converts each chunk's stripped lines
     with float()'s grammar.  A chunk that does not convert to finite values
     sends the whole file through _parse_lines, which names the first bad
-    line."""
-    parts = []
+    line.  A regular file large enough for fork_map is cut, just after a
+    newline, into one byte range per worker, each parsed the same way on its
+    own worker; if any range fails to parse, the whole file is parsed again
+    here, so that the error is the serial parse's."""
+    if os.path.isfile(path):  # a pipe can be read only once, so it is never cut
+        cuts = _range_cuts(path)
+        if len(cuts) > 2:
+            ranges = list(zip(cuts, cuts[1:]))
+            parts = list(fork_map(lambda r: _parse_range(path, *r), ranges, cuts[-1] // _LINE_BYTES))
+            if all(part is not None for part in parts):
+                return np.concatenate(parts)
     with open(path, "r", encoding="utf-8") as fh:
-        while raw := list(islice(fh, PARSE_CHUNK)):
-            lines = [line for line in map(str.strip, raw) if line]
-            try:
-                values = np.array(lines, dtype=float)
-            except ValueError:
-                return _parse_lines(path)
-            if not np.isfinite(values).all():
-                return _parse_lines(path)
-            parts.append(values)
+        values = _parse_chunks(fh)
+    return _parse_lines(path) if values is None else values
+
+
+def _range_cuts(path: str) -> list[int]:
+    """Offsets 0 < ... < size that cut the file into at most one byte range
+    per fork_map worker, each cut just after a newline."""
+    with open(path, "rb") as raw:
+        size = os.fstat(raw.fileno()).st_size
+        count = workers(size // _LINE_BYTES)
+        cuts = [0]
+        for i in range(1, count):
+            raw.seek(max(size * i // count, cuts[-1]))
+            while block := raw.read(1 << 12):
+                if (eol := block.find(b"\n")) >= 0:
+                    cuts.append(raw.tell() - len(block) + eol + 1)
+                    break
+    return cuts if cuts[-1] == size else cuts + [size]
+
+
+def _parse_range(path: str, lo: int, hi: int) -> Optional[np.ndarray]:
+    """The values on bytes lo..hi - 1 of the file, or None if they do not
+    parse."""
+    with open(path, "rb") as raw:
+        raw.seek(lo)
+        data = raw.read(hi - lo)
+    try:
+        return _parse_chunks(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except UnicodeDecodeError:
+        return None
+
+
+def _parse_chunks(fh) -> Optional[np.ndarray]:
+    """The values of the text file fh, converted PARSE_CHUNK lines at a time,
+    or None at the first chunk that does not convert to finite values."""
+    parts = []
+    while raw := list(islice(fh, PARSE_CHUNK)):
+        lines = [line for line in map(str.strip, raw) if line]
+        try:
+            values = np.array(lines, dtype=float)
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        parts.append(values)
     return np.concatenate(parts) if parts else np.empty(0)
 
 

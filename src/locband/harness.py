@@ -4,16 +4,15 @@ Replication r of an experiment with master seed s draws from a generator
 keyed by SeedSequence(entropy=s, spawn_key=(r,)), so records are
 reproducible from (seed, r) alone and reordering replications cannot change
 any summary.  That is what lets the coverage, adaptivity and window
-experiments run their replications on forked worker processes, one per
-usable CPU, once a run draws at least _POOL_MIN_POINTS sample points in all:
-the records come back in replication order and are the serial run's, byte
-for byte.
+experiments run their replications through forked.fork_map, on one forked
+worker per usable CPU once a run draws 2^16 sample points in all: the
+records come back in replication order and are the serial run's, byte for
+byte.  A fit inside such a worker stays serial.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -32,6 +31,7 @@ from .calibration import (
 from .densities import AnalyticDensity, local_exponent_oracle, sample
 from .errors import InvalidConfigurationError
 from .estimator import build_kde_table, split_sample
+from .forked import fork_map
 from .kernels import Kernel, make_rectangular, sup_abs_bias
 from .selector import _ball_maxima, fit_profile, theoretical_window
 
@@ -87,54 +87,6 @@ def replication_rng(master_seed: int, rep: int) -> np.random.Generator:
     )
 
 
-# fewest sample points in a run (reps * n) that go to a worker pool: starting
-# and stopping one costs 10-20 ms on a 2-CPU host, more than a whole smaller run
-_POOL_MIN_POINTS = 1 << 16
-
-# the replication a pool worker runs, set in each worker as it starts; a
-# forked worker inherits it with everything it captures, so nothing is pickled
-_worker_rep = None
-
-
-def _set_worker_rep(fn) -> None:
-    global _worker_rep
-    _worker_rep = fn
-
-
-def _run_worker_rep(r: int):
-    return _worker_rep(r)
-
-
-def _each_rep(fn: Callable[[int], dict], reps: int, n: int) -> list[dict]:
-    """[fn(r) for r in range(reps)], on one forked worker per usable CPU.
-
-    Only the records travel back, in replication order; a replication that
-    raises re-raises its exception here, the lowest-numbered one first as in
-    a serial run.  Runs serially below _POOL_MIN_POINTS sample points, with
-    a single replication or usable CPU, without the fork start method, and
-    inside a daemonic process (which may not have children).
-    """
-    workers = min(reps, len(os.sched_getaffinity(0)))
-    if reps * n < _POOL_MIN_POINTS or workers < 2:
-        return [fn(r) for r in range(reps)]
-    import multiprocessing  # not imported by the commands that never get here
-
-    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
-        return [fn(r) for r in range(reps)]
-    pool = multiprocessing.get_context("fork").Pool(workers, _set_worker_rep, (fn,))
-    try:
-        records = list(pool.imap(_run_worker_rep, range(reps), chunksize=1))
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
-    finally:
-        # reaped workers leave their peak RSS with the parent's children
-        pool.join()
-    return records
-
-
 def gamma_tilde(plan: CalibrationPlan) -> float:
     """Adaptivity log-exponent (c1 log 2 - 1)/2 implied by the plan's c1."""
     return 0.5 * (plan.c1 * math.log(2.0) - 1.0)
@@ -173,7 +125,7 @@ def run_coverage(
             "j_hat_max": int(band.j_hat.max()),
         }
 
-    report.records.extend(_each_rep(one, reps, plan.n))
+    report.records.extend(fork_map(one, range(reps), reps * plan.n))
     covered = [rec["covered"] for rec in report.records]
     report.summary = {
         "coverage": covered.count(True) / reps,
@@ -245,7 +197,7 @@ def run_adaptivity(
                 rec[f"window_ratio_{i}"] = hbars[i] / h_loc * 2.0 ** -plan.u_n
             return rec
 
-        report.records.extend(_each_rep(one, reps, plan.n))
+        report.records.extend(fork_map(one, range(reps), reps * plan.n))
         recs = [rec for rec in report.records if rec["n"] == plan.n]
         npr = len(probes)
         report.summary[f"bare_threshold_n{plan.n}"] = bare
@@ -299,7 +251,7 @@ def run_window_check(
             "high_misses": int((j_hat > hi).sum()),
         }
 
-    report.records.extend(_each_rep(one, reps, plan.n))
+    report.records.extend(fork_map(one, range(reps), reps * plan.n))
     report.summary = {
         "hit_fraction": float(np.mean([rec["hit_fraction"] for rec in report.records])),
         "mesh_count": N,

@@ -16,7 +16,8 @@ The table grows with the fold: a fit counts the run plus the ball of the
 first exponent yielded, and a ball that leaves the table widens it, a few
 exponents ahead, by its new edge columns alone, onto which the pairs already
 folded are folded.  The admissibility of j reads ball(j) only, so a run that
-is decided early never counts the columns of the coarser balls.
+is decided early never counts the columns of the coarser balls.  A
+whole-mesh fit on several CPUs selects one run of the mesh per worker.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .calibration import CalibrationPlan, optimal_bandwidth
 from .densities import AnalyticDensity, local_exponent_oracle
 from .errors import OffMeshError
 from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table
+from .forked import fork_map, workers
 
 
 def pair_ratio(table: KdeTable, plan: CalibrationPlan, m: int, mp: int, cols: slice = slice(None)) -> np.ndarray:
@@ -116,8 +118,20 @@ def select_at(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int) -> n
 def fit_profile(split: SplitSample, plan: CalibrationPlan, k_lo: int = 0, k_hi: Optional[int] = None) -> np.ndarray:
     """Selected exponent j_hat at the mesh points k delta_n, k = k_lo..k_hi
     (the whole mesh 0..mesh_count by default), from the second half of the
-    split; the table starts at the ball of the first exponent yielded."""
-    k_hi = plan.mesh_count if k_hi is None else k_hi
+    split; the table starts at the ball of the first exponent yielded.
+
+    A whole-mesh fit that fork_map would spread over several workers selects
+    one contiguous run per worker, each from its own table: a point's
+    exponent depends only on its ball, so the runs' profiles join into the
+    whole mesh's.  A fit on one worker stays one run."""
+    if k_hi is None:
+        points = plan.mesh_count + 1
+        count = workers(points)
+        if count > 1:
+            cuts = [points * i // count for i in range(count + 1)]
+            runs = [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])]
+            return np.concatenate(list(fork_map(lambda run: fit_profile(split, plan, *run), runs, points)))
+        k_hi = plan.mesh_count
     return select_at(build_kde_table(split, plan, k_lo, k_hi, plan.j_max - 4), plan, k_lo, k_hi)
 
 

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locband import harness
+from locband import csvtext, harness
 from locband.band import (
     ConfidenceBand,
     cell_edges,
@@ -76,6 +78,25 @@ def assert_streams_oracle(band) -> None:
     header, *rows = expected.splitlines(keepends=True)
     longest = max(len("".join(rows[i:i + CSV_CHUNK])) for i in range(0, len(rows), CSV_CHUNK))
     assert max(len(text) for text in fh.writes) <= max(len(header), longest)
+
+
+def _signed_zero_band(band, mesh_count):
+    """band's record over mesh_count cells of few distinct values; 0.0 and
+    -0.0 compare equal yet format as "0" and "-0", and with a zero halfwidth
+    the sign reaches lo and hi too."""
+    rng = np.random.default_rng(4)
+
+    def pick(values):
+        return rng.choice(np.array(values), size=mesh_count)
+
+    return replace(
+        band,
+        plan=replace(band.plan, mesh_count=mesh_count, delta_n=1.0 / mesh_count),
+        centers=pick([0.0, -0.0, 1.25, 0.1 + 0.2, 3.0]),
+        halfwidths=pick([0.0, 0.5, 1.0 / 3.0]),
+        h_loc=pick([0.25, 2.0 ** -10]),
+        j_hat=rng.choice(np.array([-1, 3, 4]), size=mesh_count + 1),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -450,22 +471,44 @@ class TestBandCsv:
 
     @pytest.mark.parametrize("mesh_count", [2 * CSV_CHUNK, 2 * CSV_CHUNK + 1])
     def test_matches_oracle_across_chunks(self, fitted, mesh_count):
-        # few distinct values, as in a fitted band; 0.0 and -0.0 compare
-        # equal yet format as "0" and "-0", and with a zero halfwidth the
-        # sign reaches lo and hi too
-        _, _, band = fitted
-        rng = np.random.default_rng(4)
+        assert_streams_oracle(_signed_zero_band(fitted[2], mesh_count))
+
+    @pytest.mark.parametrize("mesh_count", [2 * CSV_CHUNK, 2 * CSV_CHUNK + 1])
+    def test_pooled_writes_are_the_serial_writes(self, fitted, mesh_count, cpus):
+        _, split, band = fitted
         plan = replace(band.plan, mesh_count=mesh_count, delta_n=1.0 / mesh_count)
+        for b in (fit_band(split, plan, band_halfwidth_quantile(plan, 0.1)), _signed_zero_band(band, mesh_count)):
+            writes = []
+            for count in (2, 1):
+                cpus(count)
+                fh = RecordingFile()
+                write_band_csv(b, fh)
+                writes.append(fh.writes)
+            assert writes[0] == writes[1]
 
-        def pick(values):
-            return rng.choice(np.array(values), size=mesh_count)
+    def test_chunks_in_flight_are_bounded(self, cpus, monkeypatch):
+        # behind a slow reader, at most two chunks per worker are formatted
+        # and not yet written
+        monkeypatch.setattr(csvtext, "CSV_CHUNK", 8)
+        formatted = multiprocessing.get_context("fork").Value("i", 0)
 
-        synthetic = replace(
-            band,
-            plan=plan,
-            centers=pick([0.0, -0.0, 1.25, 0.1 + 0.2, 3.0]),
-            halfwidths=pick([0.0, 0.5, 1.0 / 3.0]),
-            h_loc=pick([0.25, 2.0 ** -10]),
-            j_hat=rng.choice(np.array([-1, 3, 4]), size=mesh_count + 1),
-        )
-        assert_streams_oracle(synthetic)
+        def prefixes(start, stop):
+            with formatted.get_lock():
+                formatted.value += 1
+            return [f"{i}," for i in range(start, stop)]
+
+        written, in_flight = [], []
+
+        class SlowFile:
+            def write(self, text):
+                if text != "i,x\n":
+                    in_flight.append(formatted.value - len(written))
+                    time.sleep(0.02)
+                    written.append(text)
+
+        cpus(2)
+        keys = np.arange(240) % 3
+        csvtext.write_csv(SlowFile(), "i,x\n", prefixes, [keys], lambda i: f"{keys[i]}\n")
+        assert "".join(written) == "".join(f"{i},{i % 3}\n" for i in range(240))
+        assert 2 <= max(in_flight) <= 4
+        assert multiprocessing.active_children() == []

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import locband
 from locband import band, calibration, cli, harness
 from locband.calibration import PlanParams, derive_plan, plan_to_text
 from locband.cli import build_parser, cmd_verify, main
+from locband.csvtext import CSV_CHUNK
 from locband.densities import AnalyticDensity, make_peak_triangular, sample
 from locband.kernels import make_rectangular
 
@@ -216,6 +218,23 @@ class TestCurvesCommand:
     def test_unknown_density_exit_2(self):
         assert run_cli("curves", "--density", "unknown") == 2
 
+    @pytest.mark.parametrize("mesh_count", [2 * CSV_CHUNK, 2 * CSV_CHUNK + 1])
+    def test_pooled_csv_is_the_serial_csv(self, tmp_path, cpus, monkeypatch, mesh_count):
+        derive = cli._density_and_plan
+
+        def on_mesh(cfg, key):
+            density, plan = derive(cfg, key)
+            return density, replace(plan, mesh_count=mesh_count, delta_n=1.0 / mesh_count)
+
+        monkeypatch.setattr(cli, "_density_and_plan", on_mesh)
+        written = []
+        for count in (2, 1):
+            cpus(count)
+            out = tmp_path / f"curves-{count}.csv"
+            assert run_cli("curves", "--n", "2048", "--seed", "3", "--out", str(out)) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1] and written[0].count(b"\n") == 1 + mesh_count
+
 
 class TestConfigAndEnv:
     def test_config_file(self, tmp_path, data_file):
@@ -281,6 +300,17 @@ class TestConfigAndEnv:
         # metadata goes to stderr, after the plan's warnings
         assert done.stderr.endswith((tmp_path / "band.csv.meta").read_bytes())
         assert b"band: warning: " in done.stderr
+
+    def test_stdout_pooled_is_stdout_serial(self, data_file, cpus, capfd):
+        # workers are forked after the header is written; it must reach
+        # stdout once, and the rows after it in order
+        written = []
+        for count in (2, 1):
+            cpus(count)
+            assert run_cli("band", "--input", data_file) == 0
+            written.append(capfd.readouterr().out)
+        assert written[0] == written[1]
+        assert written[0].count("k,t_lo") == 1 and written[0].startswith("k,t_lo")
 
     def test_out_not_a_regular_file_gets_no_sidecar(self, tmp_path):
         out = tmp_path / "out.csv"

@@ -1,4 +1,6 @@
+import os
 import re
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from locband import estimator
+from locband import estimator, forked
 
 from locband.calibration import PlanParams, derive_plan
 from locband.densities import make_peak_triangular, sample
@@ -320,6 +322,104 @@ class TestParseEquivalence:
                 got = parse_data_file(str(path))
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _parse_pooled_and_serial(path, cpus):
+    """parse_data_file's array, or its error, on two workers and serially."""
+    out = []
+    for count in (2, 1):
+        cpus(count)
+        try:
+            out.append(parse_data_file(str(path)))
+        except ValueError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def _assert_same_parse(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestPooledParse:
+    """A file cut into byte ranges, one per worker, parses to the serial
+    array bit for bit, or raises the serial error."""
+
+    @pytest.mark.parametrize("data, ranges", [
+        pytest.param(b"0.5\r\n-1.25\r\n\r\n3e-2\r\n" * 40, 2, id="crlf"),
+        pytest.param(b"0.5\r1.5\r\r-2\n" * 40, 2, id="bare-cr"),
+        pytest.param(b"\n\n0.5\n \n\t\n1.5\n\x0c\n" * 40, 2, id="blank-lines"),
+        pytest.param(b"0.5\n" * 99 + b"2.5", 2, id="no-trailing-newline"),
+        pytest.param(b"1\r\n" * 4, 2, id="cut-after-crlf"),
+        pytest.param(b"0.5\n", 1, id="fewer-lines-than-workers"),
+        pytest.param(b"", 0, id="empty"),
+    ])
+    def test_matches_serial(self, tmp_path, cpus, data, ranges):
+        path = tmp_path / "data.txt"
+        path.write_bytes(data)
+        cpus(2)
+        cuts = estimator._range_cuts(str(path))
+        assert len(cuts) - 1 == ranges
+        assert all(data[cut - 1:cut] == b"\n" for cut in cuts[1:-1])
+        if data.startswith(b"1\r\n"):
+            assert data[cuts[1] - 2:cuts[1]] == b"\r\n"
+        _assert_same_parse(*_parse_pooled_and_serial(path, cpus))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lines=st.lists(st.one_of(st.sampled_from(PARSE_TOKENS), st.floats(allow_nan=False).map(repr)),
+                       max_size=40),
+        eol=st.sampled_from(["\n", "\r\n", "\r"]),
+        count=st.integers(2, 3),
+    )
+    def test_matches_serial_on_any_lines(self, tmp_path_factory, lines, eol, count):
+        path = tmp_path_factory.mktemp("pooled") / "data.txt"
+        path.write_bytes("".join(line + eol for line in lines).encode())
+        got = []
+        for cpus in (count, 1):
+            with mock.patch.object(forked, "_POOL_MIN_POINTS", 0), \
+                 mock.patch.object(forked.os, "sched_getaffinity", lambda pid: set(range(cpus))):
+                try:
+                    got.append(parse_data_file(str(path)))
+                except ValueError as exc:
+                    got.append(str(exc))
+        _assert_same_parse(*got)
+
+    def test_bad_line_in_second_range_names_its_file_line(self, tmp_path, cpus):
+        path = tmp_path / "late.txt"
+        path.write_text("0.25\n" * 799 + "x\n" + "0.5\n" * 200)
+        cpus(2)
+        assert estimator._range_cuts(str(path))[1] < 799 * 5
+        with pytest.raises(ValueError, match="^line 800: not a real number: 'x\\\\n'$"):
+            parse_data_file(str(path))
+
+    def test_invalid_utf8_gives_the_serial_error(self, tmp_path, cpus):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"0.5\n" * 1000 + b"\xff\n" + b"0.5\n" * 10)
+        pooled, serial = _parse_pooled_and_serial(path, cpus)
+        assert pooled == serial and serial.startswith("UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff")
+
+    def test_fifo_is_parsed_serially(self, tmp_path, cpus, monkeypatch):
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        cpus(2)
+        monkeypatch.setattr(estimator, "_range_cuts", lambda path: pytest.fail("a pipe was cut"))
+
+        def write():
+            with open(path, "wb") as fh:
+                fh.write(b"0.5\n-1.25\r\n\n3e-2\n" * 1000)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        try:
+            got = parse_data_file(str(path))
+        finally:
+            writer.join(30)
+        assert not writer.is_alive()
+        assert got.tolist() == [0.5, -1.25, 0.03] * 1000
 
 
 @pytest.mark.parametrize("call, error, message", [

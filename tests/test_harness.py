@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -249,16 +248,6 @@ class TestAdaptivityHarness:
                 assert rec[f"width_{i}"] == 2.0 * band.halfwidths[k - 1]
 
 
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(H.os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _pooled(monkeypatch):
-    # every run goes to a pool of two workers, whatever its size or host
-    monkeypatch.setattr(H, "_POOL_MIN_POINTS", 0)
-    _cpus(monkeypatch, 2)
-
-
 def _corrupt_peak():
     # peak reaches 4, so every replication's first batch of proposals raises
     return replace(make_peak_triangular(), sup_bound=1.0)
@@ -275,71 +264,40 @@ _EXPERIMENTS = {
 class TestReplicationPool:
     @pytest.mark.parametrize("reps", [1, 2, 3, 5])
     @pytest.mark.parametrize("kind", sorted(_EXPERIMENTS))
-    def test_pooled_report_is_the_serial_bytes(self, kind, reps, plan_1k, monkeypatch):
-        _pooled(monkeypatch)
+    def test_pooled_report_is_the_serial_bytes(self, kind, reps, plan_1k, cpus):
+        cpus(2)
         pooled = _EXPERIMENTS[kind](plan_1k, reps)
-        _cpus(monkeypatch, 1)
+        cpus(1)
         serial = _EXPERIMENTS[kind](plan_1k, reps)
         assert pooled.to_csv_text() == serial.to_csv_text()
         assert pooled.meta_text() == serial.meta_text()
         assert multiprocessing.active_children() == []
 
-    def test_workers_run_the_replications_in_order(self, monkeypatch):
-        _pooled(monkeypatch)
-        got = H._each_rep(lambda r: (r, os.getpid()), 5, 1)
-        assert [r for r, _ in got] == list(range(5))
-        assert os.getpid() not in {pid for _, pid in got}
-
-    def test_serial_below_threshold_or_on_one_cpu(self, monkeypatch):
-        def rep_pids(reps, n):
-            return set(H._each_rep(lambda r: os.getpid(), reps, n))
-
-        _cpus(monkeypatch, 2)
-        assert rep_pids(2, H._POOL_MIN_POINTS // 2 - 1) == {os.getpid()}
-        assert os.getpid() not in rep_pids(2, H._POOL_MIN_POINTS // 2)
-        assert rep_pids(1, H._POOL_MIN_POINTS) == {os.getpid()}
-        _cpus(monkeypatch, 1)
-        assert rep_pids(4, H._POOL_MIN_POINTS) == {os.getpid()}
-
-    def test_lowest_failing_replication_raises(self, monkeypatch):
-        # replication 2 fails first in time; a serial run would raise at 1
-        def fn(r):
-            if r == 1:
-                time.sleep(0.2)
-            if r >= 1:
-                raise ValueError(f"replication {r}")
-            return r
-
-        _pooled(monkeypatch)
-        with pytest.raises(ValueError, match="^replication 1$"):
-            H._each_rep(fn, 4, 1)
-        assert multiprocessing.active_children() == []
-
-    def test_worker_error_is_the_serial_error(self, plan_1k, monkeypatch):
-        _pooled(monkeypatch)
+    def test_worker_error_is_the_serial_error(self, plan_1k, cpus):
+        cpus(2)
         with pytest.raises(CorruptDensityError) as pooled:
             H.run_coverage(_corrupt_peak(), plan_1k, 0.1, 3, 21)
-        _cpus(monkeypatch, 1)
+        cpus(1)
         with pytest.raises(CorruptDensityError) as serial:
             H.run_coverage(_corrupt_peak(), plan_1k, 0.1, 3, 21)
         assert type(pooled.value) is type(serial.value)
         assert str(pooled.value) == str(serial.value)
         assert multiprocessing.active_children() == []
 
-    def test_worker_error_through_the_cli(self, monkeypatch, capsys):
+    def test_worker_error_through_the_cli(self, monkeypatch, capsys, cpus):
         monkeypatch.setattr(zoo, "density_from_name", lambda name: _corrupt_peak())
         argv = ["simulate", "coverage", "--density", "peak", "--n", "2048", "--reps", "3", "--seed", "21"]
-        _pooled(monkeypatch)
+        cpus(2)
         pooled = main(argv), capsys.readouterr().err
-        _cpus(monkeypatch, 1)
+        cpus(1)
         serial = main(argv), capsys.readouterr().err
         assert pooled == serial
         assert pooled[0] == 2 and "exceeds its sup bound" in pooled[1]
         assert multiprocessing.active_children() == []
 
-    def test_daemonic_caller_runs_serially(self, plan_1k, monkeypatch):
+    def test_daemonic_caller_runs_serially(self, plan_1k, cpus):
         # a daemonic process may not start a pool; the run must not fail there
-        _pooled(monkeypatch)
+        cpus(2)
         ctx = multiprocessing.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
 
@@ -355,7 +313,7 @@ class TestReplicationPool:
         got = recv.recv()
         proc.join(60)
         assert not proc.is_alive()
-        _cpus(monkeypatch, 1)
+        cpus(1)
         assert got == H.run_coverage(make_peak_triangular(), plan_1k, 0.1, 3, 21).to_csv_text()
 
 

@@ -13,10 +13,10 @@ from locband.calibration import PlanParams, derive_plan, plan_from_text, plan_to
 from locband.cli import main
 
 
-def _band_input(path):
-    # 4096 means of two uniforms (a tent on [0,1]) from numpy's own stream,
+def _band_input(path, n):
+    # n means of two uniforms (a tent on [0,1]) from numpy's own stream,
     # so that the input does not depend on locband's sampler
-    u = np.random.default_rng(20240601).random((2, 4096))
+    u = np.random.default_rng(20240601).random((2, n))
     path.write_text("".join(f"{x!r}\n" for x in u.mean(axis=0).tolist()))
     return str(path)
 
@@ -27,6 +27,14 @@ PINNED = {
         ("band", "--input", "{input}", "--alpha", "0.1"),
         "22a6103842eddd2361a34834c81a4620dcebcfb4d956beddef45a3f23260b7d4",
         "88bcae28aec7f062e9a115e724cd7906883fd3f1c7745498934997f92c7cafb3",
+    ),
+    # above the pool minimum wherever more than one CPU is usable: the input
+    # is parsed, the mesh (136,624 points) selected and the CSV formatted on
+    # workers, where the 4096-point run above stays serial
+    "band-128k": (
+        ("band", "--input", "{input}", "--alpha", "0.1"),
+        "0bade9fbbf7adc66fa4d3c343b95e2a8375448b92d14c040f74d4977c20cf0c6",
+        "77e161eaf96e8823d7d23f075f19d509f8a9e0ebce2ca46b81ff133d6cbdb0a2",
     ),
     "coverage": (
         ("simulate", "coverage", "--density", "peak", "--n", "2048", "--reps", "2", "--seed", "11"),
@@ -77,6 +85,12 @@ PINNED = {
         "7c25fd97a9239a84d7f12ec9d4be699380be4a7d81c6df83ec92593654dd5a55",
         "fa837d2be8a2c7e979759cf7349c1a43003a20dddb11b3ade83d365a6d8af634",
     ),
+    # a mesh of 85,671 points, selected and written on workers where they run
+    "curves-64k": (
+        ("curves", "--density", "peak", "--n", "65536"),
+        "36df5d0eae099cd0ade6aa079945de70fa7f3f519b95a6da7c525318d8eb6254",
+        "2d0c2c97974d03d5158d4f5d0cc7f62f3f40aa4b2453d8b4aa61edf5cbf28ab1",
+    ),
     # the only run here on a perturbed density: its truth column pins the pdf
     # of the bump pair at every mesh point
     "curves-perturbed": (
@@ -94,6 +108,8 @@ PINNED = {
 
 
 # every run above plus one that derives no plan and whose report has params
+# the points of each run that reads an input file
+INPUT_SIZES = {"band": 4096, "band-128k": 1 << 17}
 RUNS = {name: argv for name, (argv, _, _) in PINNED.items()} | {"verify-a2": ("verify", "--suite", "a2")}
 PLAN_RUNS = sorted(set(PINNED) - {"gumbel"})
 
@@ -106,7 +122,7 @@ def outputs(tmp_path_factory):
     def get(name):
         if name not in done:
             tmp = tmp_path_factory.mktemp(name)
-            data = _band_input(tmp / "data.txt") if name == "band" else None
+            data = _band_input(tmp / "data.txt", INPUT_SIZES[name]) if name in INPUT_SIZES else None
             out = tmp / "out.csv"
             assert main([a.format(input=data) for a in RUNS[name]] + ["--out", str(out)]) == 0
             done[name] = (out.read_bytes(), (tmp / "out.csv.meta").read_bytes())

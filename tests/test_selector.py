@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 from dataclasses import replace
 
 import numpy as np
@@ -346,6 +347,77 @@ class TestGrowingTable:
             for lo, hi in ((t.idx_lo - 1, t.idx_hi), (t.idx_lo, t.idx_hi + 1), (t.idx_lo + 1, t.idx_hi)):
                 with pytest.raises(OffMeshError, match="cannot widen"):
                     t.widened(lo, hi)
+
+
+@st.composite
+def _runs(draw):
+    """(split, plan, cuts): n from 4 to 2^13, data mostly outside [0,1], with
+    heavy ties, or from the peak, and the mesh 0..N cut into contiguous runs
+    lo..hi - 1 for consecutive cuts lo < hi, runs of one point among them."""
+    n = draw(st.one_of(st.sampled_from([4, 256]), st.integers(4, 2 ** 13)), label="n")
+    plan = derive_plan(PlanParams(n=n), make_rectangular())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    data = draw(st.sampled_from([
+        lambda: sample(make_peak_triangular(), n, int(rng.integers(0, 2 ** 32))),
+        lambda: np.where(rng.random(n) < 0.9, rng.normal(3.0, 2.0, n), rng.random(n)),
+        lambda: rng.choice(np.array([0.1, 0.25, 0.5, 0.51, 0.9]), n),
+        lambda: np.round(rng.random(n), 2),
+    ]), label="data")()
+    N = plan.mesh_count
+    k = draw(st.integers(0, N), label="k")
+    inner = draw(st.lists(st.integers(1, N), max_size=6), label="cuts")
+    return split_sample(data), plan, sorted({0, k, k + 1, N + 1, *inner})
+
+
+class TestRunWiseFit:
+    @given(_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_join_into_the_whole_profile(self, case):
+        # a point's exponent depends only on its ball, never on its run
+        split, plan, cuts = case
+        runs = [fit_profile(split, plan, lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])]
+        assert np.concatenate(runs).tolist() == fit_profile(split, plan).tolist()
+
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_pooled_fit_is_the_serial_fit(self, plan_16k, cpus, count):
+        split = split_sample(sample(make_peak_triangular(), plan_16k.n, seed=5))
+        cpus(count)
+        pooled = fit_profile(split, plan_16k)
+        cpus(1)
+        serial = fit_profile(split, plan_16k)
+        assert pooled.dtype == serial.dtype and pooled.tolist() == serial.tolist()
+
+    def test_one_table_unless_pooled(self, plan_1k, cpus, monkeypatch):
+        # a fit on one CPU, or in a daemonic process, stays one run and so
+        # builds one table; a pooled fit builds one per run, on the workers
+        ctx = multiprocessing.get_context("fork")
+        tables = ctx.Value("i", 0)
+        build = selector.build_kde_table
+
+        def counted(*args):
+            with tables.get_lock():
+                tables.value += 1
+            return build(*args)
+
+        monkeypatch.setattr(selector, "build_kde_table", counted)
+        split = split_sample(sample(make_peak_triangular(), plan_1k.n, seed=6))
+
+        def tables_built(fit):
+            tables.value = 0
+            fit()
+            return tables.value
+
+        def in_daemon():
+            proc = ctx.Process(target=lambda: fit_profile(split, plan_1k), daemon=True)
+            proc.start()
+            proc.join(60)
+            assert proc.exitcode == 0
+
+        cpus(1)
+        assert tables_built(lambda: fit_profile(split, plan_1k)) == 1
+        cpus(2)
+        assert tables_built(lambda: fit_profile(split, plan_1k)) == 2
+        assert tables_built(in_daemon) == 1
 
 
 class TestTheoreticalWindow:
