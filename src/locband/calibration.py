@@ -28,6 +28,22 @@ DEFAULT_C2 = 0.65
 
 THEORY_MIN_N_HINT = "theory-mode constants degenerate below n ~ 1e10"
 
+MODES = ("theory", "practical")
+
+
+def checked_mode(mode: str) -> str:
+    """mode, if it is one of MODES."""
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
+    return mode
+
+
+def checked_alpha(alpha: float) -> float:
+    """alpha, if it lies in (0,1)."""
+    if not (0.0 < alpha < 1.0):
+        raise InvalidProbabilityError(f"alpha must lie in (0,1), got {alpha!r}")
+    return alpha
+
 
 @dataclass(frozen=True)
 class PlanParams:
@@ -52,8 +68,7 @@ class PlanParams:
             raise InvalidExponentError(
                 f"beta_star_low must lie in (0,1), got {self.beta_star_low!r}"
             )
-        if self.mode not in ("theory", "practical"):
-            raise ValueError(f"mode must be 'theory' or 'practical', got {self.mode!r}")
+        checked_mode(self.mode)
 
 
 @dataclass(frozen=True)
@@ -201,10 +216,8 @@ def optimal_bandwidth(plan: CalibrationPlan, beta: float) -> float:
 
 def band_halfwidth_quantile(plan: CalibrationPlan, alpha: float) -> float:
     """q_n(alpha) = sqrt(L*) q_{1-alpha/2} / a_n + b_n; the one place alpha
-    enters the band, so the one place it is checked."""
-    if not (0.0 < alpha < 1.0):
-        raise InvalidProbabilityError(f"alpha must lie in (0,1), got {alpha!r}")
-    q = gumbel_quantile(1.0 - alpha / 2.0)
+    enters the band, so the one place a run checks it."""
+    q = gumbel_quantile(1.0 - checked_alpha(alpha) / 2.0)
     return math.sqrt(plan.L_star) * q / plan.a_n + plan.b_n
 
 

@@ -20,9 +20,12 @@ from . import harness
 from .band import fit_band, reference_global_band, write_band_csv
 from .calibration import (
     DEFAULT_C2,
+    MODES,
     CalibrationPlan,
     PlanParams,
     band_halfwidth_quantile,
+    checked_alpha,
+    checked_mode,
     derive_plan,
     plan_to_text,
     read_key_values,
@@ -49,29 +52,24 @@ _SETTINGS = {
     "out": (str, None, "output CSV path (stdout when omitted)"),
     "suite": (str, None, "verification suite filter"),
 }
-_MODES = ("theory", "practical")
-
-# The settings whose parsed value can still be out of range, as (test, what
-# the value must be).  A flag is checked where its value is read; a --config
-# file is checked whole, line by line as it is read, so that the message
-# names the file and the line.
-_RANGES = {
-    "alpha": (lambda v: 0.0 < v < 1.0, "alpha must lie in (0,1)"),
-    "reps": (lambda v: v >= 1, "reps must be >= 1"),
-    "mode": (lambda v: v in _MODES, "mode must be 'theory' or 'practical'"),
-}
 
 
-def _checked(key: str, value):
-    """value, unless it lies outside the range _RANGES gives key."""
-    test, rule = _RANGES.get(key, (None, None))
-    if test is not None and not test(value):
-        raise InvalidConfigurationError(f"{rule}, got {value!r}")
-    return value
+def _checked_reps(reps: int) -> int:
+    """reps, if it is at least 1."""
+    if reps < 1:
+        raise InvalidConfigurationError(f"reps must be >= 1, got {reps!r}")
+    return reps
+
+
+# The check each setting's parsed value must still pass; calibration owns
+# the rules for alpha and mode.  A flag is checked where its value is read
+# (--mode by argparse's choices); a --config file is checked whole, line by
+# line as it is read, so that the message names the file and the line.
+_CHECKS = {"alpha": checked_alpha, "reps": _checked_reps, "mode": checked_mode}
 
 
 def _read_config(path: str) -> dict:
-    parsers = {key: lambda v, key=key, parse=parse: _checked(key, parse(v))
+    parsers = {key: lambda v, parse=parse, check=_CHECKS.get(key, lambda x: x): check(parse(v))
                for key, (parse, _, _) in _SETTINGS.items()}
     with open(path, "r", encoding="utf-8") as fh:
         return read_key_values(fh, parsers, "config key", f"{path}:")
@@ -182,7 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if kind not in _SIMULATE_KINDS:
         print(f"simulate: unknown kind {kind!r} ({'|'.join(_SIMULATE_KINDS)})", file=sys.stderr)
         return 2
-    _checked("reps", cfg["reps"])
+    _checked_reps(cfg["reps"])
     plan = None
     if kind == "gumbel":
         # the comparison process needs only the cell count and the kernel
@@ -262,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
         for key, (parse, _, text) in _SETTINGS.items():
-            p.add_argument(f"--{key}", type=parse, help=text, choices=_MODES if key == "mode" else None)
+            p.add_argument(f"--{key}", type=parse, help=text, choices=MODES if key == "mode" else None)
 
     p_band = sub.add_parser("band", help="fit a confidence band to a data file")
     add_common(p_band)

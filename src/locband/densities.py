@@ -721,8 +721,7 @@ def local_exponent_oracle(density: AnalyticDensity, t: float, plan: CalibrationP
         raise OracleUnavailableError(
             f"no closed-form local exponent for perturbed rough density {density.name}"
         )
-    kinks = np.asarray(density.kinks, dtype=float)
-    d = float(np.abs(kinks - t).min())
+    d = min(abs(k - t) for k in density.kinks)
     h_inf = optimal_bandwidth(plan, math.inf)
     if d >= h_inf:
         return math.inf

@@ -20,7 +20,7 @@ import numpy as np
 
 from .calibration import CalibrationPlan
 from .errors import InsufficientDataError, InvalidBandwidthError, InvalidExponentError, OffMeshError
-from .forked import fork_map, workers
+from .forked import cut_runs, fork_map
 from .kernels import Kernel
 
 # Lines per chunk of parse_data_file.
@@ -198,82 +198,73 @@ def build_kde_table(
 def parse_data_file(path: str) -> np.ndarray:
     """Plain text, one finite real per line; blank lines are permitted.
 
-    Lines are read in chunks; numpy converts each chunk's stripped lines
-    with float()'s grammar.  A chunk that does not convert to finite values
-    sends the whole file through _parse_lines, which names the first bad
-    line.  A regular file large enough for fork_map is cut, just after a
-    newline, into one byte range per worker, each parsed the same way on its
-    own worker; if any range fails to parse, the whole file is parsed again
-    here, so that the error is the serial parse's."""
-    if os.path.isfile(path):  # a pipe can be read only once, so it is never cut
-        cuts = _range_cuts(path)
-        if len(cuts) > 2:
-            ranges = list(zip(cuts, cuts[1:]))
-            parts = list(fork_map(lambda r: _parse_range(path, *r), ranges, cuts[-1] // _LINE_BYTES))
+    The input is read once, in chunks of lines; numpy converts each chunk's
+    stripped lines with float()'s grammar, and a chunk that does not convert
+    to finite values is checked again line by line, from memory, naming its
+    first bad line.  A regular file large enough for fork_map is cut by
+    forked.cut_runs into one byte range per worker, which each worker
+    moves to just after newlines and parses the same way; if any range
+    fails, the whole file is parsed again here, so that the error is the
+    serial parse's.  A pipe or FIFO is read once, serially."""
+    if os.path.isfile(path):
+        size = os.path.getsize(path)
+        ranges = cut_runs(size, size // _LINE_BYTES)
+        if len(ranges) > 1:
+            parts = list(fork_map(lambda r: _parse_range(path, *r), ranges, size // _LINE_BYTES))
             if all(part is not None for part in parts):
                 return np.concatenate(parts)
     with open(path, "r", encoding="utf-8") as fh:
-        values = _parse_chunks(fh)
-    return _parse_lines(path) if values is None else values
-
-
-def _range_cuts(path: str) -> list[int]:
-    """Offsets 0 < ... < size that cut the file into at most one byte range
-    per fork_map worker, each cut just after a newline."""
-    with open(path, "rb") as raw:
-        size = os.fstat(raw.fileno()).st_size
-        count = workers(size // _LINE_BYTES)
-        cuts = [0]
-        for i in range(1, count):
-            raw.seek(max(size * i // count, cuts[-1]))
-            while block := raw.read(1 << 12):
-                if (eol := block.find(b"\n")) >= 0:
-                    cuts.append(raw.tell() - len(block) + eol + 1)
-                    break
-    return cuts if cuts[-1] == size else cuts + [size]
+        return _parse_chunks(fh)
 
 
 def _parse_range(path: str, lo: int, hi: int) -> Optional[np.ndarray]:
-    """The values on bytes lo..hi - 1 of the file, or None if they do not
-    parse."""
+    """The values between the cuts lo and hi of the file, each moved to just
+    after the first newline at or after it (0 stays 0), or None if they do
+    not parse."""
     with open(path, "rb") as raw:
-        raw.seek(lo)
-        data = raw.read(hi - lo)
+        ends = []
+        for cut in (lo, hi):
+            raw.seek(cut)
+            if cut:
+                raw.readline()
+            ends.append(raw.tell())
+        raw.seek(ends[0])
+        data = raw.read(ends[1] - ends[0])
     try:
         return _parse_chunks(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    except UnicodeDecodeError:
+    except ValueError:  # a bad line, or bytes that are not UTF-8
         return None
 
 
-def _parse_chunks(fh) -> Optional[np.ndarray]:
-    """The values of the text file fh, converted PARSE_CHUNK lines at a time,
-    or None at the first chunk that does not convert to finite values."""
-    parts = []
+def _parse_chunks(fh) -> np.ndarray:
+    """The values of the text file fh, converted PARSE_CHUNK lines at a time;
+    a chunk that does not convert to finite values goes to _parse_lines."""
+    parts, first = [], 1
     while raw := list(islice(fh, PARSE_CHUNK)):
-        lines = [line for line in map(str.strip, raw) if line]
         try:
-            values = np.array(lines, dtype=float)
+            values = np.array([line for line in map(str.strip, raw) if line], dtype=float)
         except ValueError:
-            return None
+            values = _parse_lines(raw, first)
         if not np.isfinite(values).all():
-            return None
+            values = _parse_lines(raw, first)
         parts.append(values)
+        first += len(raw)
     return np.concatenate(parts) if parts else np.empty(0)
 
 
-def _parse_lines(path: str) -> np.ndarray:
-    """parse_data_file one line at a time, raising on the first bad line."""
+def _parse_lines(lines: list[str], first: int) -> np.ndarray:
+    """The values of `lines`, numbered from `first`, converted one line at a
+    time, raising on the first bad line."""
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                x = float(line)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: not a real number: {raw!r}") from exc
-            if not math.isfinite(x):
-                raise ValueError(f"line {lineno}: non-finite entry {raw!r}")
-            values.append(x)
+    for lineno, raw in enumerate(lines, start=first):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            x = float(line)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: not a real number: {raw!r}") from exc
+        if not math.isfinite(x):
+            raise ValueError(f"line {lineno}: non-finite entry {raw!r}")
+        values.append(x)
     return np.asarray(values, dtype=float)

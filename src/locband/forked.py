@@ -1,5 +1,6 @@
 """One forked worker per usable CPU, for work split into independent items.
 
+cut_runs(total, size) cuts work into one contiguous run per worker, and
 fork_map(fn, items, size) yields fn(item) for each item, in item order.  The
 workers are forked, so fn, with everything it captures, is inherited rather
 than pickled; only the items and the results travel between processes.  At
@@ -37,26 +38,27 @@ def _run_worker_fn(item):
     return _worker_fn(item)
 
 
-def workers(size: int) -> int:
-    """How many workers fork_map spreads work of `size` points over: one per
-    usable CPU, or 1 where it runs serially."""
-    count = len(os.sched_getaffinity(0))
-    if size < _POOL_MIN_POINTS or count < 2:
-        return 1
-    import multiprocessing  # not imported by the runs that never get here
+def cut_runs(total: int, size: int) -> list[tuple[int, int]]:
+    """Even, contiguous, half-open runs (lo, hi) that cut `total` units of
+    work of `size` points: one per usable CPU and at most one per unit, or
+    the single run (0, total) where the work runs serially."""
+    count = max(1, min(total, len(os.sched_getaffinity(0)) if size >= _POOL_MIN_POINTS else 1))
+    if count > 1:
+        import multiprocessing  # not imported by the runs that never get here
 
-    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
-        return 1
-    return count
+        if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+            count = 1
+    return [(total * i // count, total * (i + 1) // count) for i in range(count)]
 
 
 def fork_map(fn: Callable[[T], R], items: Sequence[T], size: int) -> Iterator[R]:
-    """fn(item) for each item, in order, on workers(size) forked workers.
+    """fn(item) for each item, in order, on one forked worker per run that
+    cut_runs(len(items), size) makes.
 
     An item that raises re-raises its exception here, the lowest-numbered one
     first as in a serial run.  The pool is closed and joined once the last
     result is taken, and terminated if the caller stops early."""
-    count = 1 if len(items) < 2 else min(len(items), workers(size))
+    count = len(cut_runs(len(items), size))
     if count < 2:
         for item in items:
             yield fn(item)

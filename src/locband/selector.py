@@ -31,7 +31,7 @@ from .calibration import CalibrationPlan, optimal_bandwidth
 from .densities import AnalyticDensity, local_exponent_oracle
 from .errors import OffMeshError
 from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table
-from .forked import fork_map, workers
+from .forked import cut_runs, fork_map
 
 
 def pair_ratio(table: KdeTable, plan: CalibrationPlan, m: int, mp: int, cols: slice = slice(None)) -> np.ndarray:
@@ -120,18 +120,14 @@ def fit_profile(split: SplitSample, plan: CalibrationPlan, k_lo: int = 0, k_hi: 
     (the whole mesh 0..mesh_count by default), from the second half of the
     split; the table starts at the ball of the first exponent yielded.
 
-    A whole-mesh fit that fork_map would spread over several workers selects
-    one contiguous run per worker, each from its own table: a point's
-    exponent depends only on its ball, so the runs' profiles join into the
-    whole mesh's.  A fit on one worker stays one run."""
+    A whole-mesh fit selects the runs forked.cut_runs gives the mesh
+    through fork_map, each from its own table: a point's exponent depends
+    only on its ball, so the runs' profiles join into the whole mesh's.  A
+    fit on one worker is one run."""
     if k_hi is None:
         points = plan.mesh_count + 1
-        count = workers(points)
-        if count > 1:
-            cuts = [points * i // count for i in range(count + 1)]
-            runs = [(lo, hi - 1) for lo, hi in zip(cuts, cuts[1:])]
-            return np.concatenate(list(fork_map(lambda run: fit_profile(split, plan, *run), runs, points)))
-        k_hi = plan.mesh_count
+        profiles = list(fork_map(lambda r: fit_profile(split, plan, r[0], r[1] - 1), cut_runs(points, points), points))
+        return profiles[0] if len(profiles) == 1 else np.concatenate(profiles)  # one run is not copied
     return select_at(build_kde_table(split, plan, k_lo, k_hi, plan.j_max - 4), plan, k_lo, k_hi)
 
 

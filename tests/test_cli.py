@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -110,6 +111,47 @@ class TestBandCommand:
         bad = tmp_path / "bad.txt"
         bad.write_text("1.0\noops\n")
         assert run_cli("band", "--input", str(bad)) == 2
+
+    # a pipe's bad line is named from the one read of it: reading it again
+    # would block on a FIFO and find an anonymous pipe empty
+    PIPE_DATA = b"0.5\nx\n"
+    PIPE_ERR = b"band: cannot read input: line 2: not a real number: 'x\\n'\n"
+
+    @staticmethod
+    def _band_child(path, **kwargs):
+        env = {**os.environ, "PYTHONPATH": str(Path(locband.__file__).resolve().parent.parent)}
+        return subprocess.run([sys.executable, "-m", "locband.cli", "band", "--input", path],
+                              env=env, capture_output=True, timeout=30, **kwargs)
+
+    def test_bad_line_in_fifo_exit_2(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as fh:
+                fh.write(self.PIPE_DATA)
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            done = self._band_child(str(fifo))
+        finally:
+            # lets through a writer still waiting for a reader
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join(30)
+            os.close(reader)
+        assert not writer.is_alive()
+        assert (done.returncode, done.stderr) == (2, self.PIPE_ERR)
+
+    def test_bad_line_in_anonymous_pipe_exit_2(self):
+        r, w = os.pipe()
+        os.write(w, self.PIPE_DATA)
+        os.close(w)
+        try:
+            done = self._band_child(f"/dev/fd/{r}", pass_fds=(r,))
+        finally:
+            os.close(r)
+        assert (done.returncode, done.stderr) == (2, self.PIPE_ERR)
 
     def test_theory_mode_degenerate_exit_3(self, data_file):
         assert run_cli("band", "--input", data_file, "--mode", "theory") == 3

@@ -310,7 +310,8 @@ class TestParseEquivalence:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("".join(line.replace("\n", eol) + eol for line in lines))
         try:
-            want = _parse_lines(str(path))
+            with open(path, "r", encoding="utf-8") as fh:
+                want = _parse_lines(list(fh), 1)
         except ValueError as exc:
             want = exc
         with mock.patch.object(estimator, "PARSE_CHUNK", chunk):
@@ -348,24 +349,18 @@ class TestPooledParse:
     """A file cut into byte ranges, one per worker, parses to the serial
     array bit for bit, or raises the serial error."""
 
-    @pytest.mark.parametrize("data, ranges", [
-        pytest.param(b"0.5\r\n-1.25\r\n\r\n3e-2\r\n" * 40, 2, id="crlf"),
-        pytest.param(b"0.5\r1.5\r\r-2\n" * 40, 2, id="bare-cr"),
-        pytest.param(b"\n\n0.5\n \n\t\n1.5\n\x0c\n" * 40, 2, id="blank-lines"),
-        pytest.param(b"0.5\n" * 99 + b"2.5", 2, id="no-trailing-newline"),
-        pytest.param(b"1\r\n" * 4, 2, id="cut-after-crlf"),
-        pytest.param(b"0.5\n", 1, id="fewer-lines-than-workers"),
-        pytest.param(b"", 0, id="empty"),
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"0.5\r\n-1.25\r\n\r\n3e-2\r\n" * 40, id="crlf"),
+        pytest.param(b"0.5\r1.5\r\r-2\n" * 40, id="bare-cr"),
+        pytest.param(b"\n\n0.5\n \n\t\n1.5\n\x0c\n" * 40, id="blank-lines"),
+        pytest.param(b"0.5\n" * 99 + b"2.5", id="no-trailing-newline"),
+        pytest.param(b"1\r\n" * 4, id="cut-after-crlf"),
+        pytest.param(b"0.5\n", id="fewer-lines-than-workers"),
+        pytest.param(b"", id="empty"),
     ])
-    def test_matches_serial(self, tmp_path, cpus, data, ranges):
+    def test_matches_serial(self, tmp_path, cpus, data):
         path = tmp_path / "data.txt"
         path.write_bytes(data)
-        cpus(2)
-        cuts = estimator._range_cuts(str(path))
-        assert len(cuts) - 1 == ranges
-        assert all(data[cut - 1:cut] == b"\n" for cut in cuts[1:-1])
-        if data.startswith(b"1\r\n"):
-            assert data[cuts[1] - 2:cuts[1]] == b"\r\n"
         _assert_same_parse(*_parse_pooled_and_serial(path, cpus))
 
     @settings(max_examples=60, deadline=None)
@@ -392,7 +387,7 @@ class TestPooledParse:
         path = tmp_path / "late.txt"
         path.write_text("0.25\n" * 799 + "x\n" + "0.5\n" * 200)
         cpus(2)
-        assert estimator._range_cuts(str(path))[1] < 799 * 5
+        assert forked.cut_runs(path.stat().st_size, 0)[1][0] < 799 * 5
         with pytest.raises(ValueError, match="^line 800: not a real number: 'x\\\\n'$"):
             parse_data_file(str(path))
 
@@ -406,7 +401,7 @@ class TestPooledParse:
         path = tmp_path / "pipe"
         os.mkfifo(path)
         cpus(2)
-        monkeypatch.setattr(estimator, "_range_cuts", lambda path: pytest.fail("a pipe was cut"))
+        monkeypatch.setattr(estimator, "cut_runs", lambda *args: pytest.fail("a pipe was cut"))
 
         def write():
             with open(path, "wb") as fh:

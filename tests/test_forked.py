@@ -1,5 +1,5 @@
 """fork_map, the one worker pool: replications, input ranges, mesh runs and
-CSV chunks all go through it."""
+CSV chunks all go through it; cut_runs cuts work into one run per worker."""
 
 import multiprocessing
 import os
@@ -8,7 +8,7 @@ import time
 import pytest
 
 from locband import forked
-from locband.forked import fork_map, workers
+from locband.forked import cut_runs, fork_map
 
 
 class TestForkMap:
@@ -25,11 +25,18 @@ class TestForkMap:
 
         monkeypatch.setattr(forked.os, "sched_getaffinity", lambda pid: {0, 1})
         minimum = forked._POOL_MIN_POINTS
-        assert pids(2, minimum - 1) == {os.getpid()} and workers(minimum - 1) == 1
-        assert os.getpid() not in pids(2, minimum) and workers(minimum) == 2
-        assert pids(1, minimum) == {os.getpid()}
+        assert pids(2, minimum - 1) == {os.getpid()} and cut_runs(minimum - 1, minimum - 1) == [(0, minimum - 1)]
+        half = minimum // 2
+        assert os.getpid() not in pids(2, minimum) and cut_runs(minimum, minimum) == [(0, half), (half, minimum)]
+        assert pids(1, minimum) == {os.getpid()} and cut_runs(1, minimum) == [(0, 1)]
         monkeypatch.setattr(forked.os, "sched_getaffinity", lambda pid: {0})
-        assert pids(4, minimum) == {os.getpid()} and workers(minimum) == 1
+        assert pids(4, minimum) == {os.getpid()} and cut_runs(minimum, minimum) == [(0, minimum)]
+
+    def test_runs_are_even_contiguous_and_never_empty(self, cpus):
+        cpus(3)
+        assert cut_runs(10, 10) == [(0, 3), (3, 6), (6, 10)]
+        assert cut_runs(2, 10) == [(0, 1), (1, 2)]
+        assert cut_runs(0, 10) == [(0, 0)]
 
     def test_lowest_failing_item_raises(self, cpus):
         # item 2 fails first in time; a serial run would raise at 1
@@ -53,17 +60,17 @@ class TestForkMap:
 
         def child():
             try:
-                send.send((os.getpid(), workers(1), list(fork_map(lambda i: (i, os.getpid()), range(3), 3))))
+                send.send((os.getpid(), cut_runs(3, 3), list(fork_map(lambda i: (i, os.getpid()), range(3), 3))))
             except BaseException as exc:
                 send.send(repr(exc))
 
         proc = ctx.Process(target=child, daemon=True)
         proc.start()
         assert recv.poll(60)
-        pid, count, got = recv.recv()
+        pid, runs, got = recv.recv()
         proc.join(60)
         assert not proc.is_alive()
-        assert count == 1 and got == [(0, pid), (1, pid), (2, pid)]
+        assert runs == [(0, 3)] and got == [(0, pid), (1, pid), (2, pid)]
 
     def test_caller_that_stops_early_leaves_no_children(self, cpus):
         cpus(2)
