@@ -45,6 +45,13 @@ def checked_alpha(alpha: float) -> float:
     return alpha
 
 
+def checked_positive(name: str, value: float) -> float:
+    """value, if it is positive and finite; name is the setting it gives."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class PlanParams:
     """User-facing knobs; everything else on a plan is derived from these."""
@@ -69,6 +76,8 @@ class PlanParams:
                 f"beta_star_low must lie in (0,1), got {self.beta_star_low!r}"
             )
         checked_mode(self.mode)
+        checked_positive("c2", self.c2)
+        checked_positive("L_star", self.L_star)
 
 
 @dataclass(frozen=True)

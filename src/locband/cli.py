@@ -26,6 +26,7 @@ from .calibration import (
     band_halfwidth_quantile,
     checked_alpha,
     checked_mode,
+    checked_positive,
     derive_plan,
     plan_to_text,
     read_key_values,
@@ -54,18 +55,22 @@ _SETTINGS = {
 }
 
 
-def _checked_reps(reps: int) -> int:
-    """reps, if it is at least 1."""
-    if reps < 1:
-        raise InvalidConfigurationError(f"reps must be >= 1, got {reps!r}")
-    return reps
+def _at_least(key: str, low: int) -> Callable[[int], int]:
+    """The check that the integer setting `key` is at least `low`."""
+    def check(value: int) -> int:
+        if value < low:
+            raise InvalidConfigurationError(f"{key} must be >= {low}, got {value!r}")
+        return value
+    return check
 
 
 # The check each setting's parsed value must still pass; calibration owns
-# the rules for alpha and mode.  A flag is checked where its value is read
-# (--mode by argparse's choices); a --config file is checked whole, line by
-# line as it is read, so that the message names the file and the line.
-_CHECKS = {"alpha": checked_alpha, "reps": _checked_reps, "mode": checked_mode}
+# the rules for alpha, mode, c2 and lstar.  A flag is checked where its value
+# is read (--mode by argparse's choices, --c2 and --lstar by PlanParams), the
+# seed as it is resolved; a --config file is checked whole, line by line as
+# it is read, so that the message names the file and the line.
+_CHECKS = {"alpha": checked_alpha, "reps": _at_least("reps", 1), "seed": _at_least("seed", 0), "mode": checked_mode,
+           "c2": lambda v: checked_positive("c2", v), "lstar": lambda v: checked_positive("lstar", v)}
 
 
 def _read_config(path: str) -> dict:
@@ -82,11 +87,15 @@ def _resolve(args: argparse.Namespace) -> dict:
         cfg.update(_read_config(args.config))
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
-        cfg["seed"] = int(env_seed)
+        try:
+            cfg["seed"] = _CHECKS["seed"](int(env_seed))
+        except ValueError as exc:
+            raise InvalidConfigurationError(f"{SEED_ENV}={env_seed}: {exc}") from exc
     for key in _SETTINGS:
         v = getattr(args, key, None)
         if v is not None:
             cfg[key] = v
+    _CHECKS["seed"](cfg["seed"])
     return cfg
 
 
@@ -180,7 +189,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if kind not in _SIMULATE_KINDS:
         print(f"simulate: unknown kind {kind!r} ({'|'.join(_SIMULATE_KINDS)})", file=sys.stderr)
         return 2
-    _checked_reps(cfg["reps"])
+    _CHECKS["reps"](cfg["reps"])
     plan = None
     if kind == "gumbel":
         # the comparison process needs only the cell count and the kernel

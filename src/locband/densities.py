@@ -76,29 +76,27 @@ def _phase_iter(x: np.ndarray, depth: int):
         r = np.where(r < -2.0, r + 2.0, r)
 
 
-def _series_sum(trig, amp: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _series_sum(trig, amp: np.ndarray, x) -> np.ndarray | float:
+    """sum_k amp[k] trig(2^k pi x), a float for a scalar x."""
+    xs = np.asarray(x, dtype=float)
     flat = xs.reshape(-1)
     out = np.zeros_like(flat)
     for k, r in enumerate(_phase_iter(flat, len(amp) - 1)):
         out += amp[k] * trig(np.pi * r)
-    return out.reshape(xs.shape)
+    return float(out[0]) if np.isscalar(x) or xs.shape == () else out.reshape(xs.shape)
 
 
 def weierstrass_eval(spec: WeierstrassSpec, x) -> np.ndarray | float:
     """Truncated series value with absolute error <= spec.tol."""
-    xs = np.asarray(x, dtype=float)
     n = np.arange(spec.depth + 1, dtype=float)
-    out = _series_sum(np.cos, np.exp2(-n * spec.beta), xs)
-    return float(out) if np.isscalar(x) or xs.shape == () else out
+    return _series_sum(np.cos, np.exp2(-n * spec.beta), x)
 
 
 def weierstrass_antideriv(spec: WeierstrassSpec, x) -> np.ndarray | float:
     """Antiderivative sum_k 2^{-k beta} sin(2^k pi x) / (2^k pi) of the
     truncated series; its own tail is geometric with ratio 2^{-(beta+1)}."""
-    xs = np.asarray(x, dtype=float)
     n = np.arange(spec.depth + 1, dtype=float)
-    out = _series_sum(np.sin, np.exp2(-n * (spec.beta + 1.0)) / math.pi, xs)
-    return float(out) if np.isscalar(x) or xs.shape == () else out
+    return _series_sum(np.sin, np.exp2(-n * (spec.beta + 1.0)) / math.pi, x)
 
 
 def holder_quotient_bound(beta: float) -> float:
@@ -143,12 +141,6 @@ class Piece:
         out = np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
         for scale, center in self.wterms:
             out = out + scale * weierstrass_eval(spec, x - center)
-        return out
-
-    def antideriv(self, x: np.ndarray, spec: Optional[WeierstrassSpec]) -> np.ndarray:
-        out = np.polynomial.polynomial.polyval(x, np.polynomial.polynomial.polyint(self.coeffs))
-        for scale, center in self.wterms:
-            out = out + scale * weierstrass_antideriv(spec, x - center)
         return out
 
     def deriv_coeffs(self, k: int) -> Optional[tuple[float, ...]]:
@@ -196,10 +188,12 @@ class AnalyticDensity:
         for i, p in enumerate(self.pieces):
             poly[:len(p.coeffs), i] = p.coeffs
         object.__setattr__(self, "_poly", poly)
-        masses = [
-            float(p.antideriv(np.array([p.hi]), self.wspec)[0] - p.antideriv(np.array([p.lo]), self.wspec)[0])
-            for p in self.pieces
-        ]
+        # the antiderivative's table, its value at each piece's own start, the mass below each piece
+        prim, own = np.polynomial.polynomial.polyint(poly, axis=0), np.arange(len(self.pieces))
+        starts = self._gathered(self._edges[:-1], own, prim, weierstrass_antideriv)
+        masses = self._gathered(self._edges[1:], own, prim, weierstrass_antideriv) - starts
+        object.__setattr__(self, "_prim", prim)
+        object.__setattr__(self, "_prim_start", starts)
         object.__setattr__(self, "_cum_mass", np.concatenate([[0.0], np.cumsum(masses)]))
 
     @property
@@ -223,30 +217,15 @@ class AnalyticDensity:
         idx[~((xs >= self._edges[0]) & (xs <= self._edges[-1]))] = -1
         return idx
 
-    def _by_piece(self, xs: np.ndarray, f) -> Optional[np.ndarray]:
-        """f(i, piece, points) on the points of xs that piece i holds (see
-        _piece_index); 0 off the support; None as soon as f returns None."""
-        idx = self._piece_index(xs)
-        out = np.zeros_like(xs)
-        for i, piece in enumerate(self.pieces):
-            m = idx == i
-            if m.any():
-                v = f(i, piece, xs[m])
-                if v is None:
-                    return None
-                out[m] = v
-        return out
-
-    def pdf(self, x) -> np.ndarray | float:
-        """Piece.value of the piece that holds each point (see _piece_index),
-        0 off the support.  Each point's coefficients are gathered by its piece
-        index into one Horner pass in polyval's order, and the series terms are
-        added on the points of rough pieces alone, so every value is Piece.value's
-        bit for bit."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        idx = self._piece_index(xs)
-        out = self._poly[-1].take(idx) + xs * 0.0
-        for row in self._poly[-2::-1]:
+    def _gathered(self, xs: np.ndarray, idx: np.ndarray, table: np.ndarray, series) -> np.ndarray:
+        """At each point of xs, the closed form of the piece idx names there:
+        sum_k table[k, idx] x^k plus scale * series(wspec, x - center) per
+        series term; 0 where idx is -1.  Horner runs in polyval's order (a
+        piece's padded zero rows reduce exactly) and series terms are added
+        one at a time, so each value is the piece's own bit for bit.  table
+        is _poly (values), its polyint or its polyder."""
+        out = table[-1].take(idx) + xs * 0.0
+        for row in table[-2::-1]:
             out *= xs
             out += row.take(idx)
         for i, piece in enumerate(self.pieces):
@@ -254,18 +233,25 @@ class AnalyticDensity:
                 on = idx == i
                 pts, v = xs[on], out[on]
                 for scale, center in piece.wterms:
-                    v = v + scale * weierstrass_eval(self.wspec, pts - center)
+                    v = v + scale * series(self.wspec, pts - center)
                 out[on] = v
-        out[idx < 0] = 0.0
+        out[idx < 0] = 0.0  # take(-1) read the last piece's column
+        return out
+
+    def pdf(self, x) -> np.ndarray | float:
+        """Piece.value of the piece that holds each point (see _piece_index),
+        0 off the support, bit for bit through _gathered."""
+        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        out = self._gathered(xs, self._piece_index(xs), self._poly, weierstrass_eval)
         return float(out[0]) if np.isscalar(x) or np.asarray(x).shape == () else out
 
     def mass_below(self, x) -> np.ndarray | float:
-        """Exact integral of the density over (-inf, x]."""
-        def below(i, p, pts):
-            partial = p.antideriv(pts, self.wspec) - p.antideriv(np.array([p.lo]), self.wspec)
-            return self._cum_mass[i] + partial
-
-        out = self._by_piece(np.clip(np.atleast_1d(np.asarray(x, dtype=float)), *self.support), below)
+        """Exact integral of the density over (-inf, x]: the mass below the
+        piece that holds x, plus that piece's antiderivative from its start."""
+        xs = np.clip(np.atleast_1d(np.asarray(x, dtype=float)), *self.support)
+        idx = self._piece_index(xs)
+        partial = self._gathered(xs, idx, self._prim, weierstrass_antideriv) - self._prim_start.take(idx)
+        out = self._cum_mass.take(idx) + partial
         return float(out[0]) if np.isscalar(x) or np.asarray(x).shape == () else out
 
     def mass_between(self, a, b) -> np.ndarray | float:
@@ -617,38 +603,33 @@ def _derivative_sup(density: AnalyticDensity, k: int, window: tuple[float, float
 
 
 def _derivative_grid(density: AnalyticDensity, k: int, xs: np.ndarray) -> Optional[np.ndarray]:
-    """The k-th derivative at xs, 0 off the support; None if a piece that
-    holds a point has none."""
-    def deriv(i, p, pts):
-        if k == 0:
-            return p.value(pts, density.wspec)
-        dc = p.deriv_coeffs(k)
-        return None if dc is None else np.polynomial.polynomial.polyval(pts, np.asarray(dc))
-
-    return density._by_piece(xs, deriv)
+    """The k-th derivative at xs through the gathered pass (the pdf for
+    k = 0), 0 off the support; None if k >= 1 and a piece with series terms,
+    which has no derivative, holds a point."""
+    idx = density._piece_index(xs)
+    if k >= 1 and any(p.wterms and (idx == i).any() for i, p in enumerate(density.pieces)):
+        return None
+    return density._gathered(xs, idx, np.polynomial.polynomial.polyder(density._poly, k, axis=0), weierstrass_eval)
 
 
 def _derivative_jumps(density: AnalyticDensity, kstar: int, window: tuple[float, float]) -> bool:
     """Whether a derivative of order <= kstar jumps at a piece edge that the
     window holds with points on both of its sides (a joint belongs to the
     piece on its right, the support's right end to the last piece), read
-    from the polynomial pieces' closed forms and 0 off the support.  Edges
-    beside a series piece are left to the grid."""
+    from the gathered derivative tables on both sides of each edge, 0 off
+    the support.  Edges beside a series piece are left to the grid."""
     wlo, whi = window
-    last = len(density.pieces)
-    for i, t in enumerate(density.kinks):
-        if not (wlo <= t < whi if i == last else wlo < t <= whi):
-            continue
-        sides = [density.pieces[j] if 0 <= j < last else None for j in (i - 1, i)]
-        if any(p is not None and p.wterms for p in sides):
-            continue
-        for k in range(kstar + 1):
-            left, right = (
-                0.0 if p is None else np.polynomial.polynomial.polyval(t, np.asarray(p.deriv_coeffs(k)))
-                for p in sides
-            )
-            if abs(left - right) > 1e-12:
-                return True
+    t, last = density._edges, len(density.pieces)
+    held = np.append((wlo < t[:-1]) & (t[:-1] <= whi), wlo <= t[-1] < whi)
+    left, right = np.arange(-1, last), np.append(np.arange(last), -1)  # -1 is the side off the support
+    rough = np.array([bool(p.wterms) for p in density.pieces] + [False])  # rough[-1] is off the support
+    on = held & ~rough[left] & ~rough[right]
+    for k in range(kstar + 1):
+        table = np.polynomial.polynomial.polyder(density._poly, k, axis=0)
+        jump = density._gathered(t[on], left[on], table, weierstrass_eval)
+        jump -= density._gathered(t[on], right[on], table, weierstrass_eval)
+        if np.any(np.abs(jump) > 1e-12):
+            return True
     return False
 
 

@@ -31,6 +31,10 @@ from locband.errors import (
     ("epsilon", 0.0, ValueError, "epsilon must lie in (0,1), got 0.0"),
     ("beta_star_low", 1.0, InvalidExponentError, "beta_star_low must lie in (0,1), got 1.0"),
     ("mode", "bogus", ValueError, "mode must be 'theory' or 'practical', got 'bogus'"),
+    ("c2", math.nan, ValueError, "c2 must be positive and finite, got nan"),
+    ("c2", 0.0, ValueError, "c2 must be positive and finite, got 0.0"),
+    ("L_star", math.inf, ValueError, "L_star must be positive and finite, got inf"),
+    ("L_star", -1.0, ValueError, "L_star must be positive and finite, got -1.0"),
 ])
 def test_plan_params_out_of_range(field, value, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -304,7 +304,11 @@ class TestConfigAndEnv:
         ("mode=bogus", "mode=bogus: mode must be 'theory' or 'practical', got 'bogus'"),
         ("reps=0", "reps=0: reps must be >= 1, got 0"),
         ("alpha=1.5", "alpha=1.5: alpha must lie in (0,1), got 1.5"),
-    ], ids=["mode", "reps", "alpha"])
+        ("seed=-1", "seed=-1: seed must be >= 0, got -1"),
+        *((f"{key}={v}", f"{key}={v}: {key} must be positive and finite, got {float(v)!r}")
+          for key in ("c2", "lstar") for v in ("nan", "inf", "0", "-1")),
+    ], ids=["mode", "reps", "alpha", "seed",
+            *(f"{key}-{v}" for key in ("c2", "lstar") for v in ("nan", "inf", "0", "-1"))])
     def test_out_of_range_config_value_names_line(self, tmp_path, capsys, line, message):
         # each value converts, so only its range refuses it, at its own line
         cfg = tmp_path / "run.cfg"
@@ -329,6 +333,15 @@ class TestConfigAndEnv:
                      "--out", str(out))
         assert rc == 0
         assert "seed=5" in (tmp_path / "gum.csv.meta").read_text()
+
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "invalid literal for int() with base 10: 'abc'"),
+        ("-1", "seed must be >= 0, got -1"),
+    ], ids=["not-int", "negative"])
+    def test_bad_env_seed_names_variable(self, value, message, monkeypatch, capsys):
+        monkeypatch.setenv("LOCBAND_SEED", value)
+        assert run_cli("simulate", "coverage", "--n", "512", "--reps", "1") == 2
+        assert capsys.readouterr().err == f"simulate: LOCBAND_SEED={value}: {message}\n"
 
     def test_stdout_mode(self, data_file, tmp_path):
         # a child process, so that the bytes are those of the real stdout
@@ -375,6 +388,49 @@ def test_parser_exit_becomes_return_code(argv, code, stream, text, capsys):
 def test_reps_below_one_exit_2(kind, reps, capsys):
     assert run_cli("simulate", kind, "--n", "512", "--reps", reps) == 2
     assert capsys.readouterr().err == f"simulate: reps must be >= 1, got {reps}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("flag, name", [("--c2", "c2"), ("--lstar", "L_star")], ids=["c2", "lstar"])
+@pytest.mark.parametrize("argv", [
+    ("band", "--input", "{input}"),
+    ("simulate", "coverage", "--n", "512", "--reps", "1"),
+], ids=["band", "coverage"])
+def test_plan_constant_not_positive_and_finite_exit_2(argv, flag, name, value, data_file, tmp_path, capsys):
+    # the plan refuses it, under its own name, before any band is fitted
+    argv = [a.format(input=data_file) for a in argv]
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, flag, value, "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"{argv[0]}: {name} must be positive and finite, got {float(value)!r}\n"
+    assert not out.exists()
+
+
+def test_negative_seed_exit_2(capsys):
+    assert run_cli("simulate", "coverage", "--n", "512", "--reps", "1", "--seed", "-1") == 2
+    assert capsys.readouterr().err == "simulate: seed must be >= 0, got -1\n"
+
+
+# (setting, value) pairs that a run accepts by design, with the reason
+_ACCEPTED = {("seed", "0"): "0 is a master seed like any other"}
+_NUMERIC = [key for key, (parse, _, _) in cli._SETTINGS.items() if parse in (int, float)]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key, value", [
+    (key, value) for key in _NUMERIC for value in ("nan", "inf", "0", "-1") if (key, value) not in _ACCEPTED
+])
+def test_numeric_setting_refuses_degenerate_value(key, value, source, tmp_path, capsys):
+    # every numeric setting, including any added later, either refuses these
+    # values with a usage error or is listed in _ACCEPTED with its reason
+    out = tmp_path / "out.csv"
+    if source == "flag":
+        given = [f"--{key}", value]
+    else:
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n")
+        given = ["--config", str(tmp_path / "run.cfg")]
+    assert run_cli("simulate", "coverage", *given, "--out", str(out)) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "out.csv.meta").exists()
 
 
 @pytest.mark.parametrize("alpha", ["0", "1", "1.5"])

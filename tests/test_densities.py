@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from locband import densities as zoo
@@ -483,19 +483,68 @@ def test_sample_draws_pinned(key):
     assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[key]
 
 
-def _piece_value_oracle(density, x):
-    """The density at x from Piece.value on a one-point array: a joint belongs
-    to the piece on its right, the support's right end to the last piece."""
+def _holding_piece(density, x):
+    """The piece that holds x, a joint going to the piece on its right and
+    the support's right end to the last piece; None off the support."""
     lo, hi = density.support
-    if not lo <= x <= hi:
-        return 0.0
-    piece = [p for p in density.pieces if p.lo <= x][-1]
-    return float(piece.value(np.array([x]), density.wspec)[0])
+    return [p for p in density.pieces if p.lo <= x][-1] if lo <= x <= hi else None
+
+
+def _piece_value_oracle(density, x):
+    """The density at x from Piece.value on a one-point array."""
+    piece = _holding_piece(density, x)
+    return 0.0 if piece is None else float(piece.value(np.array([x]), density.wspec)[0])
+
+
+def _derivative_oracle(density, k, x):
+    """The k-th derivative at x from the piece's own derivative
+    coefficients (its value for k = 0); None on a piece with series terms."""
+    piece = _holding_piece(density, x)
+    if piece is None or k == 0:
+        return _piece_value_oracle(density, x)
+    dc = piece.deriv_coeffs(k)
+    return None if dc is None else float(np.polynomial.polynomial.polyval(np.array([x]), np.asarray(dc))[0])
+
+
+def _mass_oracle(density, x):
+    """The mass below x in closed form: with x clipped to the support, the
+    antiderivative of its piece (polyint of the polynomial plus the series'
+    own) at x minus its value at the piece's start, plus the mass of every
+    piece before it."""
+    def prim(p, t):
+        t = np.array([t])
+        out = np.polynomial.polynomial.polyval(t, np.polynomial.polynomial.polyint(p.coeffs))
+        for scale, center in p.wterms:
+            out = out + scale * zoo.weierstrass_antideriv(density.wspec, t - center)
+        return float(out[0])
+
+    x = min(max(x, density.support[0]), density.support[1])
+    piece = _holding_piece(density, x)
+    before = 0.0
+    for p in density.pieces[:density.pieces.index(piece)]:
+        before += prim(p, p.hi) - prim(p, p.lo)
+    return before + (prim(piece, x) - prim(piece, piece.lo))
+
+
+@st.composite
+def _random_densities(draw):
+    """One to four adjoining pieces, each a polynomial of degree 0 to 3 (so
+    that a piece of low degree reads padded zero rows of the coefficient
+    table) plus up to two series terms; not a probability density."""
+    edges = sorted(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=5, unique=True)))
+    coef = st.floats(-10.0, 10.0)
+    pieces = tuple(
+        Piece(lo, hi, tuple(draw(st.lists(coef, min_size=1, max_size=4))),
+              tuple(draw(st.lists(st.tuples(coef, st.floats(-1.0, 1.0)), max_size=2))))
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
+    spec = WeierstrassSpec(draw(st.floats(0.3, 1.0)), draw(st.sampled_from([1e-12, 1e-3])))
+    return AnalyticDensity("random", pieces, sup_bound=1.0, wspec=spec)
 
 
 @st.composite
 def _pdf_points(draw):
-    density = draw(st.sampled_from(ZOO + [harness.weierstrass_function(0.5)]))
+    density = draw(st.sampled_from(ZOO + [harness.weierstrass_function(0.5)]) | _random_densities())
     lo, hi = density.support
     edge = st.sampled_from(density.kinks)
     near = st.builds(lambda e, s: float(np.nextafter(e, e + s)), edge, st.sampled_from([-math.inf, math.inf]))
@@ -514,6 +563,71 @@ def test_pdf_is_piece_value(case):
     want = np.array([_piece_value_oracle(density, x) for x in xs])
     assert got.tobytes() == want.tobytes()
     assert [density.pdf(x) for x in xs] == want.tolist()
+
+
+@given(_pdf_points())
+@example((AnalyticDensity("negative-constant", (Piece(-2.0, -1.0, (-1.0,)), Piece(-1.0, 0.0, (1.0, 2.0, 3.0))),
+                          sup_bound=1.0), [-1.5, -1.0]))
+@settings(max_examples=150, deadline=None)
+def test_derivatives_and_masses_are_piece_closed_forms(case):
+    # the gathered pass gives each piece's own derivative and mass, bit for
+    # bit, at joints, support ends and off the support
+    density, xs = case
+    for k in (0, 1, 2):
+        got = zoo._derivative_grid(density, k, np.array(xs))
+        want = [_derivative_oracle(density, k, x) for x in xs]
+        if None in want:
+            assert got is None
+            continue
+        want = np.array(want)
+        if k:
+            # polyder leaves a piece of degree < k the row c[0] * 0, which
+            # keeps the sign of c[0], where the table's padded rows give
+            # +0.0: adding 0.0 makes the two zeros one
+            got, want = got + 0.0, want + 0.0
+        assert got.tobytes() == want.tobytes()
+    got = density.mass_below(np.array(xs))
+    assert got.tobytes() == np.array([_mass_oracle(density, x) for x in xs]).tobytes()
+
+
+def _jumps_oracle(density, kstar, window):
+    """_derivative_jumps edge by edge: both sides' derivatives from the
+    pieces' own coefficients, 0 off the support, edges beside a series piece
+    skipped."""
+    wlo, whi = window
+    last = len(density.pieces)
+    for i, t in enumerate(density.kinks):
+        if not (wlo <= t < whi if i == last else wlo < t <= whi):
+            continue
+        sides = [density.pieces[j] if 0 <= j < last else None for j in (i - 1, i)]
+        if any(p is not None and p.wterms for p in sides):
+            continue
+        for k in range(kstar + 1):
+            left, right = (
+                0.0 if p is None else np.polynomial.polynomial.polyval(t, np.asarray(p.deriv_coeffs(k)))
+                for p in sides
+            )
+            if abs(left - right) > 1e-12:
+                return True
+    return False
+
+
+@st.composite
+def _windows(draw):
+    density = draw(st.sampled_from(ZOO) | _random_densities())
+    lo, hi = density.support
+    end = st.sampled_from(density.kinks) | st.floats(lo - 1.0, hi + 1.0)
+    a, b = draw(end), draw(end)
+    assume(a != b)
+    return density, (min(a, b), max(a, b))
+
+
+@given(_windows(), st.integers(0, 2))
+@settings(max_examples=200, deadline=None)
+def test_derivative_jumps_match_edge_by_edge_reference(case, kstar):
+    # windows that end on an edge, beyond the support or anywhere
+    density, window = case
+    assert zoo._derivative_jumps(density, kstar, window) == _jumps_oracle(density, kstar, window)
 
 
 class TestLocalExponentOracle:
