@@ -2,8 +2,8 @@
 verification suite, and band-comparison curves, all emitting CSV.
 
 Exit codes: 0 success (simulations exit 0 regardless of pass/fail --
-results are data), 1 failed verification, 2 usage/parse errors, 3 a
-degenerate theory-mode plan.
+results are data), 1 failed verification, 2 usage/parse errors and runs
+that run out of memory, 3 a degenerate theory-mode plan.
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ def _at_least(key: str, low: int) -> Callable[[int], int]:
 # is read (--mode by argparse's choices, --c2 and --lstar by PlanParams), the
 # seed as it is resolved; a --config file is checked whole, line by line as
 # it is read, so that the message names the file and the line.
-_CHECKS = {"alpha": checked_alpha, "reps": _at_least("reps", 1), "seed": _at_least("seed", 0), "mode": checked_mode,
-           "c2": lambda v: checked_positive("c2", v), "lstar": lambda v: checked_positive("lstar", v)}
+_CHECKS = {"n": _at_least("n", 4), "alpha": checked_alpha, "reps": _at_least("reps", 1), "seed": _at_least("seed", 0),
+           "mode": checked_mode, "c2": lambda v: checked_positive("c2", v), "lstar": lambda v: checked_positive("lstar", v)}
 
 
 def _read_config(path: str) -> dict:
@@ -96,6 +96,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         if v is not None:
             cfg[key] = v
     _CHECKS["seed"](cfg["seed"])
+    args.settings = cfg  # main names the run's n if it runs out of memory
     return cfg
 
 
@@ -164,6 +165,7 @@ def _emit(write_body: Callable[[TextIO], object], meta: str, out: str | None) ->
 
 def cmd_band(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
+    cfg["n"] = None  # the input's size, once it is read
     if cfg["input"] is None:
         print("band: --input is required", file=sys.stderr)
         return 2
@@ -304,6 +306,11 @@ def main(argv=None) -> int:
         return 3
     except (LocbandError, OSError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # also one that fork_map re-raises from a worker; verify reads no n
+        n = None if args.command == "verify" else getattr(args, "settings", {}).get("n")
+        print(f"{args.command}: out of memory" + ("" if n is None else f" at n={n}"), file=sys.stderr)
         return 2
 
 

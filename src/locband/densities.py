@@ -1,12 +1,12 @@
 """Closed-form test densities: rough cosine-series members, tent and peak
-triangles, their locally flattened perturbations, plus the smoothness and
-divergence oracles the experiments check against.
+triangles, their locally flattened perturbations, plus the Hoelder-norm and
+divergence oracles the experiments check against; none reads a plan.
 
 Every density is piecewise: each piece is a polynomial plus optionally a
 lacunary cosine series sum_{k>=0} 2^{-k beta} cos(2^k pi (x - c)).  Values,
-interval masses and antiderivatives are available in closed form per piece,
-which is what makes exact convolution against piecewise-constant kernels
-possible (naive quadrature cannot resolve the series' fine scales).
+interval masses and antiderivatives come in closed form per piece from one
+evaluator, AnalyticDensity._gathered, which makes exact convolution against
+piecewise-constant kernels possible (naive quadrature cannot resolve the series).
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calibration import CalibrationPlan, optimal_bandwidth
 from .errors import (
     ConstructionOverlapError,
     CorruptDensityError,
     DivergenceInfiniteError,
     InvalidExponentError,
     InvalidToleranceError,
-    OracleUnavailableError,
     QuadratureError,
     UnboundedConstantError,
 )
@@ -137,19 +135,6 @@ class Piece:
     coeffs: tuple[float, ...] = (0.0,)
     wterms: tuple[tuple[float, float], ...] = ()
 
-    def value(self, x: np.ndarray, spec: Optional[WeierstrassSpec]) -> np.ndarray:
-        out = np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
-        for scale, center in self.wterms:
-            out = out + scale * weierstrass_eval(spec, x - center)
-        return out
-
-    def deriv_coeffs(self, k: int) -> Optional[tuple[float, ...]]:
-        """Coefficients of the k-th derivative of the polynomial part, or
-        None if the piece carries series terms (nowhere differentiable)."""
-        if self.wterms and k >= 1:
-            return None
-        return tuple(np.polynomial.polynomial.polyder(self.coeffs, k).tolist())
-
 
 @dataclass(frozen=True)
 class BudgetEntry:
@@ -222,15 +207,16 @@ class AnalyticDensity:
         sum_k table[k, idx] x^k plus scale * series(wspec, x - center) per
         series term; 0 where idx is -1.  Horner runs in polyval's order (a
         piece's padded zero rows reduce exactly) and series terms are added
-        one at a time, so each value is the piece's own bit for bit.  table
-        is _poly (values), its polyint or its polyder."""
+        one at a time, only on pieces that hold a point, so each value is
+        the piece's own closed form bit for bit.  table is _poly (values),
+        its polyint or its polyder."""
         out = table[-1].take(idx) + xs * 0.0
         for row in table[-2::-1]:
             out *= xs
             out += row.take(idx)
         for i, piece in enumerate(self.pieces):
-            if piece.wterms:
-                on = idx == i
+            if piece.wterms and (on := idx == i).any():
+                on = slice(None) if on.all() else on  # a call on one piece's points reads views
                 pts, v = xs[on], out[on]
                 for scale, center in piece.wterms:
                     v = v + scale * series(self.wspec, pts - center)
@@ -239,8 +225,8 @@ class AnalyticDensity:
         return out
 
     def pdf(self, x) -> np.ndarray | float:
-        """Piece.value of the piece that holds each point (see _piece_index),
-        0 off the support, bit for bit through _gathered."""
+        """The value of the piece that holds each point (see _piece_index),
+        0 off the support."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         out = self._gathered(xs, self._piece_index(xs), self._poly, weierstrass_eval)
         return float(out[0]) if np.isscalar(x) or np.asarray(x).shape == () else out
@@ -292,11 +278,11 @@ class AnalyticDensity:
         # sub-interval m is [xs[m], xs[m+1]]; a cut on an edge adds an empty one, which changes nothing
         xs = np.insert(edges, np.searchsorted(edges, cuts), cuts)
         lo, hi, slack = np.zeros((3, len(xs) - 1))
-        for p in self.pieces:
+        for i, p in enumerate(self.pieces):
             s, e = np.searchsorted(xs, p.lo), np.searchsorted(xs, p.hi, side="right")
             if e - s < 2:
                 continue
-            v = p.value(xs[s:e], self.wspec)
+            v = self._gathered(xs[s:e], np.full(e - s, i), self._poly, weierstrass_eval)
             lo[s:e - 1], hi[s:e - 1] = np.minimum(v[:-1], v[1:]), np.maximum(v[:-1], v[1:])
             if p.wterms:
                 half = 0.5 * np.diff(xs[s:e])
@@ -587,18 +573,18 @@ def _derivative_sup(density: AnalyticDensity, k: int, window: tuple[float, float
     in the window has no k-th derivative (rough pieces, k >= 1)."""
     wlo, whi = window
     sup = 0.0
-    for p in density.pieces:
+    for i, p in enumerate(density.pieces):
         lo, hi = max(p.lo, wlo), min(p.hi, whi)
         if lo >= hi:
             continue
-        dc = p.deriv_coeffs(k)
-        if dc is None:
+        if p.wterms and k >= 1:
             return math.inf
-        if k == 0 and p.wterms:
+        if p.wterms:
             grid = np.linspace(lo, hi, 513)
-            sup = max(sup, float(np.abs(p.value(grid, density.wspec)).max()))
+            v = density._gathered(grid, np.full(grid.size, i), density._poly, weierstrass_eval)
+            sup = max(sup, float(np.abs(v).max()))
         else:
-            sup = max(sup, _poly_sup_on(dc, lo, hi))
+            sup = max(sup, _poly_sup_on(np.polynomial.polynomial.polyder(p.coeffs, k), lo, hi))
     return sup
 
 
@@ -679,38 +665,6 @@ def holder_norm_estimate(
     iu = np.triu_indices(_NORM_GRID_POINTS, k=1)
     quot = diff[iu] / dist[iu] ** (beta - kstar)
     return total + float(quot.max())
-
-
-# ---------------------------------------------------------------------------
-# local regularity oracle
-# ---------------------------------------------------------------------------
-
-def local_exponent_oracle(density: AnalyticDensity, t: float, plan: CalibrationPlan) -> float:
-    """Sample-size-dependent local smoothness exponent at t.
-
-    For piecewise-polynomial members this is geometric: with d the distance
-    from t to the nearest kink, the exponent is +inf once d reaches the
-    coarsest bandwidth 2^-j_min, 1 when the kink is closer than the
-    Lipschitz-optimal bandwidth, and otherwise the unique beta whose
-    optimal bandwidth equals d, capped at the kernel-order ceiling.
-    Unperturbed series members are uniformly rough: their construction
-    exponent is returned directly.
-    """
-    if density.homogeneous_exponent is not None:
-        return density.homogeneous_exponent
-    if density.is_rough:
-        raise OracleUnavailableError(
-            f"no closed-form local exponent for perturbed rough density {density.name}"
-        )
-    d = min(abs(k - t) for k in density.kinks)
-    h_inf = optimal_bandwidth(plan, math.inf)
-    if d >= h_inf:
-        return math.inf
-    if d <= optimal_bandwidth(plan, 1.0):
-        return 1.0
-    # solve optimal_bandwidth(plan, beta) = 2^-j_min rate^{1/(2 beta + 1)} = d
-    beta = 0.5 * (math.log(plan.log_n_tilde / plan.n_tilde) / math.log(d / h_inf) - 1.0)
-    return min(beta, float(plan.beta_star_high))
 
 
 # ---------------------------------------------------------------------------

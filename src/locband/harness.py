@@ -28,12 +28,12 @@ from .calibration import (
     normalizers,
     optimal_bandwidth,
 )
-from .densities import AnalyticDensity, local_exponent_oracle, sample
-from .errors import InvalidConfigurationError
+from .densities import AnalyticDensity, sample
+from .errors import InvalidConfigurationError, OracleUnavailableError
 from .estimator import build_kde_table, split_sample
 from .forked import fork_map
 from .kernels import Kernel, make_rectangular, sup_abs_bias
-from .selector import _ball_maxima, fit_profile, theoretical_window
+from .selector import _ball_maxima, fit_profile
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +221,46 @@ def run_adaptivity(
 
 
 # ---------------------------------------------------------------------------
-# bandwidth window
+# local-exponent oracle and bandwidth window
 # ---------------------------------------------------------------------------
+
+def local_exponent_oracle(density: AnalyticDensity, t: float, plan: CalibrationPlan) -> float:
+    """Sample-size-dependent local smoothness exponent at t.
+
+    For piecewise-polynomial members this is geometric: with d the distance
+    from t to the nearest kink, the exponent is +inf once d reaches the
+    coarsest bandwidth 2^-j_min, 1 when the kink is closer than the
+    Lipschitz-optimal bandwidth, and otherwise the unique beta whose
+    optimal bandwidth equals d, capped at the kernel-order ceiling.
+    Unperturbed series members are uniformly rough: their construction
+    exponent is returned directly.
+    """
+    if density.homogeneous_exponent is not None:
+        return density.homogeneous_exponent
+    if density.is_rough:
+        raise OracleUnavailableError(
+            f"no closed-form local exponent for perturbed rough density {density.name}"
+        )
+    d = min(abs(k - t) for k in density.kinks)
+    h_inf = optimal_bandwidth(plan, math.inf)
+    if d >= h_inf:
+        return math.inf
+    if d <= optimal_bandwidth(plan, 1.0):
+        return 1.0
+    # solve optimal_bandwidth(plan, beta) = 2^-j_min rate^{1/(2 beta + 1)} = d
+    beta = 0.5 * (math.log(plan.log_n_tilde / plan.n_tilde) / math.log(d / h_inf) - 1.0)
+    return min(beta, float(plan.beta_star_high))
+
+
+def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float) -> tuple[float, int]:
+    """Window [j_bar - m_n, j_bar + 1] the selected exponent should land in,
+    from the local-exponent oracle; j_bar approximates the rate-optimal
+    bandwidth by the next smaller dyadic one."""
+    beta = local_exponent_oracle(density, t, plan)
+    h_bar = optimal_bandwidth(plan, beta)
+    j_bar = math.floor(math.log2(1.0 / h_bar) + 1e-12) + 1
+    return j_bar - plan.m_n, j_bar + 1
+
 
 def run_window_check(
     density: AnalyticDensity,

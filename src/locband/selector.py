@@ -27,8 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .calibration import CalibrationPlan, optimal_bandwidth
-from .densities import AnalyticDensity, local_exponent_oracle
+from .calibration import CalibrationPlan
 from .errors import OffMeshError
 from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table
 from .forked import cut_runs, fork_map
@@ -129,14 +128,4 @@ def fit_profile(split: SplitSample, plan: CalibrationPlan, k_lo: int = 0, k_hi: 
         profiles = list(fork_map(lambda r: fit_profile(split, plan, r[0], r[1] - 1), cut_runs(points, points), points))
         return profiles[0] if len(profiles) == 1 else np.concatenate(profiles)  # one run is not copied
     return select_at(build_kde_table(split, plan, k_lo, k_hi, plan.j_max - 4), plan, k_lo, k_hi)
-
-
-def theoretical_window(density: AnalyticDensity, plan: CalibrationPlan, t: float) -> tuple[float, int]:
-    """Window [j_bar - m_n, j_bar + 1] the selected exponent should land in,
-    from the local-exponent oracle; j_bar approximates the rate-optimal
-    bandwidth by the next smaller dyadic one."""
-    beta = local_exponent_oracle(density, t, plan)
-    h_bar = optimal_bandwidth(plan, beta)
-    j_bar = math.floor(math.log2(1.0 / h_bar) + 1e-12) + 1
-    return j_bar - plan.m_n, j_bar + 1
 

@@ -301,13 +301,14 @@ class TestConfigAndEnv:
         assert "run.cfg:1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, message", [
+        ("n=0", "n=0: n must be >= 4, got 0"),
         ("mode=bogus", "mode=bogus: mode must be 'theory' or 'practical', got 'bogus'"),
         ("reps=0", "reps=0: reps must be >= 1, got 0"),
         ("alpha=1.5", "alpha=1.5: alpha must lie in (0,1), got 1.5"),
         ("seed=-1", "seed=-1: seed must be >= 0, got -1"),
         *((f"{key}={v}", f"{key}={v}: {key} must be positive and finite, got {float(v)!r}")
           for key in ("c2", "lstar") for v in ("nan", "inf", "0", "-1")),
-    ], ids=["mode", "reps", "alpha", "seed",
+    ], ids=["n", "mode", "reps", "alpha", "seed",
             *(f"{key}-{v}" for key in ("c2", "lstar") for v in ("nan", "inf", "0", "-1"))])
     def test_out_of_range_config_value_names_line(self, tmp_path, capsys, line, message):
         # each value converts, so only its range refuses it, at its own line
@@ -315,6 +316,14 @@ class TestConfigAndEnv:
         cfg.write_text(f"# a comment\nseed=3\n{line}\n")
         assert run_cli("simulate", "coverage", "--config", str(cfg), "--n", "512") == 2
         assert capsys.readouterr().err == f"simulate: {cfg}:3: {message}\n"
+
+    @pytest.mark.parametrize("n, code, err", [("8", 2, "simulate: need m >= 16 cells, got 8\n"), ("64", 0, "")])
+    def test_config_n_reaches_the_gumbel_cell_check(self, tmp_path, capsys, n, code, err):
+        # gumbel's n is a cell count: 4 to 15 pass the config rule and meet gumbel's own
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n={n}\nreps=20\n")
+        assert run_cli("simulate", "gumbel", "--config", str(cfg), "--out", str(tmp_path / "gum.csv")) == code
+        assert capsys.readouterr().err == err
 
     def test_config_checked_whole(self, tmp_path, capsys):
         # band reads no reps, but the file is checked as a whole
@@ -532,3 +541,37 @@ def test_commands_below_the_pool_threshold_leave_multiprocessing_out(data_file, 
     done = subprocess.run([sys.executable, "-c", code, data_file, str(tmp_path / "out.csv")],
                           env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds every allocation on Linux")
+@pytest.mark.parametrize("kind", ["coverage", "gumbel"])
+def test_out_of_memory_is_a_stated_refusal(kind, tmp_path):
+    # the child caps its own address space at 512 MiB, which holds numpy (one
+    # BLAS thread) but not the mesh-sized truth arrays of n = 2^28, nor 2^28 cells
+    env = {**os.environ, "PYTHONPATH": str(Path(locband.__file__).resolve().parent.parent),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    code = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from locband.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    out = tmp_path / "out.csv"
+    argv = ["simulate", kind, "--n", str(1 << 28), "--reps", "1", "--out", str(out)]
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (2, f"simulate: out of memory at n={1 << 28}\n")
+    assert not out.exists()
+
+
+def test_out_of_memory_in_a_worker_is_a_stated_refusal(monkeypatch, capsys, cpus):
+    # a replication's draw asks a forked worker for 24 PB; fork_map re-raises the error
+    parent = os.getpid()
+
+    def sample_in_worker(density, m, seed):
+        assert os.getpid() != parent, "a replication ran in the parent"
+        return np.empty((3, 10 ** 15))
+
+    monkeypatch.setattr(harness, "sample", sample_in_worker)
+    cpus(2)
+    assert run_cli("simulate", "coverage", "--n", "512", "--reps", "2") == 2
+    assert capsys.readouterr() == ("", "simulate: out of memory at n=512\n")

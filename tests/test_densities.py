@@ -21,7 +21,6 @@ from locband.densities import (
     holder_norm_estimate,
     holder_quotient_bound,
     kl_divergence,
-    local_exponent_oracle,
     lw_constant,
     make_peak_triangular,
     make_perturbed,
@@ -40,6 +39,7 @@ from locband.errors import (
     OracleUnavailableError,
     UnboundedConstantError,
 )
+from locband.harness import local_exponent_oracle
 
 ZOO = [
     make_peak_triangular(),
@@ -149,12 +149,8 @@ class TestZooInvariants:
         # at each interior piece boundary, value or slope must actually break
         for left, right in zip(density.pieces[:-1], density.pieces[1:]):
             x = right.lo
-            v_l = float(left.value(np.array([x]), density.wspec)[0])
-            v_r = float(right.value(np.array([x]), density.wspec)[0])
-            dl = left.deriv_coeffs(1)
-            dr = right.deriv_coeffs(1)
-            sl = float(np.polynomial.polynomial.polyval(x, np.asarray(dl)))
-            sr = float(np.polynomial.polynomial.polyval(x, np.asarray(dr)))
+            v_l, v_r = (float(_closed_form(density, p, np.array([x]))[0]) for p in (left, right))
+            sl, sr = (float(np.polynomial.polynomial.polyval(x, _derivative_coeffs(p, 1))) for p in (left, right))
             assert abs(v_l - v_r) > 1e-12 or abs(sl - sr) > 1e-12
 
     def test_composite_values(self):
@@ -281,6 +277,29 @@ def test_perturbed_pieces_pinned(key):
     assert got == PERTURBED_DIGESTS[key]
 
 
+# density: SHA-256 of the lo, hi and slack bytes of cells_extrema on the
+# n = 4096 plan's mesh, the truth that simulate coverage checks bands against
+TRUTH_DIGESTS = {
+    "peak": "0a0e4f8e910843d0313a623961ad561b90f2d72ff981f3764bc4493e5cce7e44",
+    "tent:0.5": "ba388f7ad1e19f731f6662fbfe92e7d8b71dc1110fce523787340e7f3a4e46f2",
+    "weierstrass:0.5:0.5": "8fa8f5def4be15cfc6d2d0d0983056fb7be7c51085a169ec8597601bf5c47297",
+    "perturbed1:0.5:4096": "693c780a0a5be38ded74b412694f61e00ee34d890249f2a7fb069b3877605da2",
+    "perturbed2:0.5:4096": "5296d35cbbec050f6010c96960ca74d1a07152e333f3f03a49ca0d88e6dd5354",
+    "tent-perturbed1:0.5:4096": "0f6a404f4d6b10b920f954b5dfcc3d544a1c76d465b62a579f65d17a6973f502",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUTH_DIGESTS))
+def test_truth_enclosures_pinned(name, rect):
+    tent = make_triangular_hypothesis(0.5)
+    density = make_perturbed(tent, 4096, 1.0, "one") if name.startswith("tent-") else density_from_name(name)
+    assert density.name == name
+    digest = hashlib.sha256()
+    for part in density.cells_extrema(cell_edges(derive_plan(PlanParams(n=4096), rect))):
+        digest.update(part.tobytes())
+    assert digest.hexdigest() == TRUTH_DIGESTS[name]
+
+
 class TestPieceJoints:
     @pytest.mark.parametrize("pieces, message", [
         ((Piece(0.0, 0.3, (1.0,)), Piece(0.3, 0.4, (1.0,)), Piece(0.5, 1.0, (1.0,))),
@@ -300,6 +319,21 @@ class TestPieceJoints:
 _ORACLE_POINTS = 2048
 
 
+def _closed_form(density, piece, x):
+    """The piece's own value at the points x, written out: polyval of its
+    coefficients plus scale * W(x - center) per series term, in that order."""
+    out = np.polynomial.polynomial.polyval(x, np.asarray(piece.coeffs))
+    for scale, center in piece.wterms:
+        out = out + scale * weierstrass_eval(density.wspec, x - center)
+    return out
+
+
+def _derivative_coeffs(piece, k):
+    """polyder of the piece's coefficients; None on a piece with series
+    terms once k >= 1 (it has no derivative)."""
+    return None if piece.wterms and k >= 1 else np.polynomial.polynomial.polyder(piece.coeffs, k)
+
+
 def _exhaustive_extrema(density, edges):
     """The enclosure's oracle: min and max over _ORACLE_POINTS evenly spaced
     points of each piece's part of each cell, both ends included and each
@@ -312,7 +346,7 @@ def _exhaustive_extrema(density, edges):
         k = np.flatnonzero(a < b)
         pts = a[k, None] + (b - a)[k, None] * frac[None, :]
         pts[:, -1] = b[k]
-        vals = p.value(pts.ravel(), density.wspec).reshape(pts.shape)
+        vals = _closed_form(density, p, pts.ravel()).reshape(pts.shape)
         lo[k] = np.minimum(lo[k], vals.min(axis=1))
         hi[k] = np.maximum(hi[k], vals.max(axis=1))
     outside = (edges[:-1] < density.support[0]) | (edges[1:] > density.support[1])
@@ -368,8 +402,9 @@ class TestCellsExtrema:
         plan = derive_plan(PlanParams(n=4096), rect)
         density = density_from_name("weierstrass:0.5:0.5")
         points = []
-        real = Piece.value
-        monkeypatch.setattr(Piece, "value", lambda self, x, spec: points.append(np.size(x)) or real(self, x, spec))
+        real = AnalyticDensity._gathered
+        monkeypatch.setattr(AnalyticDensity, "_gathered",
+                            lambda self, xs, *rest: points.append(np.size(xs)) or real(self, xs, *rest))
         density.cells_extrema(cell_edges(plan))
         assert 0 < sum(points) <= 4 * (plan.mesh_count + 1) + len(density.pieces) + 1
 
@@ -491,9 +526,9 @@ def _holding_piece(density, x):
 
 
 def _piece_value_oracle(density, x):
-    """The density at x from Piece.value on a one-point array."""
+    """The density at x from its piece's closed form on a one-point array."""
     piece = _holding_piece(density, x)
-    return 0.0 if piece is None else float(piece.value(np.array([x]), density.wspec)[0])
+    return 0.0 if piece is None else float(_closed_form(density, piece, np.array([x]))[0])
 
 
 def _derivative_oracle(density, k, x):
@@ -502,8 +537,8 @@ def _derivative_oracle(density, k, x):
     piece = _holding_piece(density, x)
     if piece is None or k == 0:
         return _piece_value_oracle(density, x)
-    dc = piece.deriv_coeffs(k)
-    return None if dc is None else float(np.polynomial.polynomial.polyval(np.array([x]), np.asarray(dc))[0])
+    dc = _derivative_coeffs(piece, k)
+    return None if dc is None else float(np.polynomial.polynomial.polyval(np.array([x]), dc)[0])
 
 
 def _mass_oracle(density, x):
@@ -604,7 +639,7 @@ def _jumps_oracle(density, kstar, window):
             continue
         for k in range(kstar + 1):
             left, right = (
-                0.0 if p is None else np.polynomial.polynomial.polyval(t, np.asarray(p.deriv_coeffs(k)))
+                0.0 if p is None else np.polynomial.polynomial.polyval(t, _derivative_coeffs(p, k))
                 for p in sides
             )
             if abs(left - right) > 1e-12:

@@ -22,7 +22,7 @@ from locband.densities import make_peak_triangular, make_triangular_hypothesis, 
 from locband.errors import CorruptDensityError, InvalidConfigurationError
 from locband.estimator import split_sample
 from locband.kernels import Kernel
-from locband.selector import fit_profile, theoretical_window
+from locband.selector import fit_profile
 
 
 def broken_order_kernel():
@@ -96,7 +96,7 @@ class TestWindowCheck:
         N = plan.mesh_count
         inside = 0
         for k in range(N + 1):
-            lo, hi = theoretical_window(peak, plan, k * plan.delta_n)
+            lo, hi = H.theoretical_window(peak, plan, k * plan.delta_n)
             inside += lo <= plan.j_min <= hi
         assert rep.summary["hit_fraction"] == pytest.approx(inside / (N + 1))
 

@@ -10,14 +10,10 @@ from hypothesis import strategies as st
 from locband import selector
 from locband.band import fit_band
 from locband.calibration import DEFAULT_C2, PlanParams, derive_plan, optimal_bandwidth
-from locband.densities import (
-    local_exponent_oracle,
-    make_peak_triangular,
-    make_uniform,
-    sample,
-)
+from locband.densities import make_peak_triangular, make_uniform, sample
 from locband.errors import OffMeshError
 from locband.estimator import KdeTable, ball_offset, build_kde_table, split_sample
+from locband.harness import local_exponent_oracle, theoretical_window
 from locband.kernels import make_rectangular
 from locband.selector import (
     _ball_maxima,
@@ -25,7 +21,6 @@ from locband.selector import (
     fit_profile,
     pair_ratio,
     select_at,
-    theoretical_window,
 )
 
 
