@@ -9,6 +9,7 @@ departure as a warning on the plan instead of failing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterable, Mapping, Optional
 
@@ -28,20 +29,12 @@ DEFAULT_C2 = 0.65
 
 THEORY_MIN_N_HINT = "theory-mode constants degenerate below n ~ 1e10"
 
-MODES = ("theory", "practical")
-
-
-def checked_mode(mode: str) -> str:
-    """mode, if it is one of MODES."""
-    if mode not in MODES:
-        raise ValueError(f"mode must be {' or '.join(map(repr, MODES))}, got {mode!r}")
-    return mode
-
-
 def checked_alpha(alpha: float) -> float:
-    """alpha, if it lies in (0,1)."""
+    """alpha, if it lies in (0,1) and 1 - alpha/2, its Gumbel level, is below 1."""
     if not (0.0 < alpha < 1.0):
         raise InvalidProbabilityError(f"alpha must lie in (0,1), got {alpha!r}")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise InvalidProbabilityError(f"alpha is too small to use: 1 - alpha/2 rounds to 1, got {alpha!r}")
     return alpha
 
 
@@ -75,7 +68,8 @@ class PlanParams:
             raise InvalidExponentError(
                 f"beta_star_low must lie in (0,1), got {self.beta_star_low!r}"
             )
-        checked_mode(self.mode)
+        if self.mode not in ("theory", "practical"):
+            raise ValueError(f"mode must be 'theory' or 'practical', got {self.mode!r}")
         checked_positive("c2", self.c2)
         checked_positive("L_star", self.L_star)
 
@@ -182,6 +176,9 @@ def derive_plan(params: PlanParams, kernel: Kernel) -> CalibrationPlan:
     inv_delta = math.ceil(
         2.0 ** (j_min / params.beta_star_low) * (ln / n_tilde) ** (-kappa1) * ln ** (2.0 / params.beta_star_low)
     )
+    # the mesh's cell_edges array holds mesh_count + 1 float64 entries
+    if inv_delta + 1 > sys.maxsize // 8:
+        raise InvalidMeshError(f"n={params.n} needs a mesh of {inv_delta:.3g} cells, more than an array can hold")
     delta_n = 1.0 / inv_delta
     u_n = params.c1 * math.log(ln)
     a_n, b_n = normalizers(delta_n, kernel.tv)
@@ -225,7 +222,7 @@ def optimal_bandwidth(plan: CalibrationPlan, beta: float) -> float:
 
 def band_halfwidth_quantile(plan: CalibrationPlan, alpha: float) -> float:
     """q_n(alpha) = sqrt(L*) q_{1-alpha/2} / a_n + b_n; the one place alpha
-    enters the band, so the one place a run checks it."""
+    enters the band, so it checks alpha for every caller."""
     q = gumbel_quantile(1.0 - checked_alpha(alpha) / 2.0)
     return math.sqrt(plan.L_star) * q / plan.a_n + plan.b_n
 

@@ -1,9 +1,13 @@
 """Command-line front end: band fitting, simulation drivers, the inequality
 verification suite, and band-comparison curves, all emitting CSV.
 
+Every setting, from a flag, LOCBAND_SEED or a --config line, is checked
+as it is resolved, whatever the command.  Every plan is a practical one;
+theory mode is PlanParams(mode="theory"), from Python.
+
 Exit codes: 0 success (simulations exit 0 regardless of pass/fail --
 results are data), 1 failed verification, 2 usage/parse errors and runs
-that run out of memory, 3 a degenerate theory-mode plan.
+that run out of memory.
 """
 
 from __future__ import annotations
@@ -20,19 +24,17 @@ from . import harness
 from .band import fit_band, reference_global_band, write_band_csv
 from .calibration import (
     DEFAULT_C2,
-    MODES,
     CalibrationPlan,
     PlanParams,
     band_halfwidth_quantile,
     checked_alpha,
-    checked_mode,
     checked_positive,
     derive_plan,
     plan_to_text,
     read_key_values,
 )
 from .csvtext import write_csv
-from .errors import EmptyBandwidthGridError, InvalidConfigurationError, InvalidConstantsError, LocbandError
+from .errors import InvalidConfigurationError, LocbandError
 from .estimator import parse_data_file, split_sample
 from .kernels import make_rectangular
 
@@ -45,7 +47,6 @@ _SETTINGS = {
     "alpha": (float, 0.1, None),
     "reps": (int, 50, None),
     "seed": (int, 20240601, f"master seed (overrides ${SEED_ENV})"),
-    "mode": (str, "practical", None),
     "c2": (float, DEFAULT_C2, "selection threshold constant"),
     "lstar": (float, 1.0, "smoothness budget"),
     "density": (str, "peak", "zoo density name"),
@@ -64,13 +65,11 @@ def _at_least(key: str, low: int) -> Callable[[int], int]:
     return check
 
 
-# The check each setting's parsed value must still pass; calibration owns
-# the rules for alpha, mode, c2 and lstar.  A flag is checked where its value
-# is read (--mode by argparse's choices, --c2 and --lstar by PlanParams), the
-# seed as it is resolved; a --config file is checked whole, line by line as
-# it is read, so that the message names the file and the line.
+# The check each setting's parsed value must pass, run once as the value is
+# resolved, whatever its source and whatever the command; calibration owns
+# the rules for alpha, c2 and lstar.
 _CHECKS = {"n": _at_least("n", 4), "alpha": checked_alpha, "reps": _at_least("reps", 1), "seed": _at_least("seed", 0),
-           "mode": checked_mode, "c2": lambda v: checked_positive("c2", v), "lstar": lambda v: checked_positive("lstar", v)}
+           "c2": lambda v: checked_positive("c2", v), "lstar": lambda v: checked_positive("lstar", v)}
 
 
 def _read_config(path: str) -> dict:
@@ -94,8 +93,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     for key in _SETTINGS:
         v = getattr(args, key, None)
         if v is not None:
-            cfg[key] = v
-    _CHECKS["seed"](cfg["seed"])
+            cfg[key] = _CHECKS.get(key, lambda x: x)(v)
     args.settings = cfg  # main names the run's n if it runs out of memory
     return cfg
 
@@ -125,8 +123,10 @@ def _density_and_plan(cfg: dict, key: str) -> tuple[zoo.AnalyticDensity | None, 
             density = zoo.density_from_name(cfg["density"])
         except KeyError as exc:
             raise InvalidConfigurationError(exc.args[0]) from exc
-    params = PlanParams(n=cfg["n"], L_star=cfg["lstar"], c2=cfg["c2"], mode=cfg["mode"])
-    return density, derive_plan(params, make_rectangular())
+    plan = derive_plan(PlanParams(n=cfg["n"], L_star=cfg["lstar"], c2=cfg["c2"]), make_rectangular())
+    for warning in plan.warnings:
+        print(f"{'simulate' if key in _SIMULATE_KINDS else key}: warning: {warning}", file=sys.stderr)
+    return density, plan
 
 
 def _sidecar(
@@ -141,11 +141,6 @@ def _sidecar(
     if report is not None:
         parts.append(report.meta_text())
     return "".join(parts)
-
-
-def _warn(command: str, plan: CalibrationPlan) -> None:
-    for warning in plan.warnings:
-        print(f"{command}: warning: {warning}", file=sys.stderr)
 
 
 def _emit(write_body: Callable[[TextIO], object], meta: str, out: str | None) -> None:
@@ -178,8 +173,7 @@ def cmd_band(args: argparse.Namespace) -> int:
     split = split_sample(data)  # InsufficientDataError below 4 points: exit 2
     del data  # the fit reads only the sorted halves
     _, plan = _density_and_plan(cfg, "band")
-    _warn("band", plan)
-    q_n = band_halfwidth_quantile(plan, cfg["alpha"])  # refuses a bad alpha before the fit
+    q_n = band_halfwidth_quantile(plan, cfg["alpha"])
     band = fit_band(split, plan, q_n)
     _emit(lambda fh: write_band_csv(band, fh), _sidecar(cfg, "band", plan), cfg["out"])
     return 0
@@ -191,7 +185,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if kind not in _SIMULATE_KINDS:
         print(f"simulate: unknown kind {kind!r} ({'|'.join(_SIMULATE_KINDS)})", file=sys.stderr)
         return 2
-    _CHECKS["reps"](cfg["reps"])
     plan = None
     if kind == "gumbel":
         # the comparison process needs only the cell count and the kernel
@@ -232,8 +225,7 @@ def cmd_verify(args: argparse.Namespace, kernel=None) -> int:
 def cmd_curves(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     density, plan = _density_and_plan(cfg, "curves")
-    _warn("curves", plan)
-    q_n = band_halfwidth_quantile(plan, cfg["alpha"])  # refuses a bad alpha before the fit
+    q_n = band_halfwidth_quantile(plan, cfg["alpha"])
     split = split_sample(zoo.sample(density, plan.n, cfg["seed"]))
     local = fit_band(split, plan, q_n)
     ref = reference_global_band(split, plan, q_n)
@@ -271,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
         for key, (parse, _, text) in _SETTINGS.items():
-            p.add_argument(f"--{key}", type=parse, help=text, choices=MODES if key == "mode" else None)
+            p.add_argument(f"--{key}", type=parse, help=text)
 
     p_band = sub.add_parser("band", help="fit a confidence band to a data file")
     add_common(p_band)
@@ -300,10 +292,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (EmptyBandwidthGridError, InvalidConstantsError) as exc:
-        # derive_plan is the only source of these, in band, simulate and curves
-        print(f"{args.command}: degenerate theory-mode plan: {exc}", file=sys.stderr)
-        return 3
     except (LocbandError, OSError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -28,6 +28,8 @@ from .errors import (
 )
 
 DEFAULT_SERIES_TOL = 1e-12
+# the most series terms an evaluation sums: beta = 0.1 needs 438 at the default tolerance
+MAX_SERIES_DEPTH = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +52,13 @@ class WeierstrassSpec:
             raise InvalidExponentError(f"series exponent must lie in (0, 1], got {self.beta!r}")
         if self.tol <= 0.0:
             raise InvalidToleranceError(f"truncation tolerance must be positive, got {self.tol!r}")
+        try:
+            depth = self.depth
+        except (ZeroDivisionError, OverflowError):  # 2^-beta, or the bound, rounds to 1 or 0
+            depth = math.inf
+        if depth > MAX_SERIES_DEPTH:
+            raise InvalidExponentError(f"series exponent {self.beta!r} needs {depth} terms for tolerance "
+                                       f"{self.tol!r}, more than the {MAX_SERIES_DEPTH} evaluated")
 
     @property
     def depth(self) -> int:

@@ -2,12 +2,14 @@ import math
 import multiprocessing
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locband import band as band_module
 from locband import csvtext, harness
 from locband.band import (
     ConfidenceBand,
@@ -402,6 +404,38 @@ class TestCoversTruthRefinement:
         lo, hi = _closed_form_extrema(density, edges)
         old = bool(np.all(cand.centers - cand.halfwidths <= lo) and np.all(hi <= cand.centers + cand.halfwidths))
         assert covers_truth(cand, density, density.cells_extrema(edges)) is old
+
+
+@st.composite
+def rough_densities(draw):
+    """A zoo density with series terms: weierstrass, perturbed1 or perturbed2."""
+    kind = draw(st.sampled_from(["weierstrass", "perturbed1", "perturbed2"]))
+    beta = draw(st.floats(0.3, 0.9))
+    last = draw(st.floats(0.3, 0.7)) if kind == "weierstrass" else draw(st.integers(64, 1 << 16))
+    return density_from_name(f"{kind}:{beta!r}:{last!r}")
+
+
+class TestCoversTruthMargins:
+    # with no bisection left, a band inside a rough cell's slack is not
+    # certified, and one that misses a computed value by less than the
+    # density's value_error is not refuted: both stay undecided
+    @given(rough_densities(), st.sampled_from(["lo", "hi"]), st.sampled_from(["slack", "value_error"]),
+           st.floats(0.1, 0.9), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_band_inside_a_margin_is_undecided(self, rough_256, density, side, margin, frac, data):
+        plan = rough_256[0]
+        lo, hi, slack = density.cells_extrema(cell_edges(plan))
+        rough = np.flatnonzero(slack > 0.0)
+        k = rough[data.draw(st.integers(0, rough.size - 1), label="cell")]
+        band_lo, band_hi = lo - slack - 1.0, hi + slack + 1.0
+        # inside the slack, still holding the computed values; or just past them
+        shift = -frac * slack[k] if margin == "slack" else frac * density.value_error
+        if side == "lo":
+            band_lo[k] = lo[k] + shift
+        else:
+            band_hi[k] = hi[k] - shift
+        with mock.patch.object(band_module, "_REFINE_LEVELS", 0):
+            assert covers_truth(_interval_band(plan, band_lo, band_hi), density, (lo, hi, slack)) is None
 
 
 def _count_calls(monkeypatch, owner, name):

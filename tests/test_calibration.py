@@ -80,6 +80,11 @@ class TestDerivePlan:
         assert plan.j_max >= plan.j_min
         assert any("clamped" in w for w in plan.warnings)
 
+    def test_largest_meshes(self, rect):
+        # n = 2^60 still has a mesh an array can hold; its edges need mesh_count + 1 entries
+        assert derive_plan(PlanParams(n=2 ** 60), rect).mesh_count == 6968647434141
+        assert math.isfinite(band_halfwidth_quantile(derive_plan(PlanParams(n=2048), rect), 2.0 ** -52))
+
     def test_u_n_and_m_n(self, plan_16k):
         nt = 2 ** 13
         assert plan_16k.u_n == pytest.approx(3.0 * math.log(math.log(nt)))
@@ -244,6 +249,12 @@ class TestSerialization:
      "practical mode still requires positive c1, kappa1, kappa2"),
     (lambda rect: derive_plan(PlanParams(n=2048, kappa2=0.0), rect), InvalidConstantsError,
      "practical mode still requires positive c1, kappa1, kappa2"),
+    (lambda rect: derive_plan(PlanParams(n=10 ** 30), rect), InvalidMeshError,
+     f"n={10 ** 30} needs a mesh of 3.01e+19 cells, more than an array can hold"),
+    (lambda rect: band_halfwidth_quantile(derive_plan(PlanParams(n=2048), rect), 1e-320), InvalidProbabilityError,
+     "alpha is too small to use: 1 - alpha/2 rounds to 1, got 1e-320"),
+    (lambda rect: band_halfwidth_quantile(derive_plan(PlanParams(n=2048), rect), 2.0 ** -53), InvalidProbabilityError,
+     f"alpha is too small to use: 1 - alpha/2 rounds to 1, got {2.0 ** -53!r}"),
 ])
 def test_input_checks(call, error, message, rect):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

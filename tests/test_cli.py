@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -49,6 +50,11 @@ FOUR_POINT_META = (
     "warning.0=theory constraint relaxed: c1=3 must exceed 2/(beta_* log 2)=3.03725\n"
     "warning.1=theory constraint relaxed: kappa2=1 must exceed c1 log2 + 4=6.07944\n"
     "warning.2=j_max=1 clamped up to j_min=3\n"
+)
+# the two theory constraints every CLI plan relaxes, as a command prints them
+RELAXED = (
+    "warning: theory constraint relaxed: c1=3 must exceed 2/(beta_* log 2)=3.03725\n",
+    "warning: theory constraint relaxed: kappa2=1 must exceed c1 log2 + 4=6.07944\n",
 )
 
 
@@ -153,9 +159,6 @@ class TestBandCommand:
             os.close(r)
         assert (done.returncode, done.stderr) == (2, self.PIPE_ERR)
 
-    def test_theory_mode_degenerate_exit_3(self, data_file):
-        assert run_cli("band", "--input", data_file, "--mode", "theory") == 3
-
     def test_three_points_exit_2(self, tmp_path, capsys):
         data = tmp_path / "three.txt"
         data.write_text("0.1\n0.4\n0.6\n")
@@ -175,16 +178,9 @@ class TestSimulateCommand:
         meta = (tmp_path / "gum.csv.meta").read_text()
         assert "summary.ks=" in meta
 
-    def test_gumbel_reads_no_plan(self, tmp_path):
-        # theory mode has no plan at this n, but the gumbel experiment needs none
-        out = tmp_path / "gum.csv"
-        rc = run_cli("simulate", "gumbel", "--n", "4096", "--reps", "20", "--mode", "theory",
-                     "--out", str(out))
-        assert rc == 0
-
     @pytest.mark.parametrize("kind, keys", [
         ("gumbel", ["n", "reps", "seed"]),
-        ("window", ["density", "reps", "seed"]),  # the plan records n, c2, L* and the mode
+        ("window", ["density", "reps", "seed"]),  # the plan records n, c2 and L*
     ])
     def test_meta_records_only_settings_read(self, tmp_path, kind, keys):
         out = tmp_path / "sim.csv"
@@ -201,6 +197,13 @@ class TestSimulateCommand:
         assert rc == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 2  # header + one record
+
+    @pytest.mark.parametrize("kind", ["coverage", "window", "adaptivity"])
+    def test_prints_plan_warnings(self, kind, tmp_path, capsys):
+        # at n = 4 the plan clamps its grid, as band's and curves' do
+        assert run_cli("simulate", kind, "--n", "4", "--reps", "1", "--out", str(tmp_path / "sim.csv")) == 0
+        warnings = (*RELAXED, "warning: j_max=1 clamped up to j_min=3\n")
+        assert capsys.readouterr().err == "".join(f"simulate: {w}" for w in warnings)
 
     def test_invalid_kind_exit_2(self):
         assert run_cli("simulate", "nope", "--n", "256") == 2
@@ -302,13 +305,13 @@ class TestConfigAndEnv:
 
     @pytest.mark.parametrize("line, message", [
         ("n=0", "n=0: n must be >= 4, got 0"),
-        ("mode=bogus", "mode=bogus: mode must be 'theory' or 'practical', got 'bogus'"),
         ("reps=0", "reps=0: reps must be >= 1, got 0"),
         ("alpha=1.5", "alpha=1.5: alpha must lie in (0,1), got 1.5"),
+        ("alpha=1e-320", "alpha=1e-320: alpha is too small to use: 1 - alpha/2 rounds to 1, got 1e-320"),
         ("seed=-1", "seed=-1: seed must be >= 0, got -1"),
         *((f"{key}={v}", f"{key}={v}: {key} must be positive and finite, got {float(v)!r}")
           for key in ("c2", "lstar") for v in ("nan", "inf", "0", "-1")),
-    ], ids=["n", "mode", "reps", "alpha", "seed",
+    ], ids=["n", "reps", "alpha", "alpha-tiny", "seed",
             *(f"{key}-{v}" for key in ("c2", "lstar") for v in ("nan", "inf", "0", "-1"))])
     def test_out_of_range_config_value_names_line(self, tmp_path, capsys, line, message):
         # each value converts, so only its range refuses it, at its own line
@@ -325,12 +328,37 @@ class TestConfigAndEnv:
         assert run_cli("simulate", "gumbel", "--config", str(cfg), "--out", str(tmp_path / "gum.csv")) == code
         assert capsys.readouterr().err == err
 
+    @pytest.mark.parametrize("value", ["practical", "theory"])
+    def test_config_mode_is_an_unknown_key(self, tmp_path, capsys, value):
+        # every CLI plan is a practical one; theory mode is PlanParams(mode="theory")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# a comment\nseed=3\nmode={value}\n")
+        out = tmp_path / "cov.csv"
+        assert run_cli("simulate", "coverage", "--config", str(cfg), "--n", "512", "--reps", "1", "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"simulate: {cfg}:3: unknown config key 'mode'\n"
+        assert not out.exists()
+
     def test_config_checked_whole(self, tmp_path, capsys):
         # band reads no reps, but the file is checked as a whole
         cfg = tmp_path / "run.cfg"
         cfg.write_text("reps=0\n")
         assert run_cli("band", "--config", str(cfg), "--input", "whatever") == 2
         assert capsys.readouterr().err == f"band: {cfg}:1: reps=0: reps must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (("verify", "--suite", "a2", "--alpha", "5"), "verify: alpha must lie in (0,1), got 5.0\n"),
+        (("band", "--input", "{input}", "--reps", "0"), "band: reps must be >= 1, got 0\n"),
+        (("band", "--input", "{missing}", "--c2", "-1"), "band: c2 must be positive and finite, got -1.0\n"),
+        (("simulate", "gumbel", "--n", "3", "--reps", "20"), "simulate: n must be >= 4, got 3\n"),
+    ], ids=["verify-alpha", "band-reps", "band-c2-before-input", "gumbel-n"])
+    def test_flags_checked_whole(self, argv, err, data_file, tmp_path, capsys):
+        # a flag meets the rule its config line meets, whatever the command
+        # reads, before any input is read
+        out = tmp_path / "out.csv"
+        argv = [a.format(input=data_file, missing=tmp_path / "missing.txt") for a in argv]
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == err
+        assert not out.exists()
 
     def test_env_seed_and_flag_priority(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LOCBAND_SEED", "999")
@@ -386,7 +414,10 @@ class TestConfigAndEnv:
 @pytest.mark.parametrize("argv, code, stream, text", [
     (("band", "--help"), 0, "out", "usage: locband band"),
     (("band", "--bogus"), 2, "err", "unrecognized arguments: --bogus"),
-], ids=["help", "unknown-flag"])
+    # every CLI plan is a practical one; theory mode is PlanParams(mode="theory")
+    *((argv + ("--mode", "theory"), 2, "err", "unrecognized arguments: --mode theory")
+      for argv in (("band",), ("simulate", "coverage"), ("simulate", "gumbel"), ("curves",))),
+], ids=["help", "unknown-flag", "mode-band", "mode-coverage", "mode-gumbel", "mode-curves"])
 def test_parser_exit_becomes_return_code(argv, code, stream, text, capsys):
     assert run_cli(*argv) == code
     assert text in getattr(capsys.readouterr(), stream)
@@ -400,13 +431,13 @@ def test_reps_below_one_exit_2(kind, reps, capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
-@pytest.mark.parametrize("flag, name", [("--c2", "c2"), ("--lstar", "L_star")], ids=["c2", "lstar"])
+@pytest.mark.parametrize("flag, name", [("--c2", "c2"), ("--lstar", "lstar")], ids=["c2", "lstar"])
 @pytest.mark.parametrize("argv", [
     ("band", "--input", "{input}"),
     ("simulate", "coverage", "--n", "512", "--reps", "1"),
 ], ids=["band", "coverage"])
 def test_plan_constant_not_positive_and_finite_exit_2(argv, flag, name, value, data_file, tmp_path, capsys):
-    # the plan refuses it, under its own name, before any band is fitted
+    # refused under the flag's name as it is resolved, before any input is read
     argv = [a.format(input=data_file) for a in argv]
     out = tmp_path / "out.csv"
     assert run_cli(*argv, flag, value, "--out", str(out)) == 2
@@ -511,13 +542,45 @@ def test_adaptivity_meta_records_plan_warnings(tmp_path):
     assert warnings["adaptivity"] == warnings["coverage"]
 
 
+def test_alpha_too_small_to_use_exit_2(data_file, tmp_path, capsys):
+    # 1 - alpha/2 rounds to 1, where the band's Gumbel quantile is infinite
+    out = tmp_path / "band.csv"
+    assert run_cli("band", "--input", data_file, "--alpha", "1e-320", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "band: alpha is too small to use: 1 - alpha/2 rounds to 1, got 1e-320\n"
+    assert not out.exists()
+
+
+def _timed_cli(*argv):
+    start = time.perf_counter()
+    code = run_cli(*argv)
+    return code, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("name", ["weierstrass:1e-9:0.5", "perturbed1:1e-9:64"])
+def test_series_too_deep_is_refused(name, tmp_path, capsys):
+    # 70,289,256,313 terms per evaluation: refused as the density is built
+    code, seconds = _timed_cli("simulate", "coverage", "--density", name, "--n", "4096", "--reps", "1",
+                               "--out", str(tmp_path / "cov.csv"))
+    assert code == 2 and seconds < 1.0
+    assert capsys.readouterr().err == (
+        f"simulate: cannot build density {name!r}: series exponent 1e-09 needs 70289256313 terms "
+        "for tolerance 1e-12, more than the 4096 evaluated\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
-    ("simulate", "coverage", "--n", "4096", "--mode", "theory"),
-    ("curves", "--n", "4096", "--mode", "theory"),
-])
-def test_degenerate_plan_exit_3(argv, capsys):
-    assert run_cli(*argv) == 3
-    assert capsys.readouterr().err.startswith(f"{argv[0]}: degenerate theory-mode plan: ")
+    ("simulate", "coverage", "--reps", "1"),
+    ("simulate", "window", "--reps", "1"),
+    ("curves",),
+], ids=["coverage", "window", "curves"])
+def test_mesh_too_large_to_index_is_refused(argv, tmp_path, capsys):
+    # its 3.0e19 cells are more than sys.maxsize // 8 float64 entries
+    n = 10 ** 30
+    code, seconds = _timed_cli(*argv, "--n", str(n), "--out", str(tmp_path / "out.csv"))
+    assert code == 2 and seconds < 1.0
+    assert capsys.readouterr().err == (
+        f"{argv[0]}: n={n} needs a mesh of 3.01e+19 cells, more than an array can hold\n"
+    )
 
 
 def test_cli_import_leaves_scipy_out():
@@ -559,7 +622,8 @@ def test_out_of_memory_is_a_stated_refusal(kind, tmp_path):
     out = tmp_path / "out.csv"
     argv = ["simulate", kind, "--n", str(1 << 28), "--reps", "1", "--out", str(out)]
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stderr) == (2, f"simulate: out of memory at n={1 << 28}\n")
+    warnings = "".join(f"simulate: {w}" for w in RELAXED) if kind == "coverage" else ""
+    assert (done.returncode, done.stderr) == (2, f"{warnings}simulate: out of memory at n={1 << 28}\n")
     assert not out.exists()
 
 
@@ -574,4 +638,5 @@ def test_out_of_memory_in_a_worker_is_a_stated_refusal(monkeypatch, capsys, cpus
     monkeypatch.setattr(harness, "sample", sample_in_worker)
     cpus(2)
     assert run_cli("simulate", "coverage", "--n", "512", "--reps", "2") == 2
-    assert capsys.readouterr() == ("", "simulate: out of memory at n=512\n")
+    warnings = "".join(f"simulate: {w}" for w in RELAXED)
+    assert capsys.readouterr() == ("", f"{warnings}simulate: out of memory at n=512\n")

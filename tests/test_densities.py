@@ -98,6 +98,11 @@ class TestWeierstrassSeries:
         with pytest.raises(InvalidExponentError):
             WeierstrassSpec(1.5)
 
+    def test_depth_cap_admits_small_exponents(self):
+        # the zoo and the tests go no lower than beta = 0.25
+        assert (WeierstrassSpec(0.1).depth, WeierstrassSpec(0.25).depth) == (438, 171)
+        assert WeierstrassSpec(0.5, tol=1e-300).depth == 1997
+
 
 class TestNormConstants:
     def test_value(self):
@@ -803,6 +808,10 @@ def _with_radius(r, call):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: WeierstrassSpec(0.5, tol=0.0), InvalidToleranceError, "truncation tolerance must be positive, got 0.0"),
+    (lambda: WeierstrassSpec(1e-6), InvalidExponentError,
+     "series exponent 1e-06 needs 60323473 terms for tolerance 1e-12, more than the 4096 evaluated"),
+    (lambda: WeierstrassSpec(1e-320), InvalidExponentError,  # 2^-beta rounds to 1: no depth reaches the tolerance
+     "series exponent 1e-320 needs inf terms for tolerance 1e-12, more than the 4096 evaluated"),
     (lambda: holder_quotient_bound(0.0), InvalidExponentError, "exponent must be positive, got 0.0"),
     (lambda: lw_constant(-1.0), InvalidExponentError, "exponent must be positive, got -1.0"),
     (lambda: AnalyticDensity("bad", (Piece(1.0, 0.0),), 1.0), ValueError, "pieces must be ordered and non-degenerate"),

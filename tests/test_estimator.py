@@ -201,6 +201,26 @@ class TestKdeTable:
             for j in range(plan_16k.j_min + 3, plan_16k.j_max + 1):
                 assert np.array_equal(table.row(j), rank_query_kde(split.chi2, points, 2.0 ** -j, rect))
 
+    @given(st.sampled_from([make_rectangular(), broken_order_kernel()]), st.integers(0, 32949), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_count_closed_pieces_at_both_ends(self, plan_16k, kernel, k_lo, data):
+        # observations exactly on the table's query edges t + h*lo and t + h*hi,
+        # formed as the table forms them, lie on closed kernel pieces: every
+        # row counts them as rank_query_kde does, bit for bit
+        plan = replace(plan_16k, kernel=kernel)
+        k_hi = k_lo + data.draw(st.integers(0, 40), label="run length")
+        margin = ball_offset(plan, plan.j_min)
+        points = np.arange(k_lo - margin, k_hi + margin + 1, dtype=float) * plan.delta_n
+        ends = sorted({end for lo, hi, _ in kernel.pieces for end in (lo, hi)})
+        on_edges = data.draw(st.lists(st.tuples(st.integers(0, points.size - 1),
+                                                st.integers(plan.j_min + 3, plan.j_max),
+                                                st.sampled_from(ends)), min_size=1, max_size=30), label="edges")
+        half = np.sort([points[i] + 2.0 ** -j * end for i, j, end in on_edges])
+        table = build_kde_table(estimator.SplitSample(half, half, half.size), plan, k_lo, k_hi)
+        assert (table.idx_lo, table.idx_hi) == (k_lo - margin, k_hi + margin)
+        for j in range(plan.j_min + 3, plan.j_max + 1):
+            assert np.array_equal(table.row(j), rank_query_kde(half, points, 2.0 ** -j, kernel))
+
     def test_unbuilt_rows_raise(self, plan_16k):
         table = build_kde_table(split_sample(np.linspace(0.0, 1.0, 64)), plan_16k)
         for j in (plan_16k.j_min, plan_16k.j_min + 2, plan_16k.j_max + 1):
