@@ -1,21 +1,18 @@
 """Sample-size-derived constants, grids and normalizing sequences.
 
-Two operating modes: "theory" enforces the constant constraints under which
-the asymptotic guarantees are proved (and degenerates at desk-scale n),
-"practical" substitutes documented desk-scale defaults and records every
-departure as a warning on the plan instead of failing.
+A plan is derived from n, L_star and c2 alone.  The paper's other constants
+are the fixed desk-scale values below; the two constraints of the asymptotic
+theory that they relax are recorded as warnings on every plan.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import Callable, Iterable, Mapping, Optional
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Iterable, Mapping
 
 from .errors import (
-    EmptyBandwidthGridError,
-    InvalidConstantsError,
     InvalidExponentError,
     InvalidMeshError,
     InvalidProbabilityError,
@@ -27,7 +24,19 @@ from .kernels import Kernel
 # points for the uniform density (50 replications, n = 2^14, seed 20240601).
 DEFAULT_C2 = 0.65
 
-THEORY_MIN_N_HINT = "theory-mode constants degenerate below n ~ 1e10"
+# The paper's other constants.  Constants that meet the theory's constraints
+# (c1 > 2/(beta_* log 2), kappa2 > c1 log 2 + 4) leave the bandwidth grid
+# empty below n ~ 1e10, so these relax both; _relaxed_constraints names them.
+EPSILON = 0.25
+BETA_STAR_LOW = 0.95
+C1 = 3.0
+KAPPA1 = max(1.0 / (2.0 * BETA_STAR_LOW), 0.5)
+KAPPA2 = 1.0
+
+# The most float64 entries one array can hold: its size in bytes must fit in
+# a signed machine word.
+MAX_ARRAY_LEN = sys.maxsize // 8
+
 
 def checked_alpha(alpha: float) -> float:
     """alpha, if it lies in (0,1) and 1 - alpha/2, its Gumbel level, is below 1."""
@@ -47,29 +56,15 @@ def checked_positive(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class PlanParams:
-    """User-facing knobs; everything else on a plan is derived from these."""
+    """The settings a plan is derived from; its other constants are fixed."""
 
     n: int
-    epsilon: float = 0.25
-    beta_star_low: float = 0.95
     L_star: float = 1.0
-    c1: float = 3.0
-    kappa1: Optional[float] = None  # practical default max(1/(2 beta_*), 1/2)
-    kappa2: float = 1.0
     c2: float = DEFAULT_C2
-    mode: str = "practical"
 
     def __post_init__(self):
         if self.n < 4:
             raise ValueError(f"sample size must be >= 4, got {self.n!r}")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon!r}")
-        if not (0.0 < self.beta_star_low < 1.0):
-            raise InvalidExponentError(
-                f"beta_star_low must lie in (0,1), got {self.beta_star_low!r}"
-            )
-        if self.mode not in ("theory", "practical"):
-            raise ValueError(f"mode must be 'theory' or 'practical', got {self.mode!r}")
         checked_positive("c2", self.c2)
         checked_positive("L_star", self.L_star)
 
@@ -79,16 +74,17 @@ class CalibrationPlan:
     """Frozen record of every derived constant the pipeline consumes, and of
     the kernel they are derived from: every fit reads the kernel here."""
 
+    epsilon: ClassVar[float] = EPSILON
+    beta_star_low: ClassVar[float] = BETA_STAR_LOW
+    c1: ClassVar[float] = C1
+    kappa1: ClassVar[float] = KAPPA1
+    kappa2: ClassVar[float] = KAPPA2
+    mode: ClassVar[str] = "practical"
+
     n: int
-    epsilon: float
-    beta_star_low: float
     beta_star_high: int  # the kernel's order + 1
     L_star: float
-    c1: float
-    kappa1: float
-    kappa2: float
     c2: float
-    mode: str
     n_tilde: int
     j_min: int
     j_max: int
@@ -131,69 +127,49 @@ def normalizers(delta_n: float, tv: float) -> tuple[float, float]:
     return a_n, b_n
 
 
-def theory_constraint_violations(params: PlanParams) -> list[str]:
-    """The three constant constraints the asymptotics require; kappa1 must be set."""
+def _relaxed_constraints() -> list[str]:
+    """The theory's constant constraints that the fixed constants break;
+    KAPPA1 meets its own, kappa1 >= 1/(2 beta_*), by definition."""
     out = []
-    c1_floor = 2.0 / (params.beta_star_low * math.log(2.0))
-    if not params.c1 > c1_floor:
-        out.append(f"c1={params.c1:g} must exceed 2/(beta_* log 2)={c1_floor:g}")
-    k1_floor = 1.0 / (2.0 * params.beta_star_low)
-    if params.kappa1 < k1_floor:
-        out.append(f"kappa1={params.kappa1:g} must be >= 1/(2 beta_*)={k1_floor:g}")
-    k2_floor = params.c1 * math.log(2.0) + 4.0
-    if not params.kappa2 > k2_floor:
-        out.append(f"kappa2={params.kappa2:g} must exceed c1 log2 + 4={k2_floor:g}")
+    c1_floor = 2.0 / (BETA_STAR_LOW * math.log(2.0))
+    if not C1 > c1_floor:
+        out.append(f"c1={C1:g} must exceed 2/(beta_* log 2)={c1_floor:g}")
+    k2_floor = C1 * math.log(2.0) + 4.0
+    if not KAPPA2 > k2_floor:
+        out.append(f"kappa2={KAPPA2:g} must exceed c1 log2 + 4={k2_floor:g}")
     return out
 
 
 def derive_plan(params: PlanParams, kernel: Kernel) -> CalibrationPlan:
     """Evaluate every derived quantity by direct formula in double precision."""
-    kappa1 = params.kappa1 if params.kappa1 is not None else max(1.0 / (2.0 * params.beta_star_low), 0.5)
-
-    plan_warnings: list[str] = []
-    violations = theory_constraint_violations(replace(params, kappa1=kappa1))
-    if params.mode == "theory":
-        if violations:
-            raise InvalidConstantsError("; ".join(violations))
-    else:
-        for v in violations:
-            plan_warnings.append(f"theory constraint relaxed: {v}")
-        if params.c1 <= 0 or kappa1 <= 0 or params.kappa2 <= 0:
-            raise InvalidConstantsError("practical mode still requires positive c1, kappa1, kappa2")
+    plan_warnings = [f"theory constraint relaxed: {v}" for v in _relaxed_constraints()]
 
     n_tilde = params.n // 2
+    # such an n is far past the mesh cap below, and past float range
+    if n_tilde > sys.float_info.max:
+        raise InvalidMeshError(f"n={params.n} needs a mesh of more cells than an array can hold")
     ln = math.log(n_tilde)
-    j_min = math.ceil(max(2.0, math.log2(2.0 / params.epsilon)) - 1e-12)
-    j_max = math.floor(math.log2(n_tilde / ln ** params.kappa2) + 1e-12)
+    j_min = math.ceil(max(2.0, math.log2(2.0 / EPSILON)) - 1e-12)
+    j_max = math.floor(math.log2(n_tilde / ln ** KAPPA2) + 1e-12)
     if j_max < j_min:
-        if params.mode == "theory":
-            raise EmptyBandwidthGridError(
-                f"j_max={j_max} < j_min={j_min} at n={params.n} ({THEORY_MIN_N_HINT})"
-            )
         plan_warnings.append(f"j_max={j_max} clamped up to j_min={j_min}")
         j_max = j_min
 
     inv_delta = math.ceil(
-        2.0 ** (j_min / params.beta_star_low) * (ln / n_tilde) ** (-kappa1) * ln ** (2.0 / params.beta_star_low)
+        2.0 ** (j_min / BETA_STAR_LOW) * (ln / n_tilde) ** (-KAPPA1) * ln ** (2.0 / BETA_STAR_LOW)
     )
     # the mesh's cell_edges array holds mesh_count + 1 float64 entries
-    if inv_delta + 1 > sys.maxsize // 8:
+    if inv_delta + 1 > MAX_ARRAY_LEN:
         raise InvalidMeshError(f"n={params.n} needs a mesh of {inv_delta:.3g} cells, more than an array can hold")
     delta_n = 1.0 / inv_delta
-    u_n = params.c1 * math.log(ln)
+    u_n = C1 * math.log(ln)
     a_n, b_n = normalizers(delta_n, kernel.tv)
 
     return CalibrationPlan(
         n=params.n,
-        epsilon=params.epsilon,
-        beta_star_low=params.beta_star_low,
         beta_star_high=kernel.order + 1,
         L_star=params.L_star,
-        c1=params.c1,
-        kappa1=kappa1,
-        kappa2=params.kappa2,
         c2=params.c2,
-        mode=params.mode,
         n_tilde=n_tilde,
         j_min=j_min,
         j_max=j_max,
@@ -275,7 +251,8 @@ def plan_to_text(plan: CalibrationPlan) -> str:
 
 def plan_from_text(text: str, kernel: Kernel) -> CalibrationPlan:
     """Rebuild a plan from its key=value block and re-derive it with `kernel`;
-    every stored derived field must match the re-derivation exactly (floats
+    every stored field other than n, L_star and c2, the fixed constants
+    included, must match the re-derivation exactly (floats
     are stored as their shortest round-trip repr, so exact comparison is
     sound)."""
     kv = read_key_values(text.splitlines(), _TEXT_FIELDS, "plan field", "line ")

@@ -2,8 +2,8 @@
 verification suite, and band-comparison curves, all emitting CSV.
 
 Every setting, from a flag, LOCBAND_SEED or a --config line, is checked
-as it is resolved, whatever the command.  Every plan is a practical one;
-theory mode is PlanParams(mode="theory"), from Python.
+as it is resolved, whatever the command.  A plan takes n, lstar and c2 from
+the settings and its other constants from locband.calibration.
 
 Exit codes: 0 success (simulations exit 0 regardless of pass/fail --
 results are data), 1 failed verification, 2 usage/parse errors and runs

@@ -21,14 +21,6 @@ class QuadratureError(LocbandError, RuntimeError):
     """A quadrature routine could not certify the requested tolerance."""
 
 
-class InvalidConstantsError(LocbandError, ValueError):
-    """Theory-mode constant constraints violated."""
-
-
-class EmptyBandwidthGridError(LocbandError, ValueError):
-    """j_max < j_min: no dyadic bandwidth survives at this sample size."""
-
-
 class InvalidMeshError(LocbandError, ValueError):
     pass
 

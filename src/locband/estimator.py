@@ -129,10 +129,10 @@ class KdeTable:
 
 
 def ball_offset(plan: CalibrationPlan, j: int) -> int:
-    """Largest mesh-index offset inside the selector's open ball of radius
-    (7/8) 2^-j; at j_min it is the margin a table needs around its queries."""
-    rho = (7.0 / 8.0) * 2.0 ** -j * plan.mesh_count
-    return max(0, math.ceil(rho - 1e-9) - 1)
+    """Largest mesh-index offset a inside the selector's open ball of radius
+    (7/8) 2^-j, a delta_n < (7/8) 2^-j, in exact integers; at j_min it is
+    the margin a table needs around its queries."""
+    return max(0, (7 * plan.mesh_count - 1) // 2 ** (j + 3))
 
 
 def _rank_bins(sorted_x: np.ndarray, edges: np.ndarray, side: str) -> np.ndarray:

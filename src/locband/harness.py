@@ -21,6 +21,7 @@ import numpy as np
 from . import densities as zoo
 from .band import cell_bandwidths, cell_edges, cell_of, covers_truth, fit_band, halfwidths
 from .calibration import (
+    MAX_ARRAY_LEN,
     CalibrationPlan,
     PlanParams,
     band_halfwidth_quantile,
@@ -332,6 +333,8 @@ def run_gumbel_calibration(
     """
     if m < 16:
         raise ValueError(f"need m >= 16 cells, got {m!r}")
+    if m > MAX_ARRAY_LEN:
+        raise ValueError(f"need m <= {MAX_ARRAY_LEN} cells, got {m!r}")
     sigma = math.sqrt(kernel.tv ** 2 / 2.0)
     a_n, b_n = normalizers(1.0 / m, kernel.tv)
     stats = np.empty(reps)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -17,8 +18,6 @@ from locband.calibration import (
     plan_to_text,
 )
 from locband.errors import (
-    EmptyBandwidthGridError,
-    InvalidConstantsError,
     InvalidExponentError,
     InvalidMeshError,
     InvalidProbabilityError,
@@ -27,10 +26,6 @@ from locband.errors import (
 
 @pytest.mark.parametrize("field, value, error, message", [
     ("n", 3, ValueError, "sample size must be >= 4, got 3"),
-    ("epsilon", 1.0, ValueError, "epsilon must lie in (0,1), got 1.0"),
-    ("epsilon", 0.0, ValueError, "epsilon must lie in (0,1), got 0.0"),
-    ("beta_star_low", 1.0, InvalidExponentError, "beta_star_low must lie in (0,1), got 1.0"),
-    ("mode", "bogus", ValueError, "mode must be 'theory' or 'practical', got 'bogus'"),
     ("c2", math.nan, ValueError, "c2 must be positive and finite, got nan"),
     ("c2", 0.0, ValueError, "c2 must be positive and finite, got 0.0"),
     ("L_star", math.inf, ValueError, "L_star must be positive and finite, got inf"),
@@ -41,44 +36,41 @@ def test_plan_params_out_of_range(field, value, error, message):
         PlanParams(**{"n": 2048, field: value})
 
 
+def test_plan_params_are_the_settings(rect):
+    # the paper's other constants are fixed, read on every plan, and written
+    assert [f.name for f in dataclasses.fields(PlanParams)] == ["n", "L_star", "c2"]
+    plan = derive_plan(PlanParams(n=2048), rect)
+    assert (plan.epsilon, plan.beta_star_low, plan.c1, plan.kappa1, plan.kappa2, plan.mode) == (
+        0.25, 0.95, 3.0, 1.0 / 1.9, 1.0, "practical")
+    assert "mode=practical\n" in plan_to_text(plan)
+
+
 class TestDerivePlan:
     def test_j_min_from_epsilon(self, rect):
-        plan = derive_plan(PlanParams(n=2048, epsilon=0.25), rect)
-        assert plan.j_min == 3  # ceil(max(2, log2(8)))
-        plan2 = derive_plan(PlanParams(n=2048, epsilon=0.5), rect)
-        assert plan2.j_min == 2
+        plan = derive_plan(PlanParams(n=2048), rect)
+        assert plan.j_min == 3  # ceil(max(2, log2(2 / 0.25)))
 
     def test_mesh_width_formula(self, rect):
-        # n~=1024, beta_*=1-side values evaluated with beta_*=1 by hand:
-        # ceil(8 * (log 1024/1024)^(-1/2) * (log 1024)^2) = ceil(4671.7345...)
-        plan = derive_plan(
-            PlanParams(n=2048, beta_star_low=0.9999999999, kappa1=0.5), rect
-        )
-        assert plan.mesh_count == 4672
-        assert plan.delta_n == 1.0 / 4672
+        # n~ = 1024, beta_* = 0.95, kappa1 = 1/(2 beta_*), by hand:
+        # ceil(2^(3/0.95) (log 1024/1024)^(-kappa1) (log 1024)^(2/0.95)) = ceil(7288.0037...)
+        plan = derive_plan(PlanParams(n=2048), rect)
+        assert plan.mesh_count == 7289
+        assert plan.delta_n == 1.0 / 7289
         nt, ln = 1024, math.log(1024)
-        raw = 2.0 ** (3 / 0.9999999999) * (ln / nt) ** -0.5 * ln ** (2 / 0.9999999999)
+        raw = 2.0 ** (3 / 0.95) * (ln / nt) ** -(1 / 1.9) * ln ** (2 / 0.95)
         assert plan.mesh_count == math.ceil(raw)
 
     def test_mesh_width_is_reciprocal_integer(self, plan_16k):
         assert plan_16k.mesh_count == round(1.0 / plan_16k.delta_n)
 
-    def test_empty_grid_theory_mode(self, rect):
-        # n~ = 1024 with kappa2 = 6.1: 1024/(log 1024)^6.1 < 1
-        params = PlanParams(
-            n=2048, mode="theory", c1=3.0, kappa2=6.1, beta_star_low=0.97, kappa1=0.52
-        )
-        with pytest.raises(EmptyBandwidthGridError):
-            derive_plan(params, rect)
-
-    def test_theory_constraints_enforced(self, rect):
-        with pytest.raises(InvalidConstantsError):
-            derive_plan(PlanParams(n=2048, mode="theory", c1=1.0, kappa2=10.0), rect)
-
     def test_practical_mode_warns_and_clamps(self, rect):
-        plan = derive_plan(PlanParams(n=64, kappa2=3.0), rect)
-        assert plan.j_max >= plan.j_min
-        assert any("clamped" in w for w in plan.warnings)
+        # j_max = floor(log2(n~ / log n~)) first reaches j_min = 3 at n~ = 27
+        for n in range(4, 60):
+            plan = derive_plan(PlanParams(n=n), rect)
+            j_max = math.floor(math.log2(n // 2 / math.log(n // 2)) + 1e-12)
+            clamped = (f"j_max={j_max} clamped up to j_min=3",) if n < 54 else ()
+            assert plan.warnings[2:] == clamped  # after the two relaxed constraints
+            assert plan.j_max == max(j_max, 3)
 
     def test_largest_meshes(self, rect):
         # n = 2^60 still has a mesh an array can hold; its edges need mesh_count + 1 entries
@@ -226,12 +218,18 @@ class TestSerialization:
         with pytest.raises(ValueError, match="disagrees"):
             plan_from_text("n=2048\nj_min=9\n", rect)
 
-    @pytest.mark.parametrize("name", ["a_n", "b_n", "delta_n", "u_n", "m_n", "c3"])
+    # a derived value or a fixed constant edited in a .meta
+    EDITS = {"a_n": "99.0", "b_n": "99.0", "delta_n": "99.0", "u_n": "99.0", "m_n": "99.0", "c3": "99.0",
+             "c1": "2.0", "epsilon": "0.5", "mode": "theory"}
+
+    @pytest.mark.parametrize("name", list(EDITS))
     def test_edited_derived_float_rejected(self, rect, name):
         plan = derive_plan(PlanParams(n=2048), rect)
-        text = plan_to_text(plan).replace(f"{name}={getattr(plan, name)!r}\n", f"{name}=99.0\n")
-        assert f"{name}=99.0\n" in text
-        with pytest.raises(ValueError, match=f"stored {name}=99.0 disagrees"):
+        text, count = re.subn(f"^{name}=.*$", f"{name}={self.EDITS[name]}", plan_to_text(plan), flags=re.M)
+        assert count == 1
+        stored = type(getattr(plan, name))(self.EDITS[name])
+        message = f"stored {name}={stored!r} disagrees with re-derived {getattr(plan, name)!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             plan_from_text(text, rect)
 
     def test_beta_star_high_from_kernel_checked(self, rect):
@@ -243,14 +241,11 @@ class TestSerialization:
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda rect: normalizers(0.1, 0.0), InvalidMeshError, "total variation must be positive, got 0.0"),
-    (lambda rect: derive_plan(PlanParams(n=2048, c1=0.0), rect), InvalidConstantsError,
-     "practical mode still requires positive c1, kappa1, kappa2"),
-    (lambda rect: derive_plan(PlanParams(n=2048, kappa1=-1.0), rect), InvalidConstantsError,
-     "practical mode still requires positive c1, kappa1, kappa2"),
-    (lambda rect: derive_plan(PlanParams(n=2048, kappa2=0.0), rect), InvalidConstantsError,
-     "practical mode still requires positive c1, kappa1, kappa2"),
     (lambda rect: derive_plan(PlanParams(n=10 ** 30), rect), InvalidMeshError,
      f"n={10 ** 30} needs a mesh of 3.01e+19 cells, more than an array can hold"),
+    # past float range, refused before any conversion
+    (lambda rect: derive_plan(PlanParams(n=10 ** 400), rect), InvalidMeshError,
+     f"n={10 ** 400} needs a mesh of more cells than an array can hold"),
     (lambda rect: band_halfwidth_quantile(derive_plan(PlanParams(n=2048), rect), 1e-320), InvalidProbabilityError,
      "alpha is too small to use: 1 - alpha/2 rounds to 1, got 1e-320"),
     (lambda rect: band_halfwidth_quantile(derive_plan(PlanParams(n=2048), rect), 2.0 ** -53), InvalidProbabilityError,

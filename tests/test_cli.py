@@ -330,7 +330,7 @@ class TestConfigAndEnv:
 
     @pytest.mark.parametrize("value", ["practical", "theory"])
     def test_config_mode_is_an_unknown_key(self, tmp_path, capsys, value):
-        # every CLI plan is a practical one; theory mode is PlanParams(mode="theory")
+        # a plan's constants other than n, lstar and c2 are fixed, so no setting names them
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# a comment\nseed=3\nmode={value}\n")
         out = tmp_path / "cov.csv"
@@ -414,7 +414,7 @@ class TestConfigAndEnv:
 @pytest.mark.parametrize("argv, code, stream, text", [
     (("band", "--help"), 0, "out", "usage: locband band"),
     (("band", "--bogus"), 2, "err", "unrecognized arguments: --bogus"),
-    # every CLI plan is a practical one; theory mode is PlanParams(mode="theory")
+    # a plan's constants other than n, lstar and c2 are fixed, so there is no mode to pick
     *((argv + ("--mode", "theory"), 2, "err", "unrecognized arguments: --mode theory")
       for argv in (("band",), ("simulate", "coverage"), ("simulate", "gumbel"), ("curves",))),
 ], ids=["help", "unknown-flag", "mode-band", "mode-coverage", "mode-gumbel", "mode-curves"])
@@ -574,13 +574,22 @@ def test_series_too_deep_is_refused(name, tmp_path, capsys):
     ("curves",),
 ], ids=["coverage", "window", "curves"])
 def test_mesh_too_large_to_index_is_refused(argv, tmp_path, capsys):
-    # its 3.0e19 cells are more than sys.maxsize // 8 float64 entries
-    n = 10 ** 30
-    code, seconds = _timed_cli(*argv, "--n", str(n), "--out", str(tmp_path / "out.csv"))
+    # 3.0e19 cells are more than sys.maxsize // 8 float64 entries; an n past
+    # float range is refused before any conversion
+    for n, cells in ((10 ** 30, "3.01e+19 cells, more"), (10 ** 400, "more cells")):
+        code, seconds = _timed_cli(*argv, "--n", str(n), "--out", str(tmp_path / "out.csv"))
+        assert code == 2 and seconds < 1.0
+        assert capsys.readouterr().err == f"{argv[0]}: n={n} needs a mesh of {cells} than an array can hold\n"
+
+
+@pytest.mark.parametrize("n", [10 ** 20, 10 ** 30])
+def test_gumbel_cells_past_an_array_are_refused(n, tmp_path, capsys):
+    # refused before numpy is asked for the array; a count below the cap that
+    # does not fit is test_out_of_memory_is_a_stated_refusal's
+    code, seconds = _timed_cli("simulate", "gumbel", "--n", str(n), "--reps", "1", "--out", str(tmp_path / "out.csv"))
     assert code == 2 and seconds < 1.0
-    assert capsys.readouterr().err == (
-        f"{argv[0]}: n={n} needs a mesh of 3.01e+19 cells, more than an array can hold\n"
-    )
+    assert capsys.readouterr().err == f"simulate: need m <= {sys.maxsize // 8} cells, got {n}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from locband import estimator, forked
@@ -267,6 +267,17 @@ class TestKdeTable:
         sel = slice(-table.idx_lo, plan_16k.mesh_count - table.idx_lo)
         mass = row[sel].sum() * plan_16k.delta_n
         assert mass == pytest.approx(1.0, abs=0.05)
+
+
+@given(st.integers(1, 2 ** 50), st.integers(2, 60))
+@example(4_141_575_607, 27)  # 7N mod 2^30 is positive but below 2^30 * 1e-9
+@example(7_362_801_079, 28)
+@example(2 ** 5, 2)  # 7N a multiple of 2^(j+3): the ball's edge is not in it
+@settings(max_examples=300, deadline=None)
+def test_ball_offset_is_the_open_ball(plan_16k, N, j):
+    # a delta_n < (7/8) 2^-j with delta_n = 1/N, in exact integers
+    a = ball_offset(replace(plan_16k, mesh_count=N, delta_n=1.0 / N), j)
+    assert a * 2 ** (j + 3) < 7 * N <= (a + 1) * 2 ** (j + 3)
 
 
 class TestParseDataFile:

@@ -12,7 +12,7 @@ from locband.band import fit_band
 from locband.calibration import DEFAULT_C2, PlanParams, derive_plan, optimal_bandwidth
 from locband.densities import make_peak_triangular, make_uniform, sample
 from locband.errors import OffMeshError
-from locband.estimator import KdeTable, ball_offset, build_kde_table, split_sample
+from locband.estimator import KdeTable, build_kde_table, split_sample
 from locband.harness import local_exponent_oracle, theoretical_window
 from locband.kernels import make_rectangular
 from locband.selector import (
@@ -24,6 +24,12 @@ from locband.selector import (
 )
 
 
+def open_ball_reach(N: int, j: int) -> int:
+    """Largest mesh offset a with a/N < (7/8) 2^-j, in exact integers: the
+    oracles' ball radius, not the selector's own."""
+    return (7 * N - 1) // 2 ** (j + 3)
+
+
 def admissible_set(t: float, table: KdeTable, plan) -> set[int]:
     """Brute-force oracle: every exponent j whose pairs m > m' >= j + 3 all
     pass on every mesh index of the open ball B(t, (7/8) 2^-j).  It shares
@@ -31,7 +37,7 @@ def admissible_set(t: float, table: KdeTable, plan) -> set[int]:
     k = round(t / plan.delta_n)
     out = set()
     for j in range(plan.j_min, plan.j_max + 1):
-        a = max(0, math.ceil((7.0 / 8.0) * 2.0 ** -j * plan.mesh_count - 1e-9) - 1)
+        a = open_ball_reach(plan.mesh_count, j)
         lo, hi = k - a - table.idx_lo, k + a - table.idx_lo
         assert 0 <= lo and hi < table.values.shape[1], "oracle ball leaves the table"
         if all(
@@ -113,8 +119,7 @@ class TestAdmissibleSet:
         # agrees away from float ties
         for j in range(plan.j_min, plan.j_max + 1):
             ok = True
-            a = (7.0 / 8.0) * 2.0 ** -j * plan.mesh_count
-            amax = max(0, math.ceil(a - 1e-9) - 1)
+            amax = open_ball_reach(plan.mesh_count, j)
             for mp in range(j + 3, plan.j_max + 1):
                 for m in range(mp + 1, plan.j_max + 1):
                     lo = k - amax - table.idx_lo
@@ -132,7 +137,7 @@ def _random_table(plan, seed, j_min, n_exp, mesh_count, tie):
     rng = np.random.default_rng(seed)
     plan = replace(plan, j_min=j_min, j_max=j_min + n_exp - 1, mesh_count=mesh_count,
                    delta_n=1.0 / mesh_count)
-    margin = max(0, math.ceil((7.0 / 8.0) * 2.0 ** -j_min * mesh_count - 1e-9) - 1)
+    margin = open_ball_reach(mesh_count, j_min)
     # draw rows j_min..j_max, then keep j_min + 3..j_max, the rows a table holds
     values = 0.1 * rng.integers(0, 5, size=(n_exp, mesh_count + 1 + 2 * margin))[3:]
     table = KdeTable(plan=plan, idx_lo=-margin, idx_hi=mesh_count + margin, values=values)
@@ -248,7 +253,7 @@ class TestSlidingMax:
         for j, _ in _ball_maxima(table, plan_module, 0, k_hi):
             window, before = windows[-1]
             assert np.array_equal(window, before)
-            a = ball_offset(plan_module, j)
+            a = open_ball_reach(plan_module.mesh_count, j)
             ratios = [
                 pair_ratio(table, plan_module, m, mp)[-a - table.idx_lo:k_hi + a + 1 - table.idx_lo]
                 for mp in range(j + 3, plan_module.j_max + 1)
@@ -293,7 +298,8 @@ class TestGrowingTable:
         assert fit_profile(split, plan, k_lo, k_hi).tolist() == select_at(whole, plan, k_lo, k_hi).tolist()
         grown = build_kde_table(split, plan, k_lo, k_hi, j_reach)
         for j in range(max(j_reach, plan.j_min), plan.j_min - 1, -1):
-            grown = grown.widened(k_lo - ball_offset(plan, j), k_hi + ball_offset(plan, j))
+            a = open_ball_reach(plan.mesh_count, j)
+            grown = grown.widened(k_lo - a, k_hi + a)
         assert (grown.idx_lo, grown.idx_hi) == (whole.idx_lo, whole.idx_hi)
         assert grown.values.tobytes() == whole.values.tobytes()
 
@@ -311,7 +317,7 @@ class TestGrowingTable:
             list(_ball_maxima(build_kde_table(split, plan, k_lo, k_hi, plan.j_max - 4), plan, k_lo, k_hi))
         assert len(windows) == max(plan.j_max - 3 - plan.j_min, 0)
         for j, window in zip(range(plan.j_max - 4, plan.j_min - 1, -1), windows):
-            a = ball_offset(plan, j)
+            a = open_ball_reach(plan.mesh_count, j)
             cols = slice(k_lo - a - whole.idx_lo, k_hi + a + 1 - whole.idx_lo)
             ratios = [pair_ratio(whole, plan, m, mp, cols)
                       for mp in range(j + 3, plan.j_max) for m in range(mp + 1, plan.j_max + 1)]
@@ -324,7 +330,7 @@ class TestGrowingTable:
         widened, spans = KdeTable.widened, []
         monkeypatch.setattr(KdeTable, "widened", lambda t, lo, hi: spans.append(hi - lo) or widened(t, lo, hi))
         k = round(0.5 * plan_module.mesh_count)
-        margin = ball_offset(plan_module, plan_module.j_min)
+        margin = open_ball_reach(plan_module.mesh_count, plan_module.j_min)
         kink = fit_profile(split, plan_module, k - 1, k)
         assert max(spans) < 1 + 2 * margin and kink.min() > plan_module.j_min + 1
         spans.clear()
