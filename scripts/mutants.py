@@ -7,10 +7,10 @@ runs on it, with the two acceptance criteria that fail by design (04 and
 08a) deselected and stopping at the first failure.  A mutant is killed when
 some test fails and survives when every test passes.
 
-    python3 scripts/mutants.py            # every mutant
-    python3 scripts/mutants.py --list     # the table only
+    python3 scripts/mutants.py
 
-Prints one line per mutant.  Exits 1 if a mutant's text is not found exactly
+Prints one line per mutant; a killed line names the test that failed, so a
+kill by a flaky test can be seen.  Exits 1 if a mutant's text is not found exactly
 once (checked before anything runs, so a stale table reports nothing) or if
 a tier-1 run ends other than in pass or fail.  Uses the standard library
 only; a surviving mutant is a finding, not an error, so it does not change
@@ -19,7 +19,6 @@ the exit status.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -99,21 +98,17 @@ def check_table(root: Path) -> list[str]:
     return bad
 
 
-def run_tier1(tree: Path) -> int:
+def run_tier1(tree: Path) -> tuple[int, str]:
+    """pytest's exit status and the node id of the first failing test."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "--tb=no", "-rfE", "-p", "no:cacheprovider",
             "--continue-on-collection-errors", *(f"--deselect={t}" for t in BY_DESIGN)]
-    return subprocess.run(argv, cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    run = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    failed = [line.split()[1] for line in run.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
+    return run.returncode, failed[0] if failed else ""
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--list", action="store_true", help="print the table and exit")
-    args = ap.parse_args()
-    if args.list:
-        for m in MUTANTS:
-            print(f"{m.name}: {m.file}: {m.semantic}")
-        return 0
     bad = check_table(ROOT)
     if bad:
         print("\n".join(bad), file=sys.stderr)
@@ -129,13 +124,14 @@ def main() -> int:
             path.write_text(original.replace(m.text, m.replacement), encoding="utf-8")
             start = time.perf_counter()
             try:
-                code = run_tier1(tree)
+                code, failed = run_tier1(tree)
             finally:
                 path.write_text(original, encoding="utf-8")
             verdict = {0: "survived", 1: "killed"}.get(code, "error")
             counts[verdict] += 1
             status |= verdict == "error"
-            print(f"{verdict:8} {m.name} ({time.perf_counter() - start:.0f} s): {m.semantic}", flush=True)
+            by = f" by {failed}" if failed else ""
+            print(f"{verdict:8} {m.name}{by} ({time.perf_counter() - start:.0f} s): {m.semantic}", flush=True)
     print(f"{counts['killed']} killed, {counts['survived']} survived, {counts['error']} errors of {len(MUTANTS)}")
     return status
 

@@ -26,12 +26,21 @@ DEFAULT_C2 = 0.65
 
 # The paper's other constants.  Constants that meet the theory's constraints
 # (c1 > 2/(beta_* log 2), kappa2 > c1 log 2 + 4) leave the bandwidth grid
-# empty below n ~ 1e10, so these relax both; _relaxed_constraints names them.
+# empty below n ~ 1e10, so these relax both, and every plan's first warnings
+# say so.  KAPPA1 meets its own constraint, kappa1 >= 1/(2 beta_*), by
+# definition.
 EPSILON = 0.25
 BETA_STAR_LOW = 0.95
 C1 = 3.0
 KAPPA1 = max(1.0 / (2.0 * BETA_STAR_LOW), 0.5)
 KAPPA2 = 1.0
+_C1_FLOOR = 2.0 / (BETA_STAR_LOW * math.log(2.0))
+_KAPPA2_FLOOR = C1 * math.log(2.0) + 4.0
+assert C1 <= _C1_FLOOR and KAPPA2 <= _KAPPA2_FLOOR
+_RELAXED = (
+    f"theory constraint relaxed: c1={C1:g} must exceed 2/(beta_* log 2)={_C1_FLOOR:g}",
+    f"theory constraint relaxed: kappa2={KAPPA2:g} must exceed c1 log2 + 4={_KAPPA2_FLOOR:g}",
+)
 
 # The most float64 entries one array can hold: its size in bytes must fit in
 # a signed machine word.
@@ -127,22 +136,9 @@ def normalizers(delta_n: float, tv: float) -> tuple[float, float]:
     return a_n, b_n
 
 
-def _relaxed_constraints() -> list[str]:
-    """The theory's constant constraints that the fixed constants break;
-    KAPPA1 meets its own, kappa1 >= 1/(2 beta_*), by definition."""
-    out = []
-    c1_floor = 2.0 / (BETA_STAR_LOW * math.log(2.0))
-    if not C1 > c1_floor:
-        out.append(f"c1={C1:g} must exceed 2/(beta_* log 2)={c1_floor:g}")
-    k2_floor = C1 * math.log(2.0) + 4.0
-    if not KAPPA2 > k2_floor:
-        out.append(f"kappa2={KAPPA2:g} must exceed c1 log2 + 4={k2_floor:g}")
-    return out
-
-
 def derive_plan(params: PlanParams, kernel: Kernel) -> CalibrationPlan:
     """Evaluate every derived quantity by direct formula in double precision."""
-    plan_warnings = [f"theory constraint relaxed: {v}" for v in _relaxed_constraints()]
+    plan_warnings = list(_RELAXED)
 
     n_tilde = params.n // 2
     # such an n is far past the mesh cap below, and past float range
