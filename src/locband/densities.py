@@ -12,6 +12,7 @@ piecewise-constant kernels possible (naive quadrature cannot resolve the series)
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -420,6 +421,8 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
         raise ValueError(f"variant must be 'one' or 'two', got {variant!r}")
     if n < 4:
         raise ValueError(f"sample size must be >= 4, got {n!r}")
+    if n > sys.float_info.max:  # the bump radius takes float(n)
+        raise ValueError(f"sample size must be <= {sys.float_info.max!r}, got {n!r}")
     g = perturbation_radius(n, beta)
     tag = "1" if variant == "one" else "2"
 

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import replace
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import locband
 from locband import band, calibration, cli, harness
@@ -649,3 +654,90 @@ def test_out_of_memory_in_a_worker_is_a_stated_refusal(monkeypatch, capsys, cpus
     assert run_cli("simulate", "coverage", "--n", "512", "--reps", "2") == 2
     warnings = "".join(f"simulate: {w}" for w in RELAXED)
     assert capsys.readouterr() == ("", f"{warnings}simulate: out of memory at n=512\n")
+
+
+# --- the argv sweep: every drawn command line ends in a stated outcome -------
+
+# valid values of each setting; n and reps stay at most 4096 and 2, so that
+# every case that runs is small
+_VALID = {"n": ("4", "64", "4096"), "alpha": ("0.1", "0.5"), "reps": ("1", "2"), "seed": ("0", "7"),
+          "c2": ("0.65", "4"), "lstar": ("1", "0.25"), "suite": ("a2",)}
+# edge text: each boundary, signed zeros, non-finite and extreme reals, an
+# integer past float range, non-numeric and empty; a reps past float range
+# would run, so reps goes without it
+_EDGES = ("0", "-0", "nan", "inf", "-inf", "1e-320", "1e300", str(10 ** 400), "x", "")
+_EDGE = {"n": ("3", *_EDGES), "alpha": ("1", *_EDGES), "reps": tuple(e for e in _EDGES if e != str(10 ** 400)),
+         "seed": ("-1", *_EDGES), "c2": _EDGES, "lstar": _EDGES, "suite": ("nope", "")}
+_FIELDS = ("0.5", "0.3", "1", "0", "-0", "nan", "inf", "1e-320", "1e300", "x", "")
+_DENSITIES = st.one_of(
+    st.sampled_from(["peak", "tent:0.3", "weierstrass:0.5:0.5", "perturbed1:0.5:4096", "perturbed2:0.3:64"]),
+    st.sampled_from(["", "nope", "peak:1", "tent", "weierstrass:0.5"]),
+    st.builds("tent:{}".format, st.sampled_from(_FIELDS)),
+    st.builds("weierstrass:{}:{}".format, st.sampled_from(_FIELDS), st.sampled_from(_FIELDS)),
+    st.builds("{}:{}:{}".format, st.sampled_from(["perturbed1", "perturbed2"]), st.sampled_from(_FIELDS),
+              st.sampled_from(("64", "4096", "3", "-1", str(10 ** 400), "x", ""))),
+)
+_INPUT_TEXT = {"data": "".join(f"{x!r}\n" for x in np.linspace(0.01, 0.99, 300)),
+               "four": "0.1\n0.4\n0.6\n0.9\n", "empty": "", "bad": "0.5\nx\n"}
+_INPUTS = (*_INPUT_TEXT, "missing", "")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    command=st.sampled_from([("band",), ("verify",), ("curves",),
+                             *(("simulate", kind) for kind in (*cli._SIMULATE_KINDS, "bogus"))]),
+    values=st.fixed_dictionaries({"reps": st.sampled_from(_VALID["reps"])},
+                                 optional={key: st.sampled_from(v) for key, v in _VALID.items() if key != "reps"}),
+    edge=st.none() | st.sampled_from(list(_EDGE)).flatmap(lambda k: st.tuples(st.just(k), st.sampled_from(_EDGE[k]))),
+    density=st.none() | _DENSITIES,
+    given_input=st.none() | st.sampled_from(_INPUTS),
+    in_config=st.booleans(),
+)
+# a perturbation's sample size past float range once ended in an OverflowError
+@example(command=("simulate", "coverage"), values={"n": "64", "reps": "1"}, edge=None,
+         density=f"perturbed1:0.5:{10 ** 400}", given_input=None, in_config=False)
+def test_argv_sweep_ends_in_a_stated_outcome(command, values, edge, density, given_input, in_config):
+    values = dict(values, **dict([edge] if edge else []))
+    if command == ("verify",):
+        values.setdefault("suite", "a2")  # the whole suite is too slow to sweep
+    if density is not None:
+        values["density"] = density
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if command == ("band",) and given_input is None:
+            given_input = "four"
+        if given_input is not None:
+            path = tmp / f"{given_input}.txt"
+            if given_input in _INPUT_TEXT:
+                path.write_text(_INPUT_TEXT[given_input])
+            values["input"] = "" if given_input == "" else str(path)
+        out = tmp / "out.csv"
+        argv = [*command, "--out", str(out)]
+        if in_config:
+            (tmp / "run.cfg").write_text("".join(f"{k}={v}\n" for k, v in values.items()))
+            argv += ["--config", str(tmp / "run.cfg")]
+        else:
+            argv += [f"--{k}={v}" for k, v in values.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)  # an uncaught exception fails the test here
+        written = out.exists() and Path(f"{out}.meta").exists()
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 2) or (code == 1 and command == ("verify",)), (argv, code, lines)
+    if code == 0:
+        assert written, argv
+    elif code == 2 and not in_config and not all(_parses(k, v) for k, v in values.items()):
+        # argparse refuses a flag value with usage lines, then its error line
+        assert lines[-1].startswith(f"locband {command[0]}: error: argument --"), (argv, lines)
+    elif code == 2:
+        stated = [line for line in lines if not line.startswith(f"{command[0]}: warning: ")]
+        assert len(stated) == 1 and stated[0].startswith(f"{command[0]}: "), (argv, lines)
+
+
+def _parses(key, text):
+    try:
+        cli._SETTINGS[key][0](text)
+    except ValueError:
+        return False
+    return True

@@ -819,6 +819,8 @@ def _with_radius(r, call):
      "variant must be 'one' or 'two', got 'three'"),
     (lambda: make_perturbed(make_triangular_hypothesis(0.5), 3, 1.0, "one"), ValueError,
      "sample size must be >= 4, got 3"),
+    (lambda: make_perturbed(make_weierstrass_composite(0.5, 0.5), 10 ** 400, 0.5, "one"), ValueError,
+     f"sample size must be <= 1.7976931348623157e+308, got {10 ** 400}"),
     (lambda: make_perturbed(make_weierstrass_composite(0.5, 0.5), 1000, 0.3, "one"), InvalidExponentError,
      "exponent 0.3 does not match the base construction 0.5"),
     (lambda: make_perturbed(make_triangular_hypothesis(0.5), 1000, 0.5, "one"), InvalidExponentError,
