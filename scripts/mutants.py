@@ -49,6 +49,14 @@ MUTANTS = (
            'bins = _rank_bins(half, points + h * hi, "right")',
            'bins = _rank_bins(half, points + h * hi, "left")',
            "closed kernel pieces: the table counts an observation on a piece's right end"),
+    Mutant("rank-query-right-end-open", "src/locband/estimator.py",
+           'right = np.searchsorted(sorted_half, points + h * hi, side="right")',
+           'right = np.searchsorted(sorted_half, points + h * hi, side="left")',
+           "closed kernel pieces: the rank query counts an observation on a piece's right end"),
+    Mutant("thresholds-first", "src/locband/densities.py",
+           "xs = lo + (hi - lo) * rng.random(_SAMPLE_BATCH)\n        us = rng.random(_SAMPLE_BATCH)",
+           "us = rng.random(_SAMPLE_BATCH)\n        xs = lo + (hi - lo) * rng.random(_SAMPLE_BATCH)",
+           "the sampler's stream order: a batch draws all its positions, then its thresholds"),
     Mutant("covered-without-slack", "src/locband/band.py",
            "np.all(band_lo <= lo - slack)",
            "np.all(band_lo <= lo)",

@@ -18,7 +18,6 @@ import numpy as np
 from .calibration import CalibrationPlan, optimal_bandwidth
 from .csvtext import write_csv
 from .densities import AnalyticDensity
-from .errors import OutOfDomainError
 from .estimator import SplitSample, rank_query_kde
 from .selector import fit_profile
 
@@ -39,7 +38,7 @@ class ConfidenceBand:
 def cell_of(plan: CalibrationPlan, t: float) -> int:
     """The cell k that holds t: right-open cells, the last closed at 1."""
     if not (0.0 <= t <= 1.0):
-        raise OutOfDomainError(f"point {t!r} outside [0,1]")
+        raise ValueError(f"point {t!r} outside [0,1]")
     return min(int(math.floor(t / plan.delta_n)) + 1, plan.mesh_count)
 
 

@@ -12,11 +12,6 @@ import sys
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Iterable, Mapping
 
-from .errors import (
-    InvalidExponentError,
-    InvalidMeshError,
-    InvalidProbabilityError,
-)
 from .kernels import Kernel
 
 # Selection threshold produced by scripts/calibrate_c2.py: smallest value on
@@ -50,9 +45,9 @@ MAX_ARRAY_LEN = sys.maxsize // 8
 def checked_alpha(alpha: float) -> float:
     """alpha, if it lies in (0,1) and 1 - alpha/2, its Gumbel level, is below 1."""
     if not (0.0 < alpha < 1.0):
-        raise InvalidProbabilityError(f"alpha must lie in (0,1), got {alpha!r}")
+        raise ValueError(f"alpha must lie in (0,1), got {alpha!r}")
     if 1.0 - alpha / 2.0 == 1.0:
-        raise InvalidProbabilityError(f"alpha is too small to use: 1 - alpha/2 rounds to 1, got {alpha!r}")
+        raise ValueError(f"alpha is too small to use: 1 - alpha/2 rounds to 1, got {alpha!r}")
     return alpha
 
 
@@ -115,7 +110,7 @@ class CalibrationPlan:
 def gumbel_quantile(p: float) -> float:
     """Quantile -log(-log p) of the standard Gumbel law exp(-exp(-x))."""
     if not (0.0 < p < 1.0):
-        raise InvalidProbabilityError(f"probability must lie in (0,1), got {p!r}")
+        raise ValueError(f"probability must lie in (0,1), got {p!r}")
     return -math.log(-math.log(p))
 
 
@@ -126,9 +121,9 @@ def normalizers(delta_n: float, tv: float) -> tuple[float, float]:
     - [log(-log delta) + log 4 pi] / (2 sqrt(-2 log delta))}, c3 = sqrt2/tv.
     """
     if not (0.0 < delta_n < 1.0):
-        raise InvalidMeshError(f"mesh width must lie in (0,1), got {delta_n!r}")
+        raise ValueError(f"mesh width must lie in (0,1), got {delta_n!r}")
     if tv <= 0.0:
-        raise InvalidMeshError(f"total variation must be positive, got {tv!r}")
+        raise ValueError(f"total variation must be positive, got {tv!r}")
     c3 = math.sqrt(2.0) / tv
     root = math.sqrt(-2.0 * math.log(delta_n))
     a_n = c3 * root
@@ -143,7 +138,7 @@ def derive_plan(params: PlanParams, kernel: Kernel) -> CalibrationPlan:
     n_tilde = params.n // 2
     # such an n is far past the mesh cap below, and past float range
     if n_tilde > sys.float_info.max:
-        raise InvalidMeshError(f"n={params.n} needs a mesh of more cells than an array can hold")
+        raise ValueError(f"n={params.n} needs a mesh of more cells than an array can hold")
     ln = math.log(n_tilde)
     j_min = math.ceil(max(2.0, math.log2(2.0 / EPSILON)) - 1e-12)
     j_max = math.floor(math.log2(n_tilde / ln ** KAPPA2) + 1e-12)
@@ -156,7 +151,7 @@ def derive_plan(params: PlanParams, kernel: Kernel) -> CalibrationPlan:
     )
     # the mesh's cell_edges array holds mesh_count + 1 float64 entries
     if inv_delta + 1 > MAX_ARRAY_LEN:
-        raise InvalidMeshError(f"n={params.n} needs a mesh of {inv_delta:.3g} cells, more than an array can hold")
+        raise ValueError(f"n={params.n} needs a mesh of {inv_delta:.3g} cells, more than an array can hold")
     delta_n = 1.0 / inv_delta
     u_n = C1 * math.log(ln)
     a_n, b_n = normalizers(delta_n, kernel.tv)
@@ -185,7 +180,7 @@ def optimal_bandwidth(plan: CalibrationPlan, beta: float) -> float:
     """Rate-optimal bandwidth 2^-j_min (log n~ / n~)^{1/(2 beta + 1)};
     the beta -> inf limit is 2^-j_min."""
     if beta != math.inf and beta <= 0.0:
-        raise InvalidExponentError(f"exponent must be positive, got {beta!r}")
+        raise ValueError(f"exponent must be positive, got {beta!r}")
     if beta == math.inf:
         return 2.0 ** -plan.j_min
     rate = plan.log_n_tilde / plan.n_tilde

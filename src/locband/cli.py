@@ -34,7 +34,6 @@ from .calibration import (
     read_key_values,
 )
 from .csvtext import write_csv
-from .errors import InvalidConfigurationError, LocbandError
 from .estimator import parse_data_file, split_sample
 from .kernels import make_rectangular
 
@@ -60,7 +59,7 @@ def _at_least(key: str, low: int) -> Callable[[int], int]:
     """The check that the integer setting `key` is at least `low`."""
     def check(value: int) -> int:
         if value < low:
-            raise InvalidConfigurationError(f"{key} must be >= {low}, got {value!r}")
+            raise ValueError(f"{key} must be >= {low}, got {value!r}")
         return value
     return check
 
@@ -89,7 +88,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         try:
             cfg["seed"] = _CHECKS["seed"](int(env_seed))
         except ValueError as exc:
-            raise InvalidConfigurationError(f"{SEED_ENV}={env_seed}: {exc}") from exc
+            raise ValueError(f"{SEED_ENV}={env_seed}: {exc}") from exc
     for key in _SETTINGS:
         v = getattr(args, key, None)
         if v is not None:
@@ -122,7 +121,7 @@ def _density_and_plan(cfg: dict, key: str) -> tuple[zoo.AnalyticDensity | None, 
         try:
             density = zoo.density_from_name(cfg["density"])
         except KeyError as exc:
-            raise InvalidConfigurationError(exc.args[0]) from exc
+            raise ValueError(exc.args[0]) from exc
     plan = derive_plan(PlanParams(n=cfg["n"], L_star=cfg["lstar"], c2=cfg["c2"]), make_rectangular())
     for warning in plan.warnings:
         print(f"{'simulate' if key in _SIMULATE_KINDS else key}: warning: {warning}", file=sys.stderr)
@@ -170,7 +169,7 @@ def cmd_band(args: argparse.Namespace) -> int:
         print(f"band: cannot read input: {exc}", file=sys.stderr)
         return 2
     cfg["n"] = int(data.size)
-    split = split_sample(data)  # InsufficientDataError below 4 points: exit 2
+    split = split_sample(data)  # a ValueError below 4 points: exit 2
     del data  # the fit reads only the sorted halves
     _, plan = _density_and_plan(cfg, "band")
     q_n = band_halfwidth_quantile(plan, cfg["alpha"])
@@ -204,12 +203,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, kernel=None) -> int:
-    kernel = kernel or make_rectangular()
+def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     suites = None if cfg["suite"] in (None, "all") else [cfg["suite"]]
     try:
-        report = harness.verify_inequalities(kernel=kernel, suites=suites)
+        report = harness.verify_inequalities(suites=suites)
     except ValueError as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return 2
@@ -292,7 +290,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (LocbandError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

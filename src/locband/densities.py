@@ -18,16 +18,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConstructionOverlapError,
-    CorruptDensityError,
-    DivergenceInfiniteError,
-    InvalidExponentError,
-    InvalidToleranceError,
-    QuadratureError,
-    UnboundedConstantError,
-)
-
 DEFAULT_SERIES_TOL = 1e-12
 # the most series terms an evaluation sums: beta = 0.1 needs 438 at the default tolerance
 MAX_SERIES_DEPTH = 4096
@@ -50,21 +40,21 @@ class WeierstrassSpec:
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
-            raise InvalidExponentError(f"series exponent must lie in (0, 1], got {self.beta!r}")
+            raise ValueError(f"series exponent must lie in (0, 1], got {self.beta!r}")
         if self.tol <= 0.0:
-            raise InvalidToleranceError(f"truncation tolerance must be positive, got {self.tol!r}")
+            raise ValueError(f"truncation tolerance must be positive, got {self.tol!r}")
         try:
             depth = self.depth
-        except (ZeroDivisionError, OverflowError):  # 2^-beta, or the bound, rounds to 1 or 0
+        except (ValueError, OverflowError):  # 2^-beta rounds to 1 (log2 of 0), or tol is not finite
             depth = math.inf
         if depth > MAX_SERIES_DEPTH:
-            raise InvalidExponentError(f"series exponent {self.beta!r} needs {depth} terms for tolerance "
-                                       f"{self.tol!r}, more than the {MAX_SERIES_DEPTH} evaluated")
+            raise ValueError(f"series exponent {self.beta!r} needs {depth} terms for tolerance "
+                             f"{self.tol!r}, more than the {MAX_SERIES_DEPTH} evaluated")
 
     @property
     def depth(self) -> int:
-        # smallest N with 2^{-N beta}/(1 - 2^{-beta}) <= tol
-        n = math.log2(1.0 / (self.tol * (1.0 - 2.0 ** -self.beta))) / self.beta
+        # smallest N with 2^{-N beta}/(1 - 2^{-beta}) <= tol, in logs so that no tol underflows
+        n = (-math.log2(self.tol) - math.log2(1.0 - 2.0 ** -self.beta)) / self.beta
         return max(0, math.ceil(n))
 
 
@@ -110,7 +100,7 @@ def weierstrass_antideriv(spec: WeierstrassSpec, x) -> np.ndarray | float:
 def holder_quotient_bound(beta: float) -> float:
     """Certified bound on sup |W(x)-W(y)| / |x-y|^beta; +inf for beta >= 1."""
     if beta <= 0.0:
-        raise InvalidExponentError(f"exponent must be positive, got {beta!r}")
+        raise ValueError(f"exponent must be positive, got {beta!r}")
     if beta >= 1.0:
         return math.inf
     return math.pi / (1.0 - 2.0 ** (beta - 1.0)) + 2.0 / (1.0 - 2.0 ** -beta)
@@ -120,11 +110,9 @@ def lw_constant(beta: float) -> float:
     """Certified upper bound for the beta-Hoelder norm of the series on any
     interval: quotient bound plus the sup bound 1/(1-2^{-beta})."""
     if beta <= 0.0:
-        raise InvalidExponentError(f"exponent must be positive, got {beta!r}")
+        raise ValueError(f"exponent must be positive, got {beta!r}")
     if beta >= 1.0:
-        raise UnboundedConstantError(
-            f"norm constant diverges as beta -> 1 (denominator 1-2^(beta-1)); got {beta!r}"
-        )
+        raise ValueError(f"norm constant diverges as beta -> 1 (denominator 1-2^(beta-1)); got {beta!r}")
     return math.pi / (1.0 - 2.0 ** (beta - 1.0)) + 3.0 / (1.0 - 2.0 ** -beta)
 
 
@@ -314,7 +302,7 @@ def make_weierstrass_composite(t: float, beta: float, tol: float = DEFAULT_SERIE
     """Rough test density: 1/6 + ((1-2^-beta)/12) W_beta(x - t) on |x-t| <= 2,
     linear flanks down to zero on (2, 10/3], bounded below by 1/12 on B(t,2)."""
     if not (0.0 < beta < 1.0):
-        raise InvalidExponentError(f"composite exponent must lie in (0,1), got {beta!r}")
+        raise ValueError(f"composite exponent must lie in (0,1), got {beta!r}")
     spec = WeierstrassSpec(beta, tol)
     cw = (1.0 - 2.0 ** -beta) / 12.0
     lo, hi = t - 10.0 / 3.0, t + 10.0 / 3.0
@@ -430,9 +418,7 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
     # constant value, and bump(p, a): piece p of the bump at a with the bump added
     if base.wspec is not None:
         if base.homogeneous_exponent is None or abs(beta - base.wspec.beta) > 1e-12:
-            raise InvalidExponentError(
-                f"exponent {beta!r} does not match the base construction {base.wspec.beta!r}"
-            )
+            raise ValueError(f"exponent {beta!r} does not match the base construction {base.wspec.beta!r}")
         # the limit keeps the bump at a = t + 9/4 clear of the joint at t + 2
         r, limit = (g if variant == "one" else shrink_factor(beta) * g), 0.25
         t = next(c for p in base.pieces for _, c in p.wterms)  # the series centre
@@ -452,7 +438,7 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
         if base != make_triangular_hypothesis(base.pieces[0].hi):
             raise ValueError(f"base {base.name} is neither the series composite nor a tent")
         if abs(beta - 1.0) > 1e-12:
-            raise InvalidExponentError(f"tent perturbations require beta = 1, got {beta!r}")
+            raise ValueError(f"tent perturbations require beta = 1, got {beta!r}")
         r, limit = (g if variant == "one" else 0.5 * g), 2.0
         t = base.pieces[0].hi  # the apex joint
         ball = 0.25 - r / 16.0  # subtracting (1/16)(r - |x-t|) flattens the kink exactly
@@ -466,9 +452,9 @@ def make_perturbed(base: AnalyticDensity, n: int, beta: float, variant: str) -> 
         name = f"tent-perturbed{tag}:{t:g}:{n}"
         sup_bound = base.sup_bound
     if r >= 2.0:
-        raise ConstructionOverlapError(f"bump radius {r!r} >= 2 overlaps the construction")
+        raise ValueError(f"bump radius {r!r} >= 2 overlaps the construction")
     if r > limit:
-        raise ConstructionOverlapError(f"bump radius {r!r} straddles the construction joints")
+        raise ValueError(f"bump radius {r!r} straddles the construction joints")
 
     a = t + 9.0 / 4.0
     pieces = list(base.pieces)
@@ -511,7 +497,7 @@ def density_from_name(name: str) -> AnalyticDensity:
             n = int(parts[2])
             base = make_weierstrass_composite(0.5, beta)
             return make_perturbed(base, n, beta, "one" if kind == "perturbed1" else "two")
-    except (InvalidExponentError, ConstructionOverlapError, ValueError) as exc:
+    except ValueError as exc:
         raise KeyError(f"cannot build density {name!r}: {exc}") from exc
     raise KeyError(f"unknown density name {name!r}")
 
@@ -543,9 +529,7 @@ def sample(density: AnalyticDensity, m: int, seed: int) -> np.ndarray:
         fx = density.pdf(xs)
         if np.any(fx > density.sup_bound * (1.0 + 1e-12)):
             bad = float(fx.max())
-            raise CorruptDensityError(
-                f"density {density.name} exceeds its sup bound: {bad!r} > {density.sup_bound!r}"
-            )
+            raise ValueError(f"density {density.name} exceeds its sup bound: {bad!r} > {density.sup_bound!r}")
         acc = xs[us * density.sup_bound < fx]
         out.append(acc)
         got += acc.size
@@ -651,7 +635,7 @@ def holder_norm_estimate(
     if not wlo < whi:
         raise ValueError(f"degenerate window {window!r}")
     if beta != math.inf and beta <= 0.0:
-        raise InvalidExponentError(f"exponent must be positive, got {beta!r}")
+        raise ValueError(f"exponent must be positive, got {beta!r}")
     lo, hi = density.support
     # off the support the density is 0, so a window past an end where it is not jumps there
     if (wlo < lo and abs(density.pdf(lo)) > 1e-12) or (whi > hi and abs(density.pdf(hi)) > 1e-12):
@@ -690,7 +674,7 @@ def _kl_integrand(p: AnalyticDensity, q: AnalyticDensity, nodes: np.ndarray) -> 
     pv = np.asarray(p.pdf(nodes))
     qv = np.asarray(q.pdf(nodes))
     if np.any((pv > 1e-13) & (qv <= 0.0)):
-        raise DivergenceInfiniteError("mass of p where q vanishes: divergence is infinite")
+        raise ValueError("mass of p where q vanishes: divergence is infinite")
     f = np.zeros_like(pv)
     pos = (pv > 0.0) & (qv > 0.0)
     f[pos] = pv[pos] * np.log(pv[pos] / qv[pos])
@@ -716,9 +700,7 @@ def _kl_segment_gl(p, q, lo: float, hi: float, tol: float) -> float:
         if abs(cur - prev) <= tol:
             return cur
         if panels > 300_000:
-            raise QuadratureError(
-                f"KL quadrature did not reach tol={tol:g} on [{lo:g},{hi:g}]"
-            )
+            raise ValueError(f"KL quadrature did not reach tol={tol:g} on [{lo:g},{hi:g}]")
         prev = cur
 
 
@@ -747,7 +729,7 @@ def _kl_segment_tanh_sinh(p, q, lo: float, hi: float, tol: float) -> float:
         if abs(cur - prev) <= tol:
             return cur
         prev = cur
-    raise QuadratureError(f"KL quadrature did not reach tol={tol:g} on [{lo:g},{hi:g}]")
+    raise ValueError(f"KL quadrature did not reach tol={tol:g} on [{lo:g},{hi:g}]")
 
 
 def _kl_segment(p: AnalyticDensity, q: AnalyticDensity, lo: float, hi: float, tol: float) -> float:
@@ -765,11 +747,11 @@ def _kl_segment(p: AnalyticDensity, q: AnalyticDensity, lo: float, hi: float, to
 def kl_divergence(p: AnalyticDensity, q: AnalyticDensity, tol: float = 1e-8) -> float:
     """int p log(p/q) over {q > 0} by kink-split adaptive quadrature.
 
-    Raises DivergenceInfiniteError when the quadrature grid detects p-mass
-    where q vanishes.
+    Raises ValueError when the quadrature grid detects p-mass where q
+    vanishes.
     """
     if tol <= 0.0:
-        raise InvalidToleranceError(f"tolerance must be positive, got {tol!r}")
+        raise ValueError(f"tolerance must be positive, got {tol!r}")
     lo, hi = p.support
     probe = np.linspace(lo, hi, 4097)
     pv = np.asarray(p.pdf(probe))
@@ -778,7 +760,7 @@ def kl_divergence(p: AnalyticDensity, q: AnalyticDensity, tol: float = 1e-8) -> 
     # (support endpoints, kink touchdowns) are null sets
     bad = (pv > 1e-12) & (qv <= 0.0)
     if np.any(bad[:-1] & bad[1:]):
-        raise DivergenceInfiniteError("support of p leaves {q > 0}: divergence is infinite")
+        raise ValueError("support of p leaves {q > 0}: divergence is infinite")
     cuts = sorted(
         {lo, hi}
         | {c for c in p.kinks if lo < c < hi}

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from .calibration import CalibrationPlan
-from .errors import InsufficientDataError, InvalidBandwidthError, InvalidExponentError, OffMeshError
 from .forked import cut_runs, fork_map
 from .kernels import Kernel
 
@@ -44,7 +43,7 @@ def split_sample(data) -> SplitSample:
     """First n~ points to half 1, next n~ to half 2, odd point dropped."""
     arr = np.asarray(data, dtype=float).ravel()
     if arr.size < 4:
-        raise InsufficientDataError(f"need at least 4 observations, got {arr.size}")
+        raise ValueError(f"need at least 4 observations, got {arr.size}")
     nt = arr.size // 2
     return SplitSample(chi1=np.sort(arr[:nt]), chi2=np.sort(arr[nt:2 * nt]), n_tilde=nt)
 
@@ -52,10 +51,10 @@ def split_sample(data) -> SplitSample:
 def kde_at(half: np.ndarray, t: float, h: float, kernel: Kernel) -> float:
     """(1/m) sum_i K((X_i - t)/h) / h by direct summation."""
     if h <= 0.0:
-        raise InvalidBandwidthError(f"bandwidth must be positive, got {h!r}")
+        raise ValueError(f"bandwidth must be positive, got {h!r}")
     half = np.asarray(half, dtype=float)
     if half.size == 0:
-        raise InsufficientDataError("empty subsample")
+        raise ValueError("empty subsample")
     return float(kernel((half - t) / h).sum() / (half.size * h))
 
 
@@ -100,7 +99,7 @@ class KdeTable:
     def row(self, j: int) -> np.ndarray:
         first = self.plan.j_min + 3
         if not first <= j <= self.plan.j_max:
-            raise InvalidExponentError(f"the table holds rows j = {first}..{self.plan.j_max}; row {j} was not built")
+            raise ValueError(f"the table holds rows j = {first}..{self.plan.j_max}; row {j} was not built")
         return self.values[j - first]
 
     @property
@@ -118,10 +117,8 @@ class KdeTable:
             return self
         cap_lo, cap_hi = self.capacity
         if not (cap_lo <= idx_lo <= self.idx_lo and self.idx_hi <= idx_hi <= cap_hi):
-            raise OffMeshError(
-                f"a table over {self.idx_lo}..{self.idx_hi} cannot widen to {idx_lo}..{idx_hi} "
-                f"(its capacity is {cap_lo}..{cap_hi})"
-            )
+            raise ValueError(f"a table over {self.idx_lo}..{self.idx_hi} cannot widen to {idx_lo}..{idx_hi} "
+                             f"(its capacity is {cap_lo}..{cap_hi})")
         buffer, lo = self.store.buffer, self.store.lo
         _count_columns(buffer[:, idx_lo - lo:self.idx_lo - lo], self.store.half, self.plan, idx_lo)
         _count_columns(buffer[:, self.idx_hi + 1 - lo:idx_hi + 1 - lo], self.store.half, self.plan, self.idx_hi + 1)
@@ -186,7 +183,7 @@ def build_kde_table(
     (at j_min, the whole selector margin, by default).  The table can widen
     to the whole margin."""
     if plan.j_max < plan.j_min:
-        raise InvalidBandwidthError("empty bandwidth grid")
+        raise ValueError("empty bandwidth grid")
     k_hi = plan.mesh_count if k_hi is None else k_hi
     margin = ball_offset(plan, plan.j_min)
     reach = ball_offset(plan, plan.j_min if j_reach is None else max(j_reach, plan.j_min))

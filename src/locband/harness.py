@@ -30,7 +30,6 @@ from .calibration import (
     optimal_bandwidth,
 )
 from .densities import AnalyticDensity, sample
-from .errors import InvalidConfigurationError, OracleUnavailableError
 from .estimator import build_kde_table, split_sample
 from .forked import fork_map
 from .kernels import Kernel, make_rectangular, sup_abs_bias
@@ -239,9 +238,7 @@ def local_exponent_oracle(density: AnalyticDensity, t: float, plan: CalibrationP
     if density.homogeneous_exponent is not None:
         return density.homogeneous_exponent
     if density.is_rough:
-        raise OracleUnavailableError(
-            f"no closed-form local exponent for perturbed rough density {density.name}"
-        )
+        raise ValueError(f"no closed-form local exponent for perturbed rough density {density.name}")
     d = min(abs(k - t) for k in density.kinks)
     h_inf = optimal_bandwidth(plan, math.inf)
     if d >= h_inf:
@@ -368,15 +365,15 @@ def tilde_w_second_moment(
     s_k = k delta_n, s_l = l delta_n, assembled from the ten covariance
     terms of the expansion; bounded by 4 for z in [0,1]."""
     if not (0.0 <= z <= 1.0):
-        raise InvalidConfigurationError(f"z must lie in [0,1], got {z!r}")
+        raise ValueError(f"z must lie in [0,1], got {z!r}")
     if h_k <= 0.0 or h_l <= 0.0 or delta_n <= 0.0:
-        raise InvalidConfigurationError("bandwidths and mesh width must be positive")
+        raise ValueError("bandwidths and mesh width must be positive")
     if k_idx > l_idx:
         k_idx, l_idx = l_idx, k_idx
         h_k, h_l = h_l, h_k
     sk, sl = k_idx * delta_n, l_idx * delta_n
     if sk - z * h_k < -1e-15 or sl - z * h_l < -1e-15:
-        raise InvalidConfigurationError("negative time argument for the Brownian motion")
+        raise ValueError("negative time argument for the Brownian motion")
     cross = (
         (sk - z * h_k)
         - min(sk - z * h_k, sl - z * h_l)
@@ -397,7 +394,7 @@ def tilde_w_second_moment_mc(
         l_idx * delta_n - z * h_l, l_idx * delta_n + z * h_l,
     ])
     if times.min() < -1e-15:
-        raise InvalidConfigurationError("negative time argument for the Brownian motion")
+        raise ValueError("negative time argument for the Brownian motion")
     T = float(times.max()) + 1e-12
     dt = T / grid
     snapped = np.maximum(np.round(times / dt).astype(np.int64), 0)
@@ -475,15 +472,14 @@ BIAS_G_LADDER = tuple(2.0 ** -j for j in range(5, 10))
 BIAS_LOWER_CONSTANT = 4.0 / math.pi - 1.0
 
 
-def weierstrass_function(beta: float, span: float = 1.0, tol: float = 1e-12) -> AnalyticDensity:
-    """The raw lacunary series on [-span, span], packaged with the piece
-    machinery so the convolution oracles apply (not a probability density)."""
-    spec = zoo.WeierstrassSpec(beta, tol)
+def weierstrass_function(beta: float) -> AnalyticDensity:
+    """The raw lacunary series on [-1, 1], packaged with the piece machinery
+    so the convolution oracles apply (not a probability density)."""
     return AnalyticDensity(
         name=f"wfun:{beta:g}",
-        pieces=(zoo.Piece(-span, span, coeffs=(0.0,), wterms=((1.0, 0.0),)),),
+        pieces=(zoo.Piece(-1.0, 1.0, coeffs=(0.0,), wterms=((1.0, 0.0),)),),
         sup_bound=1.0 / (1.0 - 2.0 ** -beta),
-        wspec=spec,
+        wspec=zoo.WeierstrassSpec(beta),
         homogeneous_exponent=beta,
     )
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidIntervalError, UnsupportedMomentError
-
 MAX_MOMENT = 12
 
 
@@ -35,10 +33,10 @@ class Kernel:
             a[1] <= b[0] for a, b in zip(self.pieces, self.pieces[1:])
         )
         if not (self.pieces and ordered):
-            raise InvalidIntervalError(f"kernel {self.name!r}: pieces must be ordered and non-degenerate")
+            raise ValueError(f"kernel {self.name!r}: pieces must be ordered and non-degenerate")
         mass = self.moment(0)
         if abs(mass - 1.0) > 1e-12:
-            raise InvalidIntervalError(f"kernel {self.name!r}: mass {mass!r} is not one")
+            raise ValueError(f"kernel {self.name!r}: mass {mass!r} is not one")
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -55,7 +53,7 @@ class Kernel:
         for j in range(1, MAX_MOMENT + 1):
             if self.moment(j) != 0.0:
                 return j - 1
-        raise UnsupportedMomentError(f"kernel {self.name!r}: moments 1..{MAX_MOMENT} all vanish")
+        raise ValueError(f"kernel {self.name!r}: moments 1..{MAX_MOMENT} all vanish")
 
     @property
     def tv(self) -> float:
@@ -110,15 +108,13 @@ def sup_abs_bias(
     """
     lo, hi = interval
     if not (lo < hi):
-        raise InvalidIntervalError(f"degenerate interval [{lo!r}, {hi!r}]")
+        raise ValueError(f"degenerate interval [{lo!r}, {hi!r}]")
     if g <= 0:
-        raise InvalidIntervalError(f"bandwidth must be positive, got {g!r}")
+        raise ValueError(f"bandwidth must be positive, got {g!r}")
     if grid_step is None:
         grid_step = g / 64.0
     if grid_step > (hi - lo) / 16.0:
-        raise InvalidIntervalError(
-            f"grid_step {grid_step!r} too coarse for interval of length {hi - lo!r}"
-        )
+        raise ValueError(f"grid_step {grid_step!r} too coarse for interval of length {hi - lo!r}")
     npts = int(math.floor((hi - lo) / grid_step + 1e-9)) + 1
     grid = lo + grid_step * np.arange(npts)
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):

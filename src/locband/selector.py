@@ -28,7 +28,6 @@ from typing import Optional
 import numpy as np
 
 from .calibration import CalibrationPlan
-from .errors import OffMeshError
 from .estimator import KdeTable, SplitSample, ball_offset, build_kde_table
 from .forked import cut_runs, fork_map
 
@@ -83,9 +82,7 @@ def _ball_maxima(table: KdeTable, plan: CalibrationPlan, k_lo: int, k_hi: int):
     margin = ball_offset(plan, plan.j_min)
     cap_lo, cap_hi = table.capacity
     if k_lo - margin < cap_lo or k_hi + margin > cap_hi:
-        raise OffMeshError(
-            f"table does not cover mesh indices {k_lo}..{k_hi} plus the selector margin {margin}"
-        )
+        raise ValueError(f"table does not cover mesh indices {k_lo}..{k_hi} plus the selector margin {margin}")
     running = None
     for mp in range(plan.j_max - 1, plan.j_min + 2, -1):
         running = _fold(running, table, plan, [mp])

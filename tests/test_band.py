@@ -1,5 +1,6 @@
 import math
 import multiprocessing
+import re
 import time
 from dataclasses import replace
 from unittest import mock
@@ -39,7 +40,6 @@ from locband.densities import (
     make_uniform,
     sample,
 )
-from locband.errors import OutOfDomainError
 from locband.estimator import build_kde_table, rank_query_kde, split_sample
 from locband.kernels import make_rectangular
 from locband.selector import select_at
@@ -269,7 +269,7 @@ class TestBandAt:
 
     def test_out_of_domain(self, plan_mod):
         for t in (-0.01, 1.01):
-            with pytest.raises(OutOfDomainError):
+            with pytest.raises(ValueError, match=f"^{re.escape(f'point {t!r} outside [0,1]')}$"):
                 cell_of(plan_mod, t)
 
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import locband
 from locband import band, calibration, cli, harness
 from locband.calibration import PlanParams, derive_plan, plan_to_text
-from locband.cli import build_parser, cmd_verify, main
+from locband.cli import main
 from locband.csvtext import CSV_CHUNK
 from locband.densities import AnalyticDensity, make_peak_triangular, sample
 from locband.kernels import make_rectangular
@@ -234,13 +234,12 @@ class TestVerifyCommand:
         meta = (tmp_path / "verify.csv.meta").read_text()
         assert "summary.all_passed=true" in meta
 
-    def test_broken_kernel_exit_1(self, capsys):
+    def test_broken_kernel_exit_1(self, capsys, monkeypatch):
         from test_harness import broken_order_kernel
 
-        args = build_parser().parse_args(["verify", "--suite", "bias_upper"])
-        rc = cmd_verify(args, kernel=broken_order_kernel())
-        assert rc == 1
-        assert "bias_upper" in capsys.readouterr().err
+        monkeypatch.setattr(harness, "make_rectangular", broken_order_kernel)
+        assert run_cli("verify", "--suite", "bias_upper") == 1
+        assert capsys.readouterr().err.endswith("verify: FAILED items: bias_upper\n")
 
 
 class TestCurvesCommand:

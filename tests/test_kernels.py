@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from locband.densities import AnalyticDensity, Piece, make_peak_triangular, make_weierstrass_composite
-from locband.errors import InvalidIntervalError
 from locband.kernels import Kernel, convolve_grid, make_rectangular, sup_abs_bias
 
 
@@ -89,15 +88,15 @@ class TestClosedForms:
         assert k.norm_l1 == 1.0
         assert k(np.array([-0.75, -0.25, 0.0, 0.5])).tolist() == [1.0, 0.0, 0.0, 1.0]
 
-    @pytest.mark.parametrize("pieces", [
-        (),
-        ((0.0, 1.0, 0.5),),  # mass 1/2
-        ((0.0, 1.0, 0.5), (-1.0, 0.0, 0.5)),  # unordered
-        ((-1.0, 0.5, 0.5), (0.0, 0.5, 0.5)),  # overlapping
-        ((-1.0, -1.0, 0.5), (-1.0, 1.0, 0.5)),  # degenerate
-    ])
-    def test_invalid_pieces(self, pieces):
-        with pytest.raises(InvalidIntervalError):
+    @pytest.mark.parametrize("pieces, message", [
+        ((), "pieces must be ordered and non-degenerate"),
+        (((0.0, 1.0, 0.5),), "mass 0.5 is not one"),
+        (((0.0, 1.0, 0.5), (-1.0, 0.0, 0.5)), "pieces must be ordered and non-degenerate"),  # unordered
+        (((-1.0, 0.5, 0.5), (0.0, 0.5, 0.5)), "pieces must be ordered and non-degenerate"),  # overlapping
+        (((-1.0, -1.0, 0.5), (-1.0, 1.0, 0.5)), "pieces must be ordered and non-degenerate"),  # degenerate
+    ], ids=[f"pieces{i}" for i in range(5)])
+    def test_invalid_pieces(self, pieces, message):
+        with pytest.raises(ValueError, match=f"^kernel 'bad': {re.escape(message)}$"):
             Kernel("bad", pieces)
 
     @given(
@@ -180,11 +179,11 @@ class TestSupAbsBias:
         assert got > cw * (4.0 / math.pi - 1.0) * g ** beta
 
     def test_degenerate_interval(self, rect):
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(ValueError, match=r"^degenerate interval \[0\.5, 0\.5\]$"):
             sup_abs_bias(rect, affine_density(), 0.1, (0.5, 0.5))
 
     def test_grid_step_guard(self, rect):
-        with pytest.raises(InvalidIntervalError):
+        with pytest.raises(ValueError, match=r"^grid_step 0\.05 too coarse for interval of length 0\.1$"):
             sup_abs_bias(rect, affine_density(), 0.1, (0.0, 0.1), grid_step=0.05)
 
     def test_refinement_monotonicity(self, rect):
@@ -204,9 +203,9 @@ class TestSupAbsBias:
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda rect: sup_abs_bias(rect, make_peak_triangular(), 0.0, (0.2, 0.8)), InvalidIntervalError,
+    (lambda rect: sup_abs_bias(rect, make_peak_triangular(), 0.0, (0.2, 0.8)), ValueError,
      "bandwidth must be positive, got 0.0"),
-    (lambda rect: sup_abs_bias(rect, make_peak_triangular(), -0.125, (0.2, 0.8)), InvalidIntervalError,
+    (lambda rect: sup_abs_bias(rect, make_peak_triangular(), -0.125, (0.2, 0.8)), ValueError,
      "bandwidth must be positive, got -0.125"),
 ])
 def test_input_checks(call, error, message, rect):

@@ -1,7 +1,9 @@
-"""Module layering: the density zoo reads no calibration plan, and the
-bandwidth selector knows no density."""
+"""Module layering: the density zoo reads no calibration plan, the
+bandwidth selector knows no density, and the package defines no exception
+class of its own (a refusal is a ValueError with its message)."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -46,3 +48,38 @@ def test_forbidden_imports(module):
 ])
 def test_every_import_form_is_seen(line):
     assert "calibration" in package_imports(line)
+
+
+def exception_classes(source: str) -> set[str]:
+    """The classes the source defines on a builtin exception, directly or
+    through another class it defines; a base may be a name or an attribute."""
+    classes = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)]
+    found: set[str] = set()
+    while True:
+        more = {c.name for c in classes
+                if any(_is_exception(getattr(b, "id", getattr(b, "attr", None)), found) for b in c.bases)}
+        if more <= found:
+            return found
+        found |= more
+
+
+def _is_exception(name, found: set[str]) -> bool:
+    base = getattr(builtins, name or "", None)
+    return name in found or (isinstance(base, type) and issubclass(base, BaseException))
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in SRC.glob("*.py")))
+def test_no_exception_classes(module):
+    assert exception_classes((SRC / f"{module}.py").read_text(encoding="utf-8")) == set()
+
+
+@pytest.mark.parametrize("source, found", [
+    ("class E(Exception): pass", {"E"}),
+    ("class E(ValueError, KeyError): pass", {"E"}),
+    ("class E(builtins.ArithmeticError): pass", {"E"}),
+    ("class C(E): pass\nclass E(RuntimeError): pass", {"C", "E"}),
+    ("def f():\n    class E(BaseException): pass", {"E"}),
+    ("class P: pass\nclass D(dict): pass\nclass Q(P): pass", set()),
+])
+def test_every_exception_class_is_seen(source, found):
+    assert exception_classes(source) == found

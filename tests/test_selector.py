@@ -11,8 +11,7 @@ from locband import selector
 from locband.band import fit_band
 from locband.calibration import DEFAULT_C2, PlanParams, derive_plan, optimal_bandwidth
 from locband.densities import make_peak_triangular, make_uniform, sample
-from locband.errors import OffMeshError
-from locband.estimator import KdeTable, build_kde_table, split_sample
+from locband.estimator import KdeTable, ball_offset, build_kde_table, split_sample
 from locband.harness import local_exponent_oracle, theoretical_window
 from locband.kernels import make_rectangular
 from locband.selector import (
@@ -47,6 +46,12 @@ def admissible_set(t: float, table: KdeTable, plan) -> set[int]:
         ):
             out.add(j)
     return out
+
+
+def _off_table(k_lo, k_hi, plan):
+    """The refusal of a run k_lo..k_hi whose selector balls leave the table."""
+    margin = ball_offset(plan, plan.j_min)
+    return rf"^table does not cover mesh indices {k_lo}\.\.{k_hi} plus the selector margin {margin}$"
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +102,7 @@ class TestAdmissibleSet:
         _, table = peak_table
         N = plan_module.mesh_count
         for k_lo, k_hi in ((-1, 0), (N, N + 1)):
-            with pytest.raises(OffMeshError):
+            with pytest.raises(ValueError, match=_off_table(k_lo, k_hi, plan_module)):
                 select_at(table, plan_module, k_lo, k_hi)
 
     def test_clustered_data_excludes_coarse(self, rect_module):
@@ -182,7 +187,7 @@ class TestSelectionRoutine:
         assert select_at(window, plan, k_lo, k_hi).tolist() == oracle[k_lo:k_hi + 1]
         assert select_at(window, plan, k_hi, k_hi).tolist() == [oracle[k_hi]]
         if lo == k_lo - margin:
-            with pytest.raises(OffMeshError):
+            with pytest.raises(ValueError, match=_off_table(k_lo - 1, k_hi, plan)):
                 select_at(window, plan, k_lo - 1, k_hi)
 
 
@@ -346,7 +351,7 @@ class TestGrowingTable:
         assert fixed.widened(table.idx_lo, table.idx_hi) is fixed
         for t in (fixed, table):
             for lo, hi in ((t.idx_lo - 1, t.idx_hi), (t.idx_lo, t.idx_hi + 1), (t.idx_lo + 1, t.idx_hi)):
-                with pytest.raises(OffMeshError, match="cannot widen"):
+                with pytest.raises(ValueError, match="cannot widen"):
                     t.widened(lo, hi)
 
 
