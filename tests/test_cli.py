@@ -427,6 +427,30 @@ def test_parser_exit_becomes_return_code(argv, code, stream, text, capsys):
     assert text in getattr(capsys.readouterr(), stream)
 
 
+@pytest.mark.parametrize("argv, err", [
+    (("band",), "band: --input is required\n"),
+    (("band", "--input", "{missing}"),
+     "band: cannot read input: [Errno 2] No such file or directory: '{missing}'\n"),
+    (("band", "--input", "{bad}"), "band: cannot read input: line 2: not a real number: 'x\\n'\n"),
+    (("simulate", "bogus"), "simulate: unknown kind 'bogus' (coverage|adaptivity|window|gumbel)\n"),
+    (("simulate", "coverage", "--density", "bogus"), "simulate: unknown density name 'bogus'\n"),
+    (("simulate", "coverage", "--density", "tent:x"),
+     "simulate: cannot build density 'tent:x': could not convert string to float: 'x'\n"),
+    (("curves", "--density", "weierstrass:2:0.5"),
+     "curves: cannot build density 'weierstrass:2:0.5': composite exponent must lie in (0,1), got 2.0\n"),
+    (("verify", "--suite", "a9"), "verify: unknown suite(s): ['a9']\n"),
+], ids=["no-input", "missing-input", "bad-line", "unknown-kind", "unknown-density", "tent-x",
+        "weierstrass-beta-2", "unknown-suite"])
+def test_refusal_is_one_exact_line(argv, err, tmp_path, capsys):
+    # each refusal is the whole of stderr, with exit 2 and nothing written
+    paths = {"missing": str(tmp_path / "missing.txt"), "bad": str(tmp_path / "bad.txt")}
+    (tmp_path / "bad.txt").write_text("0.5\nx\n")
+    out = tmp_path / "out.csv"
+    assert run_cli(*(a.format(**paths) for a in argv), "--out", str(out)) == 2
+    assert capsys.readouterr() == ("", err.format(**paths))
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("reps", ["0", "-3"])
 @pytest.mark.parametrize("kind", ["coverage", "window", "adaptivity", "gumbel"])
 def test_reps_below_one_exit_2(kind, reps, capsys):
