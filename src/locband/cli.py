@@ -7,7 +7,8 @@ the settings and its other constants from locband.calibration.
 
 Exit codes: 0 success (simulations exit 0 regardless of pass/fail --
 results are data), 1 failed verification, 2 usage/parse errors and runs
-that run out of memory.
+that run out of memory.  A refusal is a ValueError (or an OSError) raised
+where its condition is found; main alone prints it as one line and exits 2.
 """
 
 from __future__ import annotations
@@ -39,21 +40,6 @@ from .kernels import make_rectangular
 
 SEED_ENV = "LOCBAND_SEED"
 
-# Every setting, as (parser, default, --help text): each is a --<name> flag
-# of every command and a key of the --config file, parsed the same way.
-_SETTINGS = {
-    "n": (int, 4096, "sample size (cell count for simulate gumbel)"),
-    "alpha": (float, 0.1, None),
-    "reps": (int, 50, None),
-    "seed": (int, 20240601, f"master seed (overrides ${SEED_ENV})"),
-    "c2": (float, DEFAULT_C2, "selection threshold constant"),
-    "lstar": (float, 1.0, "smoothness budget"),
-    "density": (str, "peak", "zoo density name"),
-    "input": (str, None, "data file, one real per line"),
-    "out": (str, None, "output CSV path (stdout when omitted)"),
-    "suite": (str, None, "verification suite filter"),
-}
-
 
 def _at_least(key: str, low: int) -> Callable[[int], int]:
     """The check that the integer setting `key` is at least `low`."""
@@ -64,35 +50,51 @@ def _at_least(key: str, low: int) -> Callable[[int], int]:
     return check
 
 
-# The check each setting's parsed value must pass, run once as the value is
-# resolved, whatever its source and whatever the command; calibration owns
-# the rules for alpha, c2 and lstar.
-_CHECKS = {"n": _at_least("n", 4), "alpha": checked_alpha, "reps": _at_least("reps", 1), "seed": _at_least("seed", 0),
-           "c2": lambda v: checked_positive("c2", v), "lstar": lambda v: checked_positive("lstar", v)}
+def _as_given(value: str) -> str:
+    return value
+
+
+# Every setting, as (parser, default, --help text, check): each is a --<name>
+# flag of every command and a key of the --config file, parsed the same way,
+# and its check runs once as the value is resolved, whatever its source and
+# whatever the command; calibration owns the rules for alpha, c2 and lstar.
+_SETTINGS = {
+    "n": (int, 4096, "sample size (cell count for simulate gumbel)", _at_least("n", 4)),
+    "alpha": (float, 0.1, None, checked_alpha),
+    "reps": (int, 50, None, _at_least("reps", 1)),
+    "seed": (int, 20240601, f"master seed (overrides ${SEED_ENV})", _at_least("seed", 0)),
+    "c2": (float, DEFAULT_C2, "selection threshold constant", lambda v: checked_positive("c2", v)),
+    "lstar": (float, 1.0, "smoothness budget", lambda v: checked_positive("lstar", v)),
+    "density": (str, "peak", "zoo density name", _as_given),
+    "input": (str, None, "data file, one real per line", _as_given),
+    "out": (str, None, "output CSV path (stdout when omitted)", _as_given),
+    "suite": (str, None, "verification suite filter", _as_given),
+}
 
 
 def _read_config(path: str) -> dict:
-    parsers = {key: lambda v, parse=parse, check=_CHECKS.get(key, lambda x: x): check(parse(v))
-               for key, (parse, _, _) in _SETTINGS.items()}
+    parsers = {key: lambda v, parse=parse, check=check: check(parse(v))
+               for key, (parse, _, _, check) in _SETTINGS.items()}
     with open(path, "r", encoding="utf-8") as fh:
         return read_key_values(fh, parsers, "config key", f"{path}:")
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """defaults < config file < LOCBAND_SEED < explicit flags."""
-    cfg = {key: default for key, (_, default, _) in _SETTINGS.items()}
+    cfg = {key: default for key, (_, default, _, _) in _SETTINGS.items()}
     if getattr(args, "config", None):
         cfg.update(_read_config(args.config))
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
+        parse, _, _, check = _SETTINGS["seed"]
         try:
-            cfg["seed"] = _CHECKS["seed"](int(env_seed))
+            cfg["seed"] = check(parse(env_seed))
         except ValueError as exc:
             raise ValueError(f"{SEED_ENV}={env_seed}: {exc}") from exc
-    for key in _SETTINGS:
+    for key, (_, _, _, check) in _SETTINGS.items():
         v = getattr(args, key, None)
         if v is not None:
-            cfg[key] = _CHECKS.get(key, lambda x: x)(v)
+            cfg[key] = check(v)
     args.settings = cfg  # main names the run's n if it runs out of memory
     return cfg
 
@@ -118,10 +120,7 @@ def _density_and_plan(cfg: dict, key: str) -> tuple[zoo.AnalyticDensity | None, 
     the plan derived from cfg with the rectangular kernel."""
     density = None
     if "density" in _META_KEYS[key]:
-        try:
-            density = zoo.density_from_name(cfg["density"])
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from exc
+        density = zoo.density_from_name(cfg["density"])
     plan = derive_plan(PlanParams(n=cfg["n"], L_star=cfg["lstar"], c2=cfg["c2"]), make_rectangular())
     for warning in plan.warnings:
         print(f"{'simulate' if key in _SIMULATE_KINDS else key}: warning: {warning}", file=sys.stderr)
@@ -161,13 +160,11 @@ def cmd_band(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     cfg["n"] = None  # the input's size, once it is read
     if cfg["input"] is None:
-        print("band: --input is required", file=sys.stderr)
-        return 2
+        raise ValueError("--input is required")
     try:
         data = parse_data_file(cfg["input"])
     except (OSError, ValueError) as exc:
-        print(f"band: cannot read input: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read input: {exc}") from exc
     cfg["n"] = int(data.size)
     split = split_sample(data)  # a ValueError below 4 points: exit 2
     del data  # the fit reads only the sorted halves
@@ -182,8 +179,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     kind = args.kind
     if kind not in _SIMULATE_KINDS:
-        print(f"simulate: unknown kind {kind!r} ({'|'.join(_SIMULATE_KINDS)})", file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown kind {kind!r} ({'|'.join(_SIMULATE_KINDS)})")
     plan = None
     if kind == "gumbel":
         # the comparison process needs only the cell count and the kernel
@@ -195,9 +191,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         elif kind == "window":
             report = harness.run_window_check(density, plan, cfg["reps"], cfg["seed"])
         else:
-            report = harness.run_adaptivity(
-                density, [plan], cfg["alpha"], cfg["reps"], cfg["seed"], probes=(0.5, 0.9)
-            )
+            report = harness.run_adaptivity(density, plan, cfg["alpha"], cfg["reps"], cfg["seed"], probes=(0.5, 0.9))
     meta = _sidecar(cfg, kind, plan, report)
     _emit(lambda fh: fh.write(report.to_csv_text()), meta, cfg["out"])
     return 0
@@ -206,11 +200,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _resolve(args)
     suites = None if cfg["suite"] in (None, "all") else [cfg["suite"]]
-    try:
-        report = harness.verify_inequalities(suites=suites)
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 2
+    report = harness.verify_inequalities(suites=suites)
     _emit(lambda fh: fh.write(report.to_csv_text()), _sidecar(cfg, "verify", report=report), cfg["out"])
     failed = [r for r in report.records if not r["passed"]]
     if failed:
@@ -260,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--config", help="flat key=value config file")
-        for key, (parse, _, text) in _SETTINGS.items():
+        for key, (parse, _, text, _) in _SETTINGS.items():
             p.add_argument(f"--{key}", type=parse, help=text)
 
     p_band = sub.add_parser("band", help="fit a confidence band to a data file")

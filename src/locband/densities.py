@@ -41,11 +41,11 @@ class WeierstrassSpec:
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"series exponent must lie in (0, 1], got {self.beta!r}")
-        if self.tol <= 0.0:
-            raise ValueError(f"truncation tolerance must be positive, got {self.tol!r}")
+        if not (0.0 < self.tol < math.inf):
+            raise ValueError(f"truncation tolerance must be positive and finite, got {self.tol!r}")
         try:
             depth = self.depth
-        except (ValueError, OverflowError):  # 2^-beta rounds to 1 (log2 of 0), or tol is not finite
+        except ValueError:  # 2^-beta rounds to 1, so log2 of 0
             depth = math.inf
         if depth > MAX_SERIES_DEPTH:
             raise ValueError(f"series exponent {self.beta!r} needs {depth} terms for tolerance "
@@ -498,8 +498,8 @@ def density_from_name(name: str) -> AnalyticDensity:
             base = make_weierstrass_composite(0.5, beta)
             return make_perturbed(base, n, beta, "one" if kind == "perturbed1" else "two")
     except ValueError as exc:
-        raise KeyError(f"cannot build density {name!r}: {exc}") from exc
-    raise KeyError(f"unknown density name {name!r}")
+        raise ValueError(f"cannot build density {name!r}: {exc}") from exc
+    raise ValueError(f"unknown density name {name!r}")
 
 
 # ---------------------------------------------------------------------------

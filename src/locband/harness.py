@@ -150,7 +150,7 @@ def _probe_cell_exponents(density, plan, rng, probes):
 
 def run_adaptivity(
     density: AnalyticDensity,
-    plans: Sequence[CalibrationPlan],
+    plan: CalibrationPlan,
     alpha: float,
     reps: int,
     seed: int,
@@ -166,7 +166,8 @@ def run_adaptivity(
     (log n~)^gamma_tilde and below the calibrated width bound
     2 sqrt6 2^{j_min/2} q_n(alpha) (log n~)^gamma_tilde (the exact algebraic
     form of the adaptivity certificate; see tests), plus the smooth/kink
-    width ratio per sample size.
+    width ratio.  Each summary key ends in _n<n>, so that the summaries of
+    runs at different sample sizes merge without a clash.
     """
     if len(probes) < 2:
         raise ValueError("need at least a kink probe and a smooth probe")
@@ -174,49 +175,48 @@ def run_adaptivity(
         name="adaptivity",
         params={"probes": ";".join(f"{t:g}" for t in probes)},
     )
-    for plan in plans:
-        q_n = band_halfwidth_quantile(plan, alpha)
-        gt = gamma_tilde(plan)
-        bare = plan.log_n_tilde ** gt
-        bound = 2.0 * math.sqrt(6.0) * 2.0 ** (plan.j_min / 2.0) * q_n * bare
-        rate = plan.log_n_tilde / plan.n_tilde
-        betas = [local_exponent_oracle(density, t, plan) for t in probes]
-        hbars = [optimal_bandwidth(plan, b) for b in betas]
+    q_n = band_halfwidth_quantile(plan, alpha)
+    gt = gamma_tilde(plan)
+    bare = plan.log_n_tilde ** gt
+    bound = 2.0 * math.sqrt(6.0) * 2.0 ** (plan.j_min / 2.0) * q_n * bare
+    rate = plan.log_n_tilde / plan.n_tilde
+    betas = [local_exponent_oracle(density, t, plan) for t in probes]
+    hbars = [optimal_bandwidth(plan, b) for b in betas]
 
-        def one(r):
-            rng = replication_rng(seed, r)
-            rec = {"n": plan.n, "rep": r}
-            for i, j_pair in enumerate(_probe_cell_exponents(density, plan, rng, probes)):
-                h_loc = cell_bandwidths(plan, j_pair)[0]
-                width = 2.0 * halfwidths(plan, q_n, h_loc)
-                expo = 0.5 if betas[i] == math.inf else betas[i] / (2.0 * betas[i] + 1.0)
-                rec[f"j_eff_{i}"] = int(j_pair.max())
-                rec[f"width_{i}"] = width
-                rec[f"beta_{i}"] = betas[i]
-                rec[f"norm_width_{i}"] = width * rate ** -expo
-                rec[f"window_ratio_{i}"] = hbars[i] / h_loc * 2.0 ** -plan.u_n
-            return rec
+    def one(r):
+        rng = replication_rng(seed, r)
+        rec = {"n": plan.n, "rep": r}
+        for i, j_pair in enumerate(_probe_cell_exponents(density, plan, rng, probes)):
+            h_loc = cell_bandwidths(plan, j_pair)[0]
+            width = 2.0 * halfwidths(plan, q_n, h_loc)
+            expo = 0.5 if betas[i] == math.inf else betas[i] / (2.0 * betas[i] + 1.0)
+            rec[f"j_eff_{i}"] = int(j_pair.max())
+            rec[f"width_{i}"] = width
+            rec[f"beta_{i}"] = betas[i]
+            rec[f"norm_width_{i}"] = width * rate ** -expo
+            rec[f"window_ratio_{i}"] = hbars[i] / h_loc * 2.0 ** -plan.u_n
+        return rec
 
-        report.records.extend(fork_map(one, range(reps), reps * plan.n))
-        recs = [rec for rec in report.records if rec["n"] == plan.n]
-        npr = len(probes)
-        report.summary[f"bare_threshold_n{plan.n}"] = bare
-        report.summary[f"width_bound_n{plan.n}"] = bound
-        report.summary[f"frac_bare_n{plan.n}"] = float(np.mean([
-            all(rec[f"norm_width_{i}"] <= bare for i in range(npr)) for rec in recs
-        ]))
-        report.summary[f"frac_bound_n{plan.n}"] = float(np.mean([
-            all(rec[f"norm_width_{i}"] <= bound for i in range(npr)) for rec in recs
-        ]))
-        smooth = int(np.argmax(betas))
-        kink = int(np.argmin(betas))
-        report.summary[f"ratio_n{plan.n}"] = float(np.mean([
-            rec[f"width_{smooth}"] / rec[f"width_{kink}"] for rec in recs
-        ]))
-        for i in range(npr):
-            report.summary[f"mean_norm_width_{i}_n{plan.n}"] = float(
-                np.mean([rec[f"norm_width_{i}"] for rec in recs])
-            )
+    report.records.extend(fork_map(one, range(reps), reps * plan.n))
+    recs = report.records
+    npr = len(probes)
+    report.summary[f"bare_threshold_n{plan.n}"] = bare
+    report.summary[f"width_bound_n{plan.n}"] = bound
+    report.summary[f"frac_bare_n{plan.n}"] = float(np.mean([
+        all(rec[f"norm_width_{i}"] <= bare for i in range(npr)) for rec in recs
+    ]))
+    report.summary[f"frac_bound_n{plan.n}"] = float(np.mean([
+        all(rec[f"norm_width_{i}"] <= bound for i in range(npr)) for rec in recs
+    ]))
+    smooth = int(np.argmax(betas))
+    kink = int(np.argmin(betas))
+    report.summary[f"ratio_n{plan.n}"] = float(np.mean([
+        rec[f"width_{smooth}"] / rec[f"width_{kink}"] for rec in recs
+    ]))
+    for i in range(npr):
+        report.summary[f"mean_norm_width_{i}_n{plan.n}"] = float(
+            np.mean([rec[f"norm_width_{i}"] for rec in recs])
+        )
     return report
 
 

@@ -480,7 +480,7 @@ def test_negative_seed_exit_2(capsys):
 
 # (setting, value) pairs that a run accepts by design, with the reason
 _ACCEPTED = {("seed", "0"): "0 is a master seed like any other"}
-_NUMERIC = [key for key, (parse, _, _) in cli._SETTINGS.items() if parse in (int, float)]
+_NUMERIC = [key for key, (parse, *_) in cli._SETTINGS.items() if parse in (int, float)]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

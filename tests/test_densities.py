@@ -443,9 +443,14 @@ class TestDensityNames:
         d = density_from_name(name)
         assert d.mass_between(*d.support) == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.parametrize("name", ["nope", "tent", "weierstrass:1.5:0", "peak:1"])
-    def test_unknown(self, name):
-        with pytest.raises(KeyError):
+    @pytest.mark.parametrize("name, message", [
+        ("nope", "unknown density name 'nope'"),
+        ("tent", "unknown density name 'tent'"),
+        ("weierstrass:1.5:0", "cannot build density 'weierstrass:1.5:0': composite exponent must lie in (0,1), got 1.5"),
+        ("peak:1", "unknown density name 'peak:1'"),
+    ], ids=["nope", "tent", "weierstrass:1.5:0", "peak:1"])
+    def test_unknown(self, name, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             density_from_name(name)
 
 
@@ -801,7 +806,9 @@ def _with_radius(r, call):
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: WeierstrassSpec(0.5, tol=0.0), ValueError, "truncation tolerance must be positive, got 0.0"),
+    (lambda: WeierstrassSpec(0.5, tol=0.0), ValueError, "truncation tolerance must be positive and finite, got 0.0"),
+    (lambda: WeierstrassSpec(0.5, tol=math.nan), ValueError, "truncation tolerance must be positive and finite, got nan"),
+    (lambda: WeierstrassSpec(0.5, tol=math.inf), ValueError, "truncation tolerance must be positive and finite, got inf"),
     (lambda: WeierstrassSpec(1e-6), ValueError,
      "series exponent 1e-06 needs 60323473 terms for tolerance 1e-12, more than the 4096 evaluated"),
     (lambda: WeierstrassSpec(1e-320), ValueError,  # 2^-beta rounds to 1: no depth reaches the tolerance

@@ -204,7 +204,7 @@ class TestVerifySuite:
 class TestAdaptivityHarness:
     def test_smoke_summary(self, plan_1k):
         peak = make_peak_triangular()
-        rep = H.run_adaptivity(peak, [plan_1k], alpha=0.1, reps=3, seed=13, probes=(0.5, 0.9))
+        rep = H.run_adaptivity(peak, plan_1k, alpha=0.1, reps=3, seed=13, probes=(0.5, 0.9))
         n = plan_1k.n
         assert f"ratio_n{n}" in rep.summary
         assert rep.summary[f"ratio_n{n}"] > 0.0
@@ -219,9 +219,7 @@ class TestAdaptivityHarness:
         uniform = make_uniform(-1.0, 2.0)
         for n in (2 ** 12, 2 ** 14):
             plan = derive_plan(PlanParams(n=n), rect)
-            rep = H.run_adaptivity(
-                uniform, [plan], alpha=0.1, reps=5, seed=29, probes=(0.3, 0.7)
-            )
+            rep = H.run_adaptivity(uniform, plan, alpha=0.1, reps=5, seed=29, probes=(0.3, 0.7))
             q_n = band_halfwidth_quantile(plan, 0.1)
             logf = math.log(plan.n_tilde) ** (plan.c1 * math.log(2.0) / 2.0)
             for rec in rep.records:
@@ -235,7 +233,7 @@ class TestAdaptivityHarness:
         peak, probes, seed = make_peak_triangular(), (0.5, 0.9), 19
         plan = derive_plan(PlanParams(n=n), rect)
         q_n = band_halfwidth_quantile(plan, 0.1)
-        rep = H.run_adaptivity(peak, [plan], alpha=0.1, reps=3, seed=seed, probes=probes)
+        rep = H.run_adaptivity(peak, plan, alpha=0.1, reps=3, seed=seed, probes=probes)
         for rec in rep.records:
             rng = H.replication_rng(seed, rec["rep"])
             split = split_sample(sample(peak, plan.n, int(rng.integers(0, 2 ** 63 - 1))))
@@ -258,7 +256,7 @@ _CORRUPT_PEAK = r"^density peak exceeds its sup bound: 1\.9998435323698596 > 1\.
 _EXPERIMENTS = {
     "coverage": lambda plan, reps: H.run_coverage(make_peak_triangular(), plan, 0.1, reps, 21),
     "adaptivity": lambda plan, reps: H.run_adaptivity(
-        make_peak_triangular(), [plan], 0.1, reps, 23, probes=(0.5, 0.9)),
+        make_peak_triangular(), plan, 0.1, reps, 23, probes=(0.5, 0.9)),
     "window": lambda plan, reps: H.run_window_check(make_triangular_hypothesis(0.5), plan, reps, 22),
 }
 
@@ -350,7 +348,7 @@ class TestCalibrateC2:
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda rect, plan: H.run_adaptivity(make_peak_triangular(), [plan], 0.1, 1, 1, probes=(0.5,)), ValueError,
+    (lambda rect, plan: H.run_adaptivity(make_peak_triangular(), plan, 0.1, 1, 1, probes=(0.5,)), ValueError,
      "need at least a kink probe and a smooth probe"),
     (lambda rect, plan: H.tilde_w_second_moment(0.1, 0.1, 1, 2, 0.01, 1.5), ValueError,
      "z must lie in [0,1], got 1.5"),

@@ -1,6 +1,7 @@
 """Module layering: the density zoo reads no calibration plan, the
-bandwidth selector knows no density, and the package defines no exception
-class of its own (a refusal is a ValueError with its message)."""
+bandwidth selector knows no density, the package defines no exception
+class of its own (a refusal is a ValueError with its message), and only
+cli.main turns a refusal into exit status 2."""
 
 import ast
 import builtins
@@ -83,3 +84,27 @@ def test_no_exception_classes(module):
 ])
 def test_every_exception_class_is_seen(source, found):
     assert exception_classes(source) == found
+
+
+def functions_returning_2(source: str) -> set[str]:
+    """The top-level functions of the source with a `return 2` anywhere in
+    their body, a nested function's included."""
+    return {
+        node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+        and any(isinstance(r, ast.Return) and isinstance(r.value, ast.Constant) and r.value.value == 2
+                for r in ast.walk(node))
+    }
+
+
+def test_only_main_returns_2():
+    assert functions_returning_2((SRC / "cli.py").read_text(encoding="utf-8")) == {"main"}
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def main():\n    return 2", {"main"}),
+    ("def cmd():\n    if x:\n        return 2\n    return 0", {"cmd"}),
+    ("def cmd():\n    def inner():\n        return 2", {"cmd"}),
+    ("def cmd():\n    return 1 if x else 0\n\ndef main():\n    return 2 if x else 0", set()),
+])
+def test_every_return_2_is_seen(source, found):
+    assert functions_returning_2(source) == found
