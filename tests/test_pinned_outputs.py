@@ -122,6 +122,13 @@ PINNED = {
         "4f91a5160b4cb1009d1f02b28baccf1cca062e23c59079644dfa5571de207ed8",
         "bbe7c9853a79150e22eb7904833845777c52bec80937b47d5c04c3b14efa93ef",
     ),
+    # the closed-form contrast moment over seeded configurations against its
+    # Brownian-path Monte Carlo oracle
+    "verify-wmoment": (
+        ("verify", "--suite", "wmoment"),
+        "04d1c6003064a8db920190644d6c231ea3ed2bcd213c78a8eacb8a39612445ca",
+        "f14cb6459abccb4f57dae36345afdd60961e24c39f1551dc051b9298370e0b4c",
+    ),
 }
 
 
