@@ -95,6 +95,10 @@ MUTANTS = (
            "return min(int(math.floor(t / plan.delta_n)) + 1, plan.mesh_count)",
            "return min(max(1, math.ceil(t / plan.delta_n)), plan.mesh_count)",
            "right-open cells: a mesh point starts the next cell"),
+    Mutant("kl-breach-open", "src/locband/densities.py",
+           "(qv <= 0.0)",
+           "(qv < 0.0)",
+           "a p with mass where q vanishes is refused: KL is infinite there"),
 )
 
 

@@ -674,14 +674,14 @@ def _kl_integrand(p: AnalyticDensity, q: AnalyticDensity, nodes: np.ndarray) -> 
     pv = np.asarray(p.pdf(nodes))
     qv = np.asarray(q.pdf(nodes))
     if np.any((pv > 1e-13) & (qv <= 0.0)):
-        raise ValueError("mass of p where q vanishes: divergence is infinite")
+        raise ValueError("support of p leaves {q > 0}: divergence is infinite")
     f = np.zeros_like(pv)
     pos = (pv > 0.0) & (qv > 0.0)
     f[pos] = pv[pos] * np.log(pv[pos] / qv[pos])
     return f
 
 
-def _kl_segment_gl(p, q, lo: float, hi: float, tol: float) -> float:
+def _kl_segment(p, q, lo: float, hi: float, tol: float) -> float:
     """Composite Gauss-Legendre with 3x panel refinement; handles smooth and
     uniformly rough integrands (panel errors cancel across the mesh)."""
     def quad(panels: int) -> float:
@@ -704,63 +704,17 @@ def _kl_segment_gl(p, q, lo: float, hi: float, tol: float) -> float:
         prev = cur
 
 
-def _kl_segment_tanh_sinh(p, q, lo: float, hi: float, tol: float) -> float:
-    """Doubly-exponential rule for segments with an endpoint log singularity
-    (a density vanishing at a support edge under the other's mass)."""
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    t_max = 4.0
-
-    def quad(h: float) -> float:
-        k = np.arange(-math.floor(t_max / h), math.floor(t_max / h) + 1)
-        t = k * h
-        s = 0.5 * math.pi * np.sinh(t)
-        u = np.tanh(s)
-        w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(s) ** 2
-        gap = half * (1.0 - np.abs(u))
-        keep = gap > 1e-15 * max(1.0, abs(mid))  # nodes indistinguishable from the edge add ~0
-        nodes = mid + half * u[keep]
-        return float(half * (w[keep] * _kl_integrand(p, q, nodes)).sum())
-
-    h = 0.5
-    prev = quad(h)
-    for _ in range(10):
-        h /= 2.0
-        cur = quad(h)
-        if abs(cur - prev) <= tol:
-            return cur
-        prev = cur
-    raise ValueError(f"KL quadrature did not reach tol={tol:g} on [{lo:g},{hi:g}]")
-
-
-def _kl_segment(p: AnalyticDensity, q: AnalyticDensity, lo: float, hi: float, tol: float) -> float:
-    singular = False
-    for e in (lo, hi):
-        pe = float(np.asarray(p.pdf(np.array([e])))[0])
-        qe = float(np.asarray(q.pdf(np.array([e])))[0])
-        if qe < 1e-9 and pe > 1e-6:
-            singular = True
-    if singular:
-        return _kl_segment_tanh_sinh(p, q, lo, hi, tol)
-    return _kl_segment_gl(p, q, lo, hi, tol)
-
-
 def kl_divergence(p: AnalyticDensity, q: AnalyticDensity, tol: float = 1e-8) -> float:
-    """int p log(p/q) over {q > 0} by kink-split adaptive quadrature.
+    """int p log(p/q) by Gauss-Legendre quadrature between the kinks of both densities.
 
-    Raises ValueError when the quadrature grid detects p-mass where q
-    vanishes.
+    Raises ValueError when a node sees p-mass where q vanishes. That node
+    check is the whole breach test: the segments are cut at every kink of
+    q, its support ends included, so q vanishes either on whole segments,
+    which the first 8 nodes of each segment see, or only at isolated points.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol!r}")
     lo, hi = p.support
-    probe = np.linspace(lo, hi, 4097)
-    pv = np.asarray(p.pdf(probe))
-    qv = np.asarray(q.pdf(probe))
-    # a breach needs q to vanish on adjacent probe points: isolated zeros
-    # (support endpoints, kink touchdowns) are null sets
-    bad = (pv > 1e-12) & (qv <= 0.0)
-    if np.any(bad[:-1] & bad[1:]):
-        raise ValueError("support of p leaves {q > 0}: divergence is infinite")
     cuts = sorted(
         {lo, hi}
         | {c for c in p.kinks if lo < c < hi}

@@ -383,12 +383,15 @@ def tilde_w_second_moment(
     return 4.0 * z + 2.0 / math.sqrt(h_k * h_l) * cross
 
 
+_MC_GRID = 1 << 16
+
+
 def tilde_w_second_moment_mc(
     h_k: float, h_l: float, k_idx: int, l_idx: int, delta_n: float, z: float,
-    reps: int = 100_000, seed: int = 0, grid: int = 1 << 16,
+    reps: int = 100_000, seed: int = 0,
 ) -> float:
     """Monte Carlo oracle: simulate the four Brownian values on a dyadic
-    time grid (times snapped to multiples of T/grid) and average the square."""
+    time grid (times snapped to multiples of T/_MC_GRID) and average the square."""
     times = np.array([
         k_idx * delta_n - z * h_k, k_idx * delta_n + z * h_k,
         l_idx * delta_n - z * h_l, l_idx * delta_n + z * h_l,
@@ -396,7 +399,7 @@ def tilde_w_second_moment_mc(
     if times.min() < -1e-15:
         raise ValueError("negative time argument for the Brownian motion")
     T = float(times.max()) + 1e-12
-    dt = T / grid
+    dt = T / _MC_GRID
     snapped = np.maximum(np.round(times / dt).astype(np.int64), 0)
     uniq, inverse = np.unique(snapped, return_inverse=True)
     gaps = np.diff(np.concatenate([[0], uniq])) * dt
@@ -540,8 +543,11 @@ def _suite_bias_upper(kernel: Kernel) -> list[dict]:
     return rows
 
 
-def _suite_wmoment(plan: CalibrationPlan, seed: int = 20240601) -> list[dict]:
-    configs = random_admissible_configurations(10_000, plan, seed)
+_WMOMENT_SEED = 20240601
+
+
+def _suite_wmoment(plan: CalibrationPlan) -> list[dict]:
+    configs = random_admissible_configurations(10_000, plan, _WMOMENT_SEED)
     worst = -math.inf
     for cfg in configs:
         worst = max(worst, tilde_w_second_moment(*cfg))
@@ -554,7 +560,7 @@ def _suite_wmoment(plan: CalibrationPlan, seed: int = 20240601) -> list[dict]:
     worst_mc = 0.0
     for i, cfg in enumerate(configs[:20]):
         closed = tilde_w_second_moment(*cfg)
-        mc = tilde_w_second_moment_mc(*cfg, reps=100_000, seed=seed + i)
+        mc = tilde_w_second_moment_mc(*cfg, reps=100_000, seed=_WMOMENT_SEED + i)
         worst_mc = max(worst_mc, abs(closed - mc))
     rows.append({
         "item": "wmoment",

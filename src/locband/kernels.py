@@ -93,30 +93,21 @@ def convolve_grid(kernel: Kernel, density, h: float, points: np.ndarray) -> np.n
     return out
 
 
-def sup_abs_bias(
-    kernel: Kernel,
-    density,
-    g: float,
-    interval: tuple[float, float],
-    grid_step: float | None = None,
-) -> float:
-    """Grid maximum of |(K_g * p)(s) - p(s)| over {lo, lo+step, ..., hi}.
+def sup_abs_bias(kernel: Kernel, density, g: float, interval: tuple[float, float]) -> float:
+    """Grid maximum of |(K_g * p)(s) - p(s)| over {lo, lo+g/64, ..., hi}.
 
-    This is a certified lower bound for the supremum over the interval,
-    converging to it as grid_step -> 0.  The default step g/64 puts the
-    grid resolution two orders below every threshold it is compared to.
+    This is a certified lower bound for the supremum over the interval.
+    The step g/64 puts the grid resolution two orders below every
+    threshold it is compared to.
     """
     lo, hi = interval
     if not (lo < hi):
         raise ValueError(f"degenerate interval [{lo!r}, {hi!r}]")
     if g <= 0:
         raise ValueError(f"bandwidth must be positive, got {g!r}")
-    if grid_step is None:
-        grid_step = g / 64.0
-    if grid_step > (hi - lo) / 16.0:
-        raise ValueError(f"grid_step {grid_step!r} too coarse for interval of length {hi - lo!r}")
-    npts = int(math.floor((hi - lo) / grid_step + 1e-9)) + 1
-    grid = lo + grid_step * np.arange(npts)
+    step = g / 64.0
+    npts = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    grid = lo + step * np.arange(npts)
     if grid[-1] < hi - 1e-12 * max(1.0, abs(hi)):
         grid = np.append(grid, hi)
     conv = convolve_grid(kernel, density, g, grid)

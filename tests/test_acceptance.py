@@ -63,7 +63,7 @@ def test_criterion_01_bias_lower_bound(kernel):
     for beta in BETA_GRID:
         w = H.weierstrass_function(beta)
         for g in G_LADDER:
-            got = sup_abs_bias(kernel, w, g, (-(h - g), h - g), grid_step=g / 64.0)
+            got = sup_abs_bias(kernel, w, g, (-(h - g), h - g))
             worst = min(worst, got - (4.0 / math.pi - 1.0) * g ** beta)
     dt = time.time() - t0
     _criterion(
@@ -106,7 +106,7 @@ def test_criterion_03_bias_upper_bound(kernel):
         comp = make_weierstrass_composite(0.0, beta)
         budget = comp.lipschitz_budget[0].bound
         for g in G_LADDER:
-            got = sup_abs_bias(kernel, comp, g, (-(h - g), h - g), grid_step=g / 64.0)
+            got = sup_abs_bias(kernel, comp, g, (-(h - g), h - g))
             margin = budget * kernel.norm_l1 * g ** beta - got
             ok &= margin >= 0.0
             worst = min(worst, margin)
@@ -114,8 +114,8 @@ def test_criterion_03_bias_upper_bound(kernel):
     uni = make_uniform(-4.0, 4.0)
     tent = make_triangular_hypothesis(0.5)
     for g in G_LADDER:
-        affine_worst = max(affine_worst, sup_abs_bias(kernel, uni, g, (-(h - g), h - g), grid_step=g / 64.0))
-        affine_worst = max(affine_worst, sup_abs_bias(kernel, tent, g, (1.5, 1.75), grid_step=g / 64.0))
+        affine_worst = max(affine_worst, sup_abs_bias(kernel, uni, g, (-(h - g), h - g)))
+        affine_worst = max(affine_worst, sup_abs_bias(kernel, tent, g, (1.5, 1.75)))
     ok &= affine_worst <= 1e-10
     dt = time.time() - t0
     _criterion(

@@ -118,11 +118,6 @@ class TestBandCommand:
         assert "band: warning: j_max=1 clamped up to j_min=3" in err
         assert all(line.startswith("band: warning: ") for line in err)
 
-    def test_parse_failure_exit_2(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("1.0\noops\n")
-        assert run_cli("band", "--input", str(bad)) == 2
-
     # a pipe's bad line is named from the one read of it: reading it again
     # would block on a FIFO and find an anonymous pipe empty
     PIPE_DATA = b"0.5\nx\n"
@@ -170,9 +165,6 @@ class TestBandCommand:
         assert run_cli("band", "--input", str(data)) == 2
         assert capsys.readouterr().err == "band: need at least 4 observations, got 3\n"
 
-    def test_missing_input_exit_2(self):
-        assert run_cli("band") == 2
-
 
 class TestSimulateCommand:
     def test_gumbel_kind(self, tmp_path):
@@ -210,12 +202,6 @@ class TestSimulateCommand:
         warnings = (*RELAXED, "warning: j_max=1 clamped up to j_min=3\n")
         assert capsys.readouterr().err == "".join(f"simulate: {w}" for w in warnings)
 
-    def test_invalid_kind_exit_2(self):
-        assert run_cli("simulate", "nope", "--n", "256") == 2
-
-    def test_unknown_density_exit_2(self):
-        assert run_cli("simulate", "coverage", "--density", "wat:1") == 2
-
 
 class TestVerifyCommand:
     def test_suite_filter(self, capsys, tmp_path):
@@ -224,9 +210,6 @@ class TestVerifyCommand:
         assert rc == 0
         rows = out.read_text().strip().split("\n")[1:]
         assert rows and all(row.startswith("a3,") for row in rows)
-
-    def test_unknown_suite_exit_2(self):
-        assert run_cli("verify", "--suite", "a9") == 2
 
     def test_default_run_all_pass_exit_0(self, tmp_path):
         out = tmp_path / "verify.csv"
@@ -263,9 +246,6 @@ class TestCurvesCommand:
         kk = int(np.argmin(np.abs(ts - 0.5)))
         kink_width = float(rows[kk][5]) - float(rows[kk][4])
         assert local_hi - local_lo < kink_width
-
-    def test_unknown_density_exit_2(self):
-        assert run_cli("curves", "--density", "unknown") == 2
 
     @pytest.mark.parametrize("mesh_count", [2 * CSV_CHUNK, 2 * CSV_CHUNK + 1])
     def test_pooled_csv_is_the_serial_csv(self, tmp_path, cpus, monkeypatch, mesh_count):
@@ -434,13 +414,14 @@ def test_parser_exit_becomes_return_code(argv, code, stream, text, capsys):
     (("band", "--input", "{bad}"), "band: cannot read input: line 2: not a real number: 'x\\n'\n"),
     (("simulate", "bogus"), "simulate: unknown kind 'bogus' (coverage|adaptivity|window|gumbel)\n"),
     (("simulate", "coverage", "--density", "bogus"), "simulate: unknown density name 'bogus'\n"),
+    (("curves", "--density", "bogus"), "curves: unknown density name 'bogus'\n"),
     (("simulate", "coverage", "--density", "tent:x"),
      "simulate: cannot build density 'tent:x': could not convert string to float: 'x'\n"),
     (("curves", "--density", "weierstrass:2:0.5"),
      "curves: cannot build density 'weierstrass:2:0.5': composite exponent must lie in (0,1), got 2.0\n"),
     (("verify", "--suite", "a9"), "verify: unknown suite(s): ['a9']\n"),
-], ids=["no-input", "missing-input", "bad-line", "unknown-kind", "unknown-density", "tent-x",
-        "weierstrass-beta-2", "unknown-suite"])
+], ids=["no-input", "missing-input", "bad-line", "unknown-kind", "unknown-density", "curves-unknown-density",
+        "tent-x", "weierstrass-beta-2", "unknown-suite"])
 def test_refusal_is_one_exact_line(argv, err, tmp_path, capsys):
     # each refusal is the whole of stderr, with exit 2 and nothing written
     paths = {"missing": str(tmp_path / "missing.txt"), "bad": str(tmp_path / "bad.txt")}

@@ -166,7 +166,7 @@ class TestSupAbsBias:
     def test_quadratic_bias(self, rect):
         p = quadratic_density()
         g = 0.1
-        got = sup_abs_bias(rect, p, g, (0.8, 1.2), grid_step=g / 64.0)
+        got = sup_abs_bias(rect, p, g, (0.8, 1.2))
         assert got == pytest.approx(g * g / 3.0, abs=1e-9)
 
     def test_rough_lower_bound_example(self, rect):
@@ -174,7 +174,7 @@ class TestSupAbsBias:
         beta = 0.5
         h, g = 0.125, 1.0 / 32.0
         comp = make_weierstrass_composite(0.0, beta)
-        got = sup_abs_bias(rect, comp, g, (-(h - g), h - g), grid_step=g / 64.0)
+        got = sup_abs_bias(rect, comp, g, (-(h - g), h - g))
         cw = (1.0 - 2.0 ** -beta) / 12.0
         assert got > cw * (4.0 / math.pi - 1.0) * g ** beta
 
@@ -182,22 +182,11 @@ class TestSupAbsBias:
         with pytest.raises(ValueError, match=r"^degenerate interval \[0\.5, 0\.5\]$"):
             sup_abs_bias(rect, affine_density(), 0.1, (0.5, 0.5))
 
-    def test_grid_step_guard(self, rect):
-        with pytest.raises(ValueError, match=r"^grid_step 0\.05 too coarse for interval of length 0\.1$"):
-            sup_abs_bias(rect, affine_density(), 0.1, (0.0, 0.1), grid_step=0.05)
-
-    def test_refinement_monotonicity(self, rect):
-        p = make_weierstrass_composite(0.0, 0.5)
-        g = 2.0 ** -5
-        coarse = sup_abs_bias(rect, p, g, (-0.09, 0.09), grid_step=g / 64.0)
-        fine = sup_abs_bias(rect, p, g, (-0.09, 0.09), grid_step=g / 128.0)
-        assert fine >= coarse - 1e-9
-
     def test_peak_bias_positive_at_kink(self, rect):
         peak = make_peak_triangular()
         g = 2.0 ** -6
-        # grid step dividing 0.1 so the scan hits the mode exactly
-        got = sup_abs_bias(rect, peak, g, (0.4, 0.6), grid_step=0.2 / 512.0)
+        # the step g/64 = 2^-12 divides 0.125, so the scan hits the mode exactly
+        got = sup_abs_bias(rect, peak, g, (0.375, 0.625))
         # running mean of the tent at its mode drops by slope * g / 2
         assert got == pytest.approx(2.0 * g, rel=1e-9)
 
