@@ -3,28 +3,18 @@
 
 Rule (deterministic, seeded): smallest c2 on a 0.05 grid such that for the
 uniform density on [0,1] the selector keeps j_hat <= j_min + 2 at >= 95% of
-mesh points, averaged over 50 replications at n = 2^14.  The chosen value
-is pasted into locband.calibration.DEFAULT_C2.
+mesh points, averaged over 50 replications at n = 2^14.  The rule is the
+constants of locband.harness.calibrate_c2; the script takes no arguments.
+The chosen value is pasted into locband.calibration.DEFAULT_C2.
+
+    python3 scripts/calibrate_c2.py
 """
 
-import argparse
-
 from locband.harness import calibrate_c2
-from locband.kernels import make_rectangular
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=2 ** 14)
-    ap.add_argument("--reps", type=int, default=50)
-    ap.add_argument("--seed", type=int, default=20240601)
-    ap.add_argument("--target", type=float, default=0.95)
-    args = ap.parse_args()
-
-    kernel = make_rectangular()
-    c2, means = calibrate_c2(
-        kernel, n=args.n, reps=args.reps, seed=args.seed, target=args.target
-    )
+    c2, means = calibrate_c2()
     for cand in sorted(means):
         marker = " <-- selected" if cand == c2 else ""
         print(f"c2={cand:.2f}  mean fraction j_hat <= j_min+2: {means[cand]:.4f}{marker}")

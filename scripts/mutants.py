@@ -99,6 +99,10 @@ MUTANTS = (
            "(qv <= 0.0)",
            "(qv < 0.0)",
            "a p with mass where q vanishes is refused: KL is infinite there"),
+    Mutant("series-depth-floor", "src/locband/densities.py",
+           "max(0, math.ceil(n))",
+           "max(0, math.floor(n))",
+           "the series depth is the smallest N whose tail is at most SERIES_TOL"),
 )
 
 

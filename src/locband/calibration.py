@@ -16,7 +16,7 @@ from .kernels import Kernel
 
 # Selection threshold produced by scripts/calibrate_c2.py: smallest value on
 # a 0.05 grid for which the selector keeps j <= j_min + 2 at >= 95% of mesh
-# points for the uniform density (50 replications, n = 2^14, seed 20240601).
+# points for the uniform density (the _C2_* constants of harness.calibrate_c2).
 DEFAULT_C2 = 0.65
 
 # The paper's other constants.  Constants that meet the theory's constraints

@@ -18,8 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-DEFAULT_SERIES_TOL = 1e-12
-# the most series terms an evaluation sums: beta = 0.1 needs 438 at the default tolerance
+# the absolute error of a truncated series value
+SERIES_TOL = 1e-12
+# the most series terms an evaluation sums: beta = 0.1 needs 438 at SERIES_TOL
 MAX_SERIES_DEPTH = 4096
 
 
@@ -32,29 +33,26 @@ class WeierstrassSpec:
     """Truncation policy for W_beta(x) = sum_k 2^{-k beta} cos(2^k pi x).
 
     The tail past depth N is exactly geometric, so the depth satisfying
-    2^{-N beta} / (1 - 2^{-beta}) <= tol is sharp and cheap.
+    2^{-N beta} / (1 - 2^{-beta}) <= SERIES_TOL is sharp and cheap.
     """
 
     beta: float
-    tol: float = DEFAULT_SERIES_TOL
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"series exponent must lie in (0, 1], got {self.beta!r}")
-        if not (0.0 < self.tol < math.inf):
-            raise ValueError(f"truncation tolerance must be positive and finite, got {self.tol!r}")
         try:
             depth = self.depth
         except ValueError:  # 2^-beta rounds to 1, so log2 of 0
             depth = math.inf
         if depth > MAX_SERIES_DEPTH:
             raise ValueError(f"series exponent {self.beta!r} needs {depth} terms for tolerance "
-                             f"{self.tol!r}, more than the {MAX_SERIES_DEPTH} evaluated")
+                             f"{SERIES_TOL!r}, more than the {MAX_SERIES_DEPTH} evaluated")
 
     @property
     def depth(self) -> int:
-        # smallest N with 2^{-N beta}/(1 - 2^{-beta}) <= tol, in logs so that no tol underflows
-        n = (-math.log2(self.tol) - math.log2(1.0 - 2.0 ** -self.beta)) / self.beta
+        # smallest N with 2^{-N beta}/(1 - 2^{-beta}) <= SERIES_TOL, in logs
+        n = (-math.log2(SERIES_TOL) - math.log2(1.0 - 2.0 ** -self.beta)) / self.beta
         return max(0, math.ceil(n))
 
 
@@ -85,7 +83,7 @@ def _series_sum(trig, amp: np.ndarray, x) -> np.ndarray | float:
 
 
 def weierstrass_eval(spec: WeierstrassSpec, x) -> np.ndarray | float:
-    """Truncated series value with absolute error <= spec.tol."""
+    """Truncated series value with absolute error <= SERIES_TOL."""
     n = np.arange(spec.depth + 1, dtype=float)
     return _series_sum(np.cos, np.exp2(-n * spec.beta), x)
 
@@ -247,7 +245,7 @@ class AnalyticDensity:
         series tail past the truncation tolerance, plus rounding (the factor
         and the 1e-12 cover the adds and poly + scale W); 0 without series."""
         weight = max(sum(abs(c) for c, _ in p.wterms) for p in self.pieces)
-        return weight * self.wspec.tol * (1.0 + 1e-6) + 1e-12 if self.is_rough else 0.0
+        return weight * SERIES_TOL * (1.0 + 1e-6) + 1e-12 if self.is_rough else 0.0
 
     # -- per-cell extrema ---------------------------------------------------
 
@@ -298,12 +296,12 @@ class AnalyticDensity:
 # zoo constructors
 # ---------------------------------------------------------------------------
 
-def make_weierstrass_composite(t: float, beta: float, tol: float = DEFAULT_SERIES_TOL) -> AnalyticDensity:
+def make_weierstrass_composite(t: float, beta: float) -> AnalyticDensity:
     """Rough test density: 1/6 + ((1-2^-beta)/12) W_beta(x - t) on |x-t| <= 2,
     linear flanks down to zero on (2, 10/3], bounded below by 1/12 on B(t,2)."""
     if not (0.0 < beta < 1.0):
         raise ValueError(f"composite exponent must lie in (0,1), got {beta!r}")
-    spec = WeierstrassSpec(beta, tol)
+    spec = WeierstrassSpec(beta)
     cw = (1.0 - 2.0 ** -beta) / 12.0
     lo, hi = t - 10.0 / 3.0, t + 10.0 / 3.0
     pieces = (
@@ -565,7 +563,9 @@ def _poly_sup_on(coeffs: Sequence[float], lo: float, hi: float) -> float:
 
 
 def _derivative_sup(density: AnalyticDensity, k: int, window: tuple[float, float]) -> float:
-    """Sup of |p^(k)| over the window from closed forms; inf if some piece
+    """Sup of |p^(k)| over the window: from closed forms on pieces without
+    series terms, and on a series piece (k = 0 only) the maximum over 513
+    evenly spaced points, which is at most the true sup; inf if some piece
     in the window has no k-th derivative (rough pieces, k >= 1)."""
     wlo, whi = window
     sup = 0.0
@@ -624,12 +624,13 @@ def holder_norm_estimate(
 ) -> float:
     """Grid estimate of the order-capped Hoelder norm on the window.
 
-    Derivative sup norms come from closed forms of the pieces; the quotient
-    uses all pairs of a uniform grid, so the result is a certified lower
-    bound of the true norm (and equals +inf whenever the norm provably is:
-    differentiation order >= 1 requested on a rough piece, or a derivative
-    of order <= k* that jumps inside the window, such as the slope at a kink
-    once beta > 1).
+    Derivative sup norms come from _derivative_sup (closed forms, or a
+    513-point grid maximum on series pieces); the quotient uses all pairs
+    of a uniform grid.  Each grid maximum is at most the sup it stands for,
+    so the result is a certified lower bound of the true norm (and equals
+    +inf whenever the norm provably is: differentiation order >= 1 requested
+    on a rough piece, or a derivative of order <= k* that jumps inside the
+    window, such as the slope at a kink once beta > 1).
     """
     wlo, whi = window
     if not wlo < whi:
@@ -683,7 +684,8 @@ def _kl_integrand(p: AnalyticDensity, q: AnalyticDensity, nodes: np.ndarray) -> 
 
 def _kl_segment(p, q, lo: float, hi: float, tol: float) -> float:
     """Composite Gauss-Legendre with 3x panel refinement; handles smooth and
-    uniformly rough integrands (panel errors cancel across the mesh)."""
+    uniformly rough integrands (panel errors cancel across the mesh).  No
+    level past 300,000 panels is evaluated: the first such level refuses."""
     def quad(panels: int) -> float:
         edges = np.linspace(lo, hi, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
@@ -696,11 +698,11 @@ def _kl_segment(p, q, lo: float, hi: float, tol: float) -> float:
     prev = quad(panels)
     while True:
         panels *= 3
+        if panels > 300_000:
+            raise ValueError(f"KL quadrature did not reach tol={tol:g} on [{lo:g},{hi:g}]")
         cur = quad(panels)
         if abs(cur - prev) <= tol:
             return cur
-        if panels > 300_000:
-            raise ValueError(f"KL quadrature did not reach tol={tol:g} on [{lo:g},{hi:g}]")
         prev = cur
 
 

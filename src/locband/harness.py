@@ -608,24 +608,28 @@ def verify_inequalities(
 # selection-threshold calibration
 # ---------------------------------------------------------------------------
 
-# calibrate_c2's candidate thresholds: the multiples of the step up to the maximum
+# calibrate_c2's rule: thresholds on the step grid up to the maximum, _C2_REPS
+# uniform samples of size _C2_N seeded from _C2_SEED, and the fraction to reach
 _C2_STEP = 0.05
 _C2_MAX = 3.0
+_C2_N = 2 ** 14
+_C2_REPS = 50
+_C2_SEED = 20240601
+_C2_TARGET = 0.95
 
 
-def calibrate_c2(
-    kernel: Kernel, n: int = 2 ** 14, reps: int = 50, seed: int = 20240601, target: float = 0.95
-) -> tuple[float, dict[float, float]]:
+def calibrate_c2() -> tuple[float, dict[float, float]]:
     """Smallest threshold on the _C2_STEP grid keeping the selected exponent
-    at j_min + 2 or below for at least `target` of mesh points under the
-    uniform density (tables are reused across candidate thresholds)."""
+    at j_min + 2 or below for at least _C2_TARGET of mesh points (uniform
+    density, rectangular kernel; tables are reused across candidate
+    thresholds), and each candidate's mean fraction."""
     uniform = zoo.make_uniform()
     candidates = [round(_C2_STEP * i, 10) for i in range(1, int(_C2_MAX / _C2_STEP) + 1)]
-    plan = derive_plan(PlanParams(n=n), kernel)
+    plan = derive_plan(PlanParams(n=_C2_N), make_rectangular())
     per_rep = []
-    for r in range(reps):
-        rseed = replication_seed(seed, r)
-        data = sample(uniform, n, rseed)
+    for r in range(_C2_REPS):
+        rseed = replication_seed(_C2_SEED, r)
+        data = sample(uniform, _C2_N, rseed)
         split = split_sample(data)
         table = build_kde_table(split, plan)
         # j_hat <= j_min + 2 iff j_min + 2 is admissible (admissible sets are
@@ -641,6 +645,6 @@ def calibrate_c2(
         c2: float(np.mean([(crit <= c2).mean() for crit in per_rep])) for c2 in candidates
     }
     for c2 in candidates:
-        if means[c2] >= target:
+        if means[c2] >= _C2_TARGET:
             return c2, means
-    raise RuntimeError(f"no threshold below {_C2_MAX} reached target fraction {target}")
+    raise RuntimeError(f"no threshold below {_C2_MAX} reached target fraction {_C2_TARGET}")

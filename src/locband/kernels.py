@@ -83,8 +83,8 @@ def convolve_grid(kernel: Kernel, density, h: float, points: np.ndarray) -> np.n
     over an interval, so the values are exact up to rounding for polynomial
     densities.  For a cosine-series member the masses are those of the
     series truncated at its WeierstrassSpec, which differs from the full
-    series by at most spec.tol per unit of term scale at every point; the
-    error is therefore at most norm_l1 * sum(|scale|) * spec.tol.
+    series by at most SERIES_TOL per unit of term scale at every point; the
+    error is therefore at most norm_l1 * sum(|scale|) * SERIES_TOL.
     """
     points = np.asarray(points, dtype=float)
     out = np.zeros_like(points)

@@ -78,7 +78,7 @@ def test_criterion_02_holder_certification():
     ok = True
     worst = math.inf
     for beta in BETA_GRID:
-        spec = WeierstrassSpec(beta, 1e-12)
+        spec = WeierstrassSpec(beta)
         x = rng.uniform(-1.0, 1.0, 10_000)
         y = rng.uniform(-1.0, 1.0, 10_000)
         keep = x != y

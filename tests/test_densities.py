@@ -14,9 +14,11 @@ from locband import harness
 from locband.band import cell_edges
 from locband.calibration import PlanParams, derive_plan
 from locband.densities import (
+    SERIES_TOL,
     AnalyticDensity,
     Piece,
     WeierstrassSpec,
+    _series_sum,
     density_from_name,
     holder_norm_estimate,
     holder_quotient_bound,
@@ -28,6 +30,7 @@ from locband.densities import (
     make_uniform,
     make_weierstrass_composite,
     sample,
+    weierstrass_antideriv,
     weierstrass_eval,
 )
 from locband.harness import local_exponent_oracle
@@ -56,20 +59,22 @@ class TestWeierstrassSeries:
 
     def test_truncation_depth_bound(self):
         for beta in (0.3, 0.5, 0.8, 1.0):
-            for tol in (1e-6, 1e-10, 1e-12):
-                spec = WeierstrassSpec(beta, tol)
-                n = spec.depth
-                assert 2.0 ** (-n * beta) / (1.0 - 2.0 ** -beta) <= tol
-                if n > 0:  # depth is sharp
-                    assert 2.0 ** (-(n - 1) * beta) / (1.0 - 2.0 ** -beta) > tol
+            n = WeierstrassSpec(beta).depth
+            assert 2.0 ** (-n * beta) / (1.0 - 2.0 ** -beta) <= SERIES_TOL
+            if n > 0:  # depth is sharp
+                assert 2.0 ** (-(n - 1) * beta) / (1.0 - 2.0 ** -beta) > SERIES_TOL
 
-    def test_truncation_agreement(self):
-        # two tolerances differ by at most the coarser one
-        coarse = WeierstrassSpec(0.5, 1e-6)
-        fine = WeierstrassSpec(0.5, 1e-13)
-        xs = np.linspace(-1.0, 1.0, 101)
-        diff = np.abs(weierstrass_eval(coarse, xs) - weierstrass_eval(fine, xs))
-        assert diff.max() <= 1e-6 + 1e-12
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8, 1.0])
+    def test_truncation_error(self, beta):
+        # against sums 40 terms deeper; on this dyadic grid every deeper
+        # cosine term is 1, so the value's tail is the largest it can be
+        spec = WeierstrassSpec(beta)
+        xs = np.arange(-256, 257) / 256.0
+        k = np.arange(spec.depth + 41, dtype=float)
+        deep = _series_sum(np.cos, np.exp2(-k * beta), xs)
+        deep_antideriv = _series_sum(np.sin, np.exp2(-k * (beta + 1.0)) / math.pi, xs)
+        assert np.abs(weierstrass_eval(spec, xs) - deep).max() <= SERIES_TOL
+        assert np.abs(weierstrass_antideriv(spec, xs) - deep_antideriv).max() <= SERIES_TOL
 
     @given(st.integers(-256, 256), st.floats(0.25, 1.0))
     @settings(max_examples=60, deadline=None)
@@ -77,7 +82,7 @@ class TestWeierstrassSeries:
         # dyadic arguments so that x + 2 is exact: the series is rough, so
         # even one ulp of argument rounding would move the value by ~ulp^beta
         x = k / 256.0
-        spec = WeierstrassSpec(beta, 1e-10)
+        spec = WeierstrassSpec(beta)
         v = weierstrass_eval(spec, x)
         assert abs(v) <= 1.0 / (1.0 - 2.0 ** -beta) + 1e-9
         assert v == pytest.approx(weierstrass_eval(spec, -x), abs=1e-12)
@@ -92,8 +97,6 @@ class TestWeierstrassSeries:
     def test_depth_cap_admits_small_exponents(self):
         # the zoo and the tests go no lower than beta = 0.25
         assert (WeierstrassSpec(0.1).depth, WeierstrassSpec(0.25).depth) == (438, 171)
-        assert WeierstrassSpec(0.5, tol=1e-300).depth == 1997
-        assert WeierstrassSpec(0.5, tol=5e-324).depth == 2152  # tol (1 - 2^-beta) underflows to 0
 
 
 class TestNormConstants:
@@ -112,7 +115,7 @@ class TestNormConstants:
 
     @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
     def test_quotient_certification(self, beta):
-        spec = WeierstrassSpec(beta, 1e-12)
+        spec = WeierstrassSpec(beta)
         rng = np.random.default_rng(7)
         x = rng.uniform(-1.0, 1.0, 10_000)
         y = rng.uniform(-1.0, 1.0, 10_000)
@@ -370,8 +373,7 @@ def _rough_cells(draw):
     beta = draw(st.floats(0.2, 0.95))
     kind = draw(st.sampled_from(["weierstrass", "perturbed1", "perturbed2"]))
     if kind == "weierstrass":
-        tol = draw(st.sampled_from([1e-12, 1e-6, 1e-2]))
-        density = make_weierstrass_composite(draw(st.floats(-1.0, 1.0)), beta, tol)
+        density = make_weierstrass_composite(draw(st.floats(-1.0, 1.0)), beta)
     else:
         density = density_from_name(f"{kind}:{beta!r}:{draw(st.sampled_from([16, 256, 1000, 4096]))}")
     joints = [p.lo for p in density.pieces] + [density.pieces[-1].hi]
@@ -576,7 +578,7 @@ def _random_densities(draw):
               tuple(draw(st.lists(st.tuples(coef, st.floats(-1.0, 1.0)), max_size=2))))
         for lo, hi in zip(edges[:-1], edges[1:])
     )
-    spec = WeierstrassSpec(draw(st.floats(0.3, 1.0)), draw(st.sampled_from([1e-12, 1e-3])))
+    spec = WeierstrassSpec(draw(st.floats(0.3, 1.0)))
     return AnalyticDensity("random", pieces, sup_bound=1.0, wspec=spec)
 
 
@@ -800,6 +802,21 @@ class TestKLDivergence:
         c8 = 48.0 * lw ** 2 * 4.0 ** -(2 * beta + 1) * 2.0 ** (2 * beta) * ((1 - 2.0 ** -beta) / 12.0) ** 2
         assert 0.0 <= n * val <= c8
 
+    def test_refusal_evaluates_no_level_past_the_cap(self):
+        # the log singularity at a segment end never converges: the refusal
+        # comes before the first level past 300,000 panels of 8 nodes
+        sizes = []
+        real = zoo._kl_integrand
+
+        def counted(p, q, nodes):
+            sizes.append(nodes.size)
+            return real(p, q, nodes)
+
+        with mock.patch.object(zoo, "_kl_integrand", counted):
+            with pytest.raises(ValueError, match="^KL quadrature did not reach"):
+                kl_divergence(make_uniform(), make_peak_triangular(), tol=1e-9)
+        assert max(sizes) <= 8 * 300_000
+
 
 def _with_radius(r, call):
     def run():
@@ -809,9 +826,6 @@ def _with_radius(r, call):
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda: WeierstrassSpec(0.5, tol=0.0), ValueError, "truncation tolerance must be positive and finite, got 0.0"),
-    (lambda: WeierstrassSpec(0.5, tol=math.nan), ValueError, "truncation tolerance must be positive and finite, got nan"),
-    (lambda: WeierstrassSpec(0.5, tol=math.inf), ValueError, "truncation tolerance must be positive and finite, got inf"),
     (lambda: WeierstrassSpec(1e-6), ValueError,
      "series exponent 1e-06 needs 60323473 terms for tolerance 1e-12, more than the 4096 evaluated"),
     (lambda: WeierstrassSpec(1e-320), ValueError,  # 2^-beta rounds to 1: no depth reaches the tolerance

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -318,33 +319,32 @@ class TestReplicationPool:
 
 
 class TestCalibrateC2:
-    def test_smoke(self, rect):
-        c2, means = H.calibrate_c2(rect, n=2 ** 10, reps=3, seed=2, target=0.9)
-        assert 0.0 < c2 <= 3.0
-        assert means[c2] >= 0.9
-        # admissibility fractions are nondecreasing in the threshold
-        keys = sorted(means)
-        vals = [means[k] for k in keys]
-        assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals[:-1], vals[1:]))
-
-    def test_reproduces_default_c2(self, rect):
-        # the script defaults: n = 2^14, 50 replications, seed 20240601
+    def test_reproduces_default_c2(self):
+        # the rule's constants: n = 2^14, 50 replications, seed 20240601
         from locband.calibration import DEFAULT_C2
 
-        c2, _ = H.calibrate_c2(rect)
+        c2, means = H.calibrate_c2()
         assert c2 == DEFAULT_C2 == 0.65
+        assert means[c2] >= 0.95
+        # admissibility fractions are nondecreasing in the threshold
+        vals = [means[k] for k in sorted(means)]
+        assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(vals[:-1], vals[1:]))
 
     def test_script_runs(self):
-        # the script that produced DEFAULT_C2, on a small run, so that its
-        # call into calibrate_c2 keeps matching the signature
+        # the script that produced DEFAULT_C2 reproduces it
         root = Path(__file__).resolve().parent.parent
         done = subprocess.run(
-            [sys.executable, str(root / "scripts" / "calibrate_c2.py"), "--n", "4096", "--reps", "2"],
+            [sys.executable, str(root / "scripts" / "calibrate_c2.py")],
             env={**os.environ, "PYTHONPATH": str(Path(locband.__file__).resolve().parent.parent)},
             capture_output=True, text=True, timeout=120,
         )
         assert done.returncode == 0, done.stderr
-        assert "\ncalibrated c2 = " in done.stdout
+        assert done.stdout.endswith("\ncalibrated c2 = 0.65\n")
+
+
+def _calibrate_c2_at_target(target):
+    with mock.patch.object(H, "_C2_TARGET", target):
+        H.calibrate_c2()
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -357,7 +357,7 @@ class TestCalibrateC2:
     (lambda rect, plan: H.tilde_w_second_moment_mc(0.1, 0.1, 1, 2, 0.01, 0.5), ValueError,
      "negative time argument for the Brownian motion"),
     # no fraction of mesh points exceeds 1
-    (lambda rect, plan: H.calibrate_c2(rect, n=2 ** 10, reps=1, seed=2, target=1.5), RuntimeError,
+    (lambda rect, plan: _calibrate_c2_at_target(1.5), RuntimeError,
      "no threshold below 3.0 reached target fraction 1.5"),
 ])
 def test_input_checks(call, error, message, rect, plan_1k):

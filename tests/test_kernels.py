@@ -139,14 +139,6 @@ class TestConvolveAt:
         for g in (0.05, 0.1, 0.2):
             assert np.allclose(convolve_grid(rect, p, g, s), s * s + g * g / 3.0, rtol=0.0, atol=1e-12)
 
-    def test_rough_composite_refinement(self, rect):
-        # tightening the series tolerance tenfold moves the value by < 1e-8
-        coarse = make_weierstrass_composite(0.0, 0.5, tol=1e-8)
-        fine = make_weierstrass_composite(0.0, 0.5, tol=1e-9)
-        a = convolve_grid(rect, coarse, 2.0 ** -5, np.array([0.0]))
-        b = convolve_grid(rect, fine, 2.0 ** -5, np.array([0.0]))
-        assert a[0] == pytest.approx(b[0], abs=1e-8)
-
     def test_multi_piece_kernel_exact(self):
         # each piece convolves through its own interval mass: the asymmetric
         # step kernel's bias on an affine density is its first moment times the slope
