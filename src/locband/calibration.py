@@ -211,9 +211,9 @@ def read_key_values(lines: Iterable[str], parsers: Mapping[str, Callable[[str], 
                     what: str, where: str) -> dict:
     """The key=value pairs of `lines`, each value parsed by its key's entry in
     `parsers`.  Blank and '#' lines are skipped; a line without '=', a key not
-    in `parsers` (an unknown `what`) or a value its parser rejects raises
-    ValueError naming `where` and the line number."""
-    out = {}
+    in `parsers` (an unknown `what`), a value its parser rejects or a key given
+    on an earlier line raises ValueError naming `where` and the line number."""
+    out, first = {}, {}
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -224,9 +224,12 @@ def read_key_values(lines: Iterable[str], parsers: Mapping[str, Callable[[str], 
         if key not in parsers:
             raise ValueError(f"{where}{i}: unknown {what} {key!r}")
         try:
-            out[key] = parsers[key](val)
+            value = parsers[key](val)
         except ValueError as exc:
             raise ValueError(f"{where}{i}: {key}={val}: {exc}") from exc
+        if key in first:
+            raise ValueError(f"{where}{i}: {what} {key!r} repeats line {first[key]}")
+        out[key], first[key] = value, i
     return out
 
 

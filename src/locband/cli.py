@@ -1,9 +1,11 @@
 """Command-line front end: band fitting, simulation drivers, the inequality
 verification suite, and band-comparison curves, all emitting CSV.
 
-Every setting, from a flag, LOCBAND_SEED or a --config line, is checked
-as it is resolved, whatever the command.  A plan takes n, lstar and c2 from
-the settings and its other constants from locband.calibration.
+Each command, or simulate kind, accepts as a flag or a --config key only the
+settings it reads (_READS), plus the seed, which every command accepts and
+only those that draw numbers read.  Each value, from a flag, LOCBAND_SEED or
+a --config line, is checked as it is resolved.  A plan takes n, lstar and c2
+from the settings and its other constants from locband.calibration.
 
 Exit codes: 0 success (simulations exit 0 regardless of pass/fail --
 results are data), 1 failed verification, 2 usage/parse errors and runs
@@ -54,10 +56,10 @@ def _as_given(value: str) -> str:
     return value
 
 
-# Every setting, as (parser, default, --help text, check): each is a --<name>
-# flag of every command and a key of the --config file, parsed the same way,
-# and its check runs once as the value is resolved, whatever its source and
-# whatever the command; calibration owns the rules for alpha, c2 and lstar.
+# Every setting, as (parser, default, --help text, check): a --<name> flag and
+# a --config key of each command that accepts it, parsed the same way, and its
+# check runs once as the value is resolved, whatever its source; calibration
+# owns the rules for alpha, c2 and lstar.
 _SETTINGS = {
     "n": (int, 4096, "sample size (cell count for simulate gumbel)", _at_least("n", 4)),
     "alpha": (float, 0.1, None, checked_alpha),
@@ -72,18 +74,44 @@ _SETTINGS = {
 }
 
 
-def _read_config(path: str) -> dict:
-    parsers = {key: lambda v, parse=parse, check=check: check(parse(v))
-               for key, (parse, _, _, check) in _SETTINGS.items()}
+# The settings each command, or each simulate kind, reads: with the seed, its
+# flags and its config keys; its .meta sidecar opens with some of them (_sidecar).
+_READS = {
+    "band": ("alpha", "c2", "lstar", "input", "out"),
+    "verify": ("suite", "out"),
+    "curves": ("n", "alpha", "seed", "c2", "lstar", "density", "out"),
+    "coverage": ("n", "alpha", "reps", "seed", "c2", "lstar", "density", "out"),
+    "adaptivity": ("n", "alpha", "reps", "seed", "c2", "lstar", "density", "out"),
+    "window": ("n", "reps", "seed", "c2", "lstar", "density", "out"),
+    "gumbel": ("n", "reps", "seed", "out"),
+}
+_SIMULATE_KINDS = ("coverage", "adaptivity", "window", "gumbel")
+
+
+def _accepted(key: str) -> list[str]:
+    """The settings the command or simulate kind `key` accepts, in _SETTINGS
+    order: those it reads, and the seed, which every command accepts."""
+    return [k for k in _SETTINGS if k in _READS[key] or k == "seed"]
+
+
+def _read_config(path: str, keys: list[str]) -> dict:
+    parsers = {key: lambda v, parse=_SETTINGS[key][0], check=_SETTINGS[key][3]: check(parse(v))
+               for key in keys}
     with open(path, "r", encoding="utf-8") as fh:
         return read_key_values(fh, parsers, "config key", f"{path}:")
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """defaults < config file < LOCBAND_SEED < explicit flags."""
-    cfg = {key: default for key, (_, default, _, _) in _SETTINGS.items()}
-    if getattr(args, "config", None):
-        cfg.update(_read_config(args.config))
+def _resolve(args: argparse.Namespace, key: str) -> dict:
+    """The settings the command or simulate kind `key` accepts: defaults <
+    config file < LOCBAND_SEED < explicit flags.  A flag that `key` does not
+    read (one the simulate parser takes for another kind) is refused first."""
+    keys = _accepted(key)
+    unread = [f"--{k}" for k in _SETTINGS if k not in keys and getattr(args, k, None) is not None]
+    if unread:
+        raise ValueError(f"{key} reads no {', '.join(unread)}")
+    cfg = {k: _SETTINGS[k][1] for k in keys}
+    if args.config:
+        cfg.update(_read_config(args.config, keys))
     env_seed = os.environ.get(SEED_ENV)
     if env_seed is not None:
         parse, _, _, check = _SETTINGS["seed"]
@@ -91,35 +119,19 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg["seed"] = check(parse(env_seed))
         except ValueError as exc:
             raise ValueError(f"{SEED_ENV}={env_seed}: {exc}") from exc
-    for key, (_, _, _, check) in _SETTINGS.items():
-        v = getattr(args, key, None)
+    for k in keys:
+        v = getattr(args, k)
         if v is not None:
-            cfg[key] = check(v)
+            cfg[k] = _SETTINGS[k][3](v)
     args.settings = cfg  # main names the run's n if it runs out of memory
     return cfg
-
-
-# The settings each command, or each simulate kind, reads that neither its
-# plan nor its report records.  Its .meta sidecar opens with these, so that
-# it depends on neither the output path nor unused defaults and names no
-# setting twice; a density is resolved only where it is read.
-_META_KEYS = {
-    "band": ("alpha",),
-    "verify": (),
-    "curves": ("alpha", "density", "seed"),
-    "coverage": ("alpha", "density", "reps", "seed"),
-    "adaptivity": ("alpha", "density", "reps", "seed"),
-    "window": ("density", "reps", "seed"),
-    "gumbel": ("n", "reps", "seed"),
-}
-_SIMULATE_KINDS = ("coverage", "adaptivity", "window", "gumbel")
 
 
 def _density_and_plan(cfg: dict, key: str) -> tuple[zoo.AnalyticDensity | None, CalibrationPlan]:
     """The zoo density, if the command or simulate kind `key` reads one, and
     the plan derived from cfg with the rectangular kernel."""
     density = None
-    if "density" in _META_KEYS[key]:
+    if "density" in _READS[key]:
         density = zoo.density_from_name(cfg["density"])
     plan = derive_plan(PlanParams(n=cfg["n"], L_star=cfg["lstar"], c2=cfg["c2"]), make_rectangular())
     for warning in plan.warnings:
@@ -130,9 +142,13 @@ def _density_and_plan(cfg: dict, key: str) -> tuple[zoo.AnalyticDensity | None, 
 def _sidecar(
     cfg: dict, key: str, plan: CalibrationPlan | None = None, report: harness.ExperimentReport | None = None
 ) -> str:
-    """The .meta text: the settings of _META_KEYS[key], then the plan and one
-    warning.<i> line per plan warning, then the report's own lines."""
-    parts = [f"{k}={cfg[k]}\n" for k in _META_KEYS[key]]
+    """The .meta text: the settings `key` reads, in alphabetical order, then
+    the plan and one warning.<i> line per plan warning, then the report's own
+    lines.  The settings leave out the paths, the suite and what the plan
+    records, so that the sidecar depends on neither the output path nor
+    unused defaults and names no key twice."""
+    skip = {"input", "out", "suite"} | ({"n", "c2", "lstar"} if plan is not None else set())
+    parts = [f"{k}={cfg[k]}\n" for k in sorted(set(_READS[key]) - skip)]
     if plan is not None:
         parts.append(plan_to_text(plan))
         parts += [f"warning.{i}={w}\n" for i, w in enumerate(plan.warnings)]
@@ -157,8 +173,7 @@ def _emit(write_body: Callable[[TextIO], object], meta: str, out: str | None) ->
 
 
 def cmd_band(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
-    cfg["n"] = None  # the input's size, once it is read
+    cfg = _resolve(args, "band")
     if cfg["input"] is None:
         raise ValueError("--input is required")
     try:
@@ -176,10 +191,10 @@ def cmd_band(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
     kind = args.kind
     if kind not in _SIMULATE_KINDS:
         raise ValueError(f"unknown kind {kind!r} ({'|'.join(_SIMULATE_KINDS)})")
+    cfg = _resolve(args, kind)
     plan = None
     if kind == "gumbel":
         # the comparison process needs only the cell count and the kernel
@@ -198,7 +213,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    cfg = _resolve(args, "verify")
     suites = None if cfg["suite"] in (None, "all") else [cfg["suite"]]
     report = harness.verify_inequalities(suites=suites)
     _emit(lambda fh: fh.write(report.to_csv_text()), _sidecar(cfg, "verify", report=report), cfg["out"])
@@ -211,7 +226,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    cfg = _resolve(args)
+    cfg = _resolve(args, "curves")
     density, plan = _density_and_plan(cfg, "curves")
     q_n = band_halfwidth_quantile(plan, cfg["alpha"])
     split = split_sample(zoo.sample(density, plan.n, cfg["seed"]))
@@ -248,26 +263,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_settings(p, keys):
         p.add_argument("--config", help="flat key=value config file")
-        for key, (parse, _, text, _) in _SETTINGS.items():
+        for key in keys:
+            parse, _, text, _ = _SETTINGS[key]
             p.add_argument(f"--{key}", type=parse, help=text)
 
     p_band = sub.add_parser("band", help="fit a confidence band to a data file")
-    add_common(p_band)
+    add_settings(p_band, _accepted("band"))
     p_band.set_defaults(func=cmd_band)
 
     p_sim = sub.add_parser("simulate", help="run a seeded experiment")
     p_sim.add_argument("kind", help="coverage | adaptivity | window | gumbel")
-    add_common(p_sim)
+    # every kind's settings; cmd_simulate refuses those its kind does not read
+    add_settings(p_sim, [k for k in _SETTINGS if any(k in _accepted(kind) for kind in _SIMULATE_KINDS)])
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run the numeric inequality suite")
-    add_common(p_ver)
+    add_settings(p_ver, _accepted("verify"))
     p_ver.set_defaults(func=cmd_verify)
 
     p_cur = sub.add_parser("curves", help="local vs global band comparison curves")
-    add_common(p_cur)
+    add_settings(p_cur, _accepted("curves"))
     p_cur.set_defaults(func=cmd_curves)
     return parser
 
@@ -284,8 +301,8 @@ def main(argv=None) -> int:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
     except MemoryError:
-        # also one that fork_map re-raises from a worker; verify reads no n
-        n = None if args.command == "verify" else getattr(args, "settings", {}).get("n")
+        # also one that fork_map re-raises from a worker
+        n = getattr(args, "settings", {}).get("n")
         print(f"{args.command}: out of memory" + ("" if n is None else f" at n={n}"), file=sys.stderr)
         return 2
 

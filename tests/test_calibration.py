@@ -206,6 +206,11 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape("line 2: expected key=value, got 'j_min 3'") + "$"):
             plan_from_text("n=2048\nj_min 3\n", rect)
 
+    def test_repeated_field_rejected(self, rect):
+        # the last value would otherwise win in silence
+        with pytest.raises(ValueError, match=re.escape("line 3: plan field 'n' repeats line 1") + "$"):
+            plan_from_text("n=2048\n# the same field again\nn=4096\n", rect)
+
     def test_blank_and_comment_lines_skipped(self, rect, plan_1k):
         assert plan_from_text("# a sidecar's plan\n\n  \nn=2048\n#j_min=9\n", rect) == plan_1k
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -323,21 +324,18 @@ class TestConfigAndEnv:
         assert not out.exists()
 
     def test_config_checked_whole(self, tmp_path, capsys):
-        # band reads no reps, but the file is checked as a whole
+        # band reads no reps, so its config file may not name it
         cfg = tmp_path / "run.cfg"
         cfg.write_text("reps=0\n")
         assert run_cli("band", "--config", str(cfg), "--input", "whatever") == 2
-        assert capsys.readouterr().err == f"band: {cfg}:1: reps=0: reps must be >= 1, got 0\n"
+        assert capsys.readouterr().err == f"band: {cfg}:1: unknown config key 'reps'\n"
 
     @pytest.mark.parametrize("argv, err", [
-        (("verify", "--suite", "a2", "--alpha", "5"), "verify: alpha must lie in (0,1), got 5.0\n"),
-        (("band", "--input", "{input}", "--reps", "0"), "band: reps must be >= 1, got 0\n"),
         (("band", "--input", "{missing}", "--c2", "-1"), "band: c2 must be positive and finite, got -1.0\n"),
         (("simulate", "gumbel", "--n", "3", "--reps", "20"), "simulate: n must be >= 4, got 3\n"),
-    ], ids=["verify-alpha", "band-reps", "band-c2-before-input", "gumbel-n"])
+    ], ids=["band-c2-before-input", "gumbel-n"])
     def test_flags_checked_whole(self, argv, err, data_file, tmp_path, capsys):
-        # a flag meets the rule its config line meets, whatever the command
-        # reads, before any input is read
+        # a flag meets the rule its config line meets, before any input is read
         out = tmp_path / "out.csv"
         argv = [a.format(input=data_file, missing=tmp_path / "missing.txt") for a in argv]
         assert run_cli(*argv, "--out", str(out)) == 2
@@ -401,7 +399,11 @@ class TestConfigAndEnv:
     # a plan's constants other than n, lstar and c2 are fixed, so there is no mode to pick
     *((argv + ("--mode", "theory"), 2, "err", "unrecognized arguments: --mode theory")
       for argv in (("band",), ("simulate", "coverage"), ("simulate", "gumbel"), ("curves",))),
-], ids=["help", "unknown-flag", "mode-band", "mode-coverage", "mode-gumbel", "mode-curves"])
+    # a flag that the command does not read is not one of its flags
+    (("verify", "--suite", "a2", "--alpha", "5"), 2, "err", "unrecognized arguments: --alpha 5"),
+    (("band", "--input", "whatever", "--reps", "0"), 2, "err", "unrecognized arguments: --reps 0"),
+], ids=["help", "unknown-flag", "mode-band", "mode-coverage", "mode-gumbel", "mode-curves",
+        "verify-alpha", "band-reps"])
 def test_parser_exit_becomes_return_code(argv, code, stream, text, capsys):
     assert run_cli(*argv) == code
     assert text in getattr(capsys.readouterr(), stream)
@@ -420,16 +422,51 @@ def test_parser_exit_becomes_return_code(argv, code, stream, text, capsys):
     (("curves", "--density", "weierstrass:2:0.5"),
      "curves: cannot build density 'weierstrass:2:0.5': composite exponent must lie in (0,1), got 2.0\n"),
     (("verify", "--suite", "a9"), "verify: unknown suite(s): ['a9']\n"),
+    # a simulate flag or config key that the kind does not read, before any value is checked
+    (("simulate", "window", "--alpha", "0.3"), "simulate: window reads no --alpha\n"),
+    (("simulate", "gumbel", "--density", "peak", "--c2", "5"), "simulate: gumbel reads no --c2, --density\n"),
+    (("simulate", "gumbel", "--reps", "0", "--lstar", "nan"), "simulate: gumbel reads no --lstar\n"),
+    (("simulate", "window", "--config", "{cfg}"), "simulate: {cfg}:2: unknown config key 'alpha'\n"),
+    # the last value would otherwise win in silence
+    (("simulate", "gumbel", "--config", "{repeats}"), "simulate: {repeats}:3: config key 'n' repeats line 1\n"),
+    (("simulate", "bogus", "--reps", "0"), "simulate: unknown kind 'bogus' (coverage|adaptivity|window|gumbel)\n"),
 ], ids=["no-input", "missing-input", "bad-line", "unknown-kind", "unknown-density", "curves-unknown-density",
-        "tent-x", "weierstrass-beta-2", "unknown-suite"])
+        "tent-x", "weierstrass-beta-2", "unknown-suite", "window-alpha", "gumbel-density-c2", "gumbel-lstar-first",
+        "window-config-alpha", "config-key-repeats", "kind-before-reps"])
 def test_refusal_is_one_exact_line(argv, err, tmp_path, capsys):
     # each refusal is the whole of stderr, with exit 2 and nothing written
-    paths = {"missing": str(tmp_path / "missing.txt"), "bad": str(tmp_path / "bad.txt")}
-    (tmp_path / "bad.txt").write_text("0.5\nx\n")
+    texts = {"bad": "0.5\nx\n", "cfg": "n=512\nalpha=0.2\n", "repeats": "n=64\nreps=20\nn=128\n"}
+    paths = {"missing": str(tmp_path / "missing.txt"), **{name: str(tmp_path / name) for name in texts}}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
     out = tmp_path / "out.csv"
     assert run_cli(*(a.format(**paths) for a in argv), "--out", str(out)) == 2
     assert capsys.readouterr() == ("", err.format(**paths))
     assert not out.exists()
+
+
+# a valid value of each setting that a simulate kind may read
+_SIMULATE_VALUES = {"n": "64", "alpha": "0.2", "reps": "1", "seed": "3", "c2": "0.65", "lstar": "1", "density": "peak"}
+
+
+@pytest.mark.parametrize("key", list(cli._READS))
+def test_accepts_the_settings_it_reads(key, tmp_path, capsys):
+    # --help lists the command's table row (every kind's, for simulate) and
+    # the seed, which every command accepts; given every simulate flag, a
+    # kind refuses in one line those that it does not read, and runs otherwise
+    command = "simulate" if key in cli._SIMULATE_KINDS else key
+    assert run_cli(command, "--help") == 0
+    listed = set(re.findall(r"^  (-h|--\w+)", capsys.readouterr().out, re.M))
+    rows = [cli._READS[k] for k in (cli._SIMULATE_KINDS if command == "simulate" else (key,))]
+    assert listed == {f"--{s}" for row in rows for s in row} | {"-h", "--config", "--seed"}
+    if command == "simulate":
+        out = tmp_path / "out.csv"
+        flags = [a for s, v in _SIMULATE_VALUES.items() for a in (f"--{s}", v)]
+        unread = [f"--{s}" for s in _SIMULATE_VALUES if s not in cli._READS[key] and s != "seed"]
+        assert run_cli("simulate", key, *flags, "--out", str(out)) == (2 if unread else 0)
+        warned = "".join(f"simulate: {w}" for w in RELAXED)
+        assert capsys.readouterr().err == (f"simulate: {key} reads no {', '.join(unread)}\n" if unread else warned)
+        assert out.exists() != bool(unread)
 
 
 @pytest.mark.parametrize("reps", ["0", "-3"])
@@ -686,26 +723,37 @@ _INPUT_TEXT = {"data": "".join(f"{x!r}\n" for x in np.linspace(0.01, 0.99, 300))
 _INPUTS = (*_INPUT_TEXT, "missing", "")
 
 
+def _flags(command):
+    """The settings the parser of `command` takes: a simulate parser takes every kind's."""
+    kinds = cli._SIMULATE_KINDS if command[0] == "simulate" else command
+    return {"seed", *(s for kind in kinds for s in cli._READS[kind])}
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     command=st.sampled_from([("band",), ("verify",), ("curves",),
                              *(("simulate", kind) for kind in (*cli._SIMULATE_KINDS, "bogus"))]),
-    values=st.fixed_dictionaries({"reps": st.sampled_from(_VALID["reps"])},
-                                 optional={key: st.sampled_from(v) for key, v in _VALID.items() if key != "reps"}),
+    values=st.fixed_dictionaries({}, optional={key: st.sampled_from(v) for key, v in _VALID.items()}),
     edge=st.none() | st.sampled_from(list(_EDGE)).flatmap(lambda k: st.tuples(st.just(k), st.sampled_from(_EDGE[k]))),
     density=st.none() | _DENSITIES,
     given_input=st.none() | st.sampled_from(_INPUTS),
+    stray=st.booleans(),
     in_config=st.booleans(),
 )
 # a perturbation's sample size past float range once ended in an OverflowError
 @example(command=("simulate", "coverage"), values={"n": "64", "reps": "1"}, edge=None,
-         density=f"perturbed1:0.5:{10 ** 400}", given_input=None, in_config=False)
-def test_argv_sweep_ends_in_a_stated_outcome(command, values, edge, density, given_input, in_config):
+         density=f"perturbed1:0.5:{10 ** 400}", given_input=None, stray=False, in_config=False)
+def test_argv_sweep_ends_in_a_stated_outcome(command, values, edge, density, given_input, stray, in_config):
+    # every setting is drawn for every command; a stray draw keeps those the
+    # command does not read, and the others drop them
     values = dict(values, **dict([edge] if edge else []))
+    if command[0] == "simulate":
+        values.setdefault("reps", "1")  # the default 50 is too slow to sweep
     if command == ("verify",):
         values.setdefault("suite", "a2")  # the whole suite is too slow to sweep
     if density is not None:
         values["density"] = density
+    reads = {"seed", *cli._READS[command[-1]]} if command[-1] in cli._READS else _flags(command)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         if command == ("band",) and given_input is None:
@@ -715,6 +763,8 @@ def test_argv_sweep_ends_in_a_stated_outcome(command, values, edge, density, giv
             if given_input in _INPUT_TEXT:
                 path.write_text(_INPUT_TEXT[given_input])
             values["input"] = "" if given_input == "" else str(path)
+        if not stray:
+            values = {k: v for k, v in values.items() if k in reads}
         out = tmp / "out.csv"
         argv = [*command, "--out", str(out)]
         if in_config:
@@ -727,13 +777,20 @@ def test_argv_sweep_ends_in_a_stated_outcome(command, values, edge, density, giv
             code = main(argv)  # an uncaught exception fails the test here
         written = out.exists() and Path(f"{out}.meta").exists()
     lines = err.getvalue().splitlines()
+    unread = [k for k in cli._SETTINGS if k in values and k not in reads]
     assert "Traceback" not in err.getvalue()
     assert code in (0, 2) or (code == 1 and command == ("verify",)), (argv, code, lines)
+    assert code == 2 or not unread, (argv, code, lines)
     if code == 0:
         assert written, argv
-    elif code == 2 and not in_config and not all(_parses(k, v) for k, v in values.items()):
+    elif code == 2 and not in_config and not all(_parses(k, v) for k, v in values.items() if k in _flags(command)):
         # argparse refuses a flag value with usage lines, then its error line
         assert lines[-1].startswith(f"locband {command[0]}: error: argument --"), (argv, lines)
+    elif code == 2 and not in_config and not set(values) <= _flags(command):
+        assert lines[-1].startswith("locband: error: unrecognized arguments: "), (argv, lines)
+    elif code == 2 and not in_config and unread and command[-1] in cli._READS:
+        # a simulate flag of another kind
+        assert lines == [f"simulate: {command[-1]} reads no {', '.join(f'--{k}' for k in unread)}"], (argv, lines)
     elif code == 2:
         stated = [line for line in lines if not line.startswith(f"{command[0]}: warning: ")]
         assert len(stated) == 1 and stated[0].startswith(f"{command[0]}: "), (argv, lines)
